@@ -60,7 +60,7 @@ fn main() {
     // in table order. The printed bounds are identical for every job
     // count; only the wall-clock timing columns vary.
     let benches = table3();
-    let (mut rows, _) = pool::ordered_map_with(
+    let mut rows = pool::ordered_map_with(
         jobs,
         &benches,
         |_w| {

@@ -145,12 +145,12 @@ fn main() {
     println!("Error-soundness validation (Cor. 4.20): RP(ideal, fp) <= grade bound\n");
 
     let t3 = table3();
-    let (outcomes, _) =
+    let outcomes =
         pool::ordered_map_with(jobs, &t3, |_w| sessions(), |s, _i, b| sweep_table3(b, s));
     merge(outcomes, &mut tally);
 
     let t5 = table5();
-    let (outcomes, _) =
+    let outcomes =
         pool::ordered_map_with(jobs, &t5, |_w| sessions(), |s, _i, b| sweep_table5(b, s));
     merge(outcomes, &mut tally);
     let (mut runs, mut violations, faults, worst_slack) = tally;

@@ -69,7 +69,7 @@ pub enum TyNode {
     Monad(GradeId, TyId),
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct ArenaInner {
     ty_nodes: Vec<TyNode>,
     ty_dedup: HashMap<TyNode, TyId>,
@@ -112,27 +112,6 @@ impl CoreArena {
         inner.ty_nodes.push(TyNode::Num);
         inner.ty_dedup.insert(TyNode::Num, NUM_ID);
         CoreArena { inner: Arc::new(Mutex::new(inner)) }
-    }
-
-    /// Whether two handles share one underlying table (ids interchange).
-    pub fn same_arena(&self, other: &CoreArena) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// An opaque identity token for the underlying table: two handles
-    /// have equal tokens **iff** [`CoreArena::same_arena`] holds. Useful
-    /// as a map key when grouping programs by session arena (the sharded
-    /// batch checker keys its per-worker [`CoreArena::deep_clone`]s this
-    /// way). The token is only meaningful while at least one handle to
-    /// the table is alive.
-    pub fn token(&self) -> usize {
-        Arc::as_ptr(&self.inner) as usize
-    }
-
-    /// A deep, independent copy of the current table (new handles to the
-    /// copy do share with each other).
-    pub fn deep_clone(&self) -> CoreArena {
-        CoreArena { inner: Arc::new(Mutex::new(self.lock().clone())) }
     }
 
     fn lock(&self) -> MutexGuard<'_, ArenaInner> {
@@ -480,7 +459,6 @@ mod tests {
         assert_ne!(t1, t3);
         // Shared handles intern to the same ids.
         let handle = arena.clone();
-        assert!(handle.same_arena(&arena));
         assert_eq!(handle.intern(&Ty::monad(eps(), Ty::Num)), {
             let gid = arena.intern_grade(&eps());
             arena.monad(gid, arena.num())

@@ -236,23 +236,10 @@ pub fn infer_backward(
     root: TermId,
     free: &[(VarId, Ty)],
 ) -> Result<BackwardResult, BackwardError> {
-    infer_backward_in(store, store.tys(), sig, root, free)
+    infer_backward_pass(store, sig, root, free, None).map(|(result, _)| result)
 }
 
-/// [`infer_backward`], resolving annotations against `tys` instead of the
-/// store's own arena — the same zero-copy sharding primitive as
-/// [`crate::infer_in`], with the same id-compatibility contract.
-pub fn infer_backward_in(
-    store: &TermStore,
-    tys: &crate::CoreArena,
-    sig: &Signature,
-    root: TermId,
-    free: &[(VarId, Ty)],
-) -> Result<BackwardResult, BackwardError> {
-    infer_backward_inner(store, tys, sig, root, free, None).map(|(result, _)| result)
-}
-
-/// [`infer_backward_in`], with subterm-level judgment memoization against
+/// [`infer_backward`], with subterm-level judgment memoization against
 /// `cache` — the backward twin of [`crate::infer_memoized`], with the
 /// same key discipline, the same soundness contract (`config` must
 /// fingerprint mode and signature), and the same byte-identity guarantee
@@ -264,28 +251,22 @@ pub fn infer_backward_in(
 /// beyond their successfully checked subtrees.
 pub fn infer_backward_memoized(
     store: &TermStore,
-    tys: &crate::CoreArena,
     sig: &Signature,
     root: TermId,
     free: &[(VarId, Ty)],
     cache: &mut JudgmentCache,
     config: u64,
 ) -> Result<(BackwardResult, JudgmentCounts), BackwardError> {
-    infer_backward_inner(store, tys, sig, root, free, Some((cache, config)))
+    infer_backward_pass(store, sig, root, free, Some((cache, config)))
 }
 
-fn infer_backward_inner(
+fn infer_backward_pass(
     store: &TermStore,
-    tys: &crate::CoreArena,
     sig: &Signature,
     root: TermId,
     free: &[(VarId, Ty)],
     memo_cfg: Option<(&mut JudgmentCache, u64)>,
 ) -> Result<(BackwardResult, JudgmentCounts), BackwardError> {
-    assert!(
-        tys.same_arena(store.tys()) || tys.len() >= store.tys().len(),
-        "infer_backward_in: arena is not an id-compatible copy of the store's arena"
-    );
     // Fingerprint before taking the arena lock: fingerprinting resolves
     // annotation types through the store's arena handle.
     let (memo, seed) = match memo_cfg {
@@ -308,7 +289,7 @@ fn infer_backward_inner(
             (Some(memo), seed)
         }
     };
-    let mut arena = tys.inner();
+    let mut arena = store.tys().inner();
     let rnd_grade_id = arena.intern_grade(sig.rnd_grade());
     let zero_grade_id = arena.intern_grade(&Grade::zero());
     let var_tys = free.iter().map(|(v, t)| (*v, arena.intern(t))).collect();

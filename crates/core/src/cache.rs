@@ -31,8 +31,8 @@
 //!
 //! The facade crate wraps a `ResultCache` in an `Arc<Mutex<..>>` handle
 //! (`numfuzz::AnalysisCache`) shared by every session of a service, and
-//! threads it through `Analyzer::check_cached` / `bound_cached` and the
-//! sharded batch entry points.
+//! threads it through `Analyzer::check_cached` / `bound_cached` and
+//! their backward twins.
 
 use crate::check::FnReport;
 use crate::grade::{Coeffect, Grade};
@@ -616,7 +616,7 @@ pub struct ForwardJudgment {
     /// environment, sorted by canonical number.
     pub env: Vec<(u32, Grade)>,
     /// The inferred type, resolved out of the arena (portable across
-    /// sessions and `deep_clone`d shards).
+    /// sessions and their private arenas).
     pub ty: Ty,
     /// Function reports emitted while checking this subtree, in emission
     /// order (function names are part of the content fingerprint, so they
@@ -747,9 +747,9 @@ impl JudgmentCounts {
 /// pairs — the chain is seeded with the caller's configuration
 /// fingerprint, so one table safely serves both analysis modes and any
 /// number of sessions. Values ([`JudgmentEntry`]) are store- and
-/// arena-independent, which is what makes the table correct under the
-/// sharded pool's `deep_clone`d arenas: a judgment memoized against one
-/// clone re-interns its types into whichever arena replays it.
+/// arena-independent, which is what makes the table correct across
+/// forked sessions with private arenas: a judgment memoized in one
+/// session re-interns its types into whichever arena replays it.
 #[derive(Debug)]
 pub struct JudgmentCache {
     inner: ResultCache<JudgmentEntry>,

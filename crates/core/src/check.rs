@@ -198,28 +198,10 @@ pub fn infer(
     root: TermId,
     free: &[(VarId, Ty)],
 ) -> Result<CheckResult, CheckError> {
-    infer_in(store, store.tys(), sig, root, free)
+    infer_pass(store, sig, root, free, None).map(|(result, _)| result)
 }
 
-/// [`infer`], but resolving the store's interned annotations against
-/// `tys` instead of the store's own arena — the zero-copy sharding
-/// primitive behind parallel batch checking. `tys` must be
-/// id-compatible with `store.tys()`: the same arena, or a
-/// [`crate::CoreArena::deep_clone`] of it taken after the store's last
-/// node was built (arenas are append-only, so any such snapshot contains
-/// every id the store references). The pass locks **only** `tys`, so
-/// checks against distinct clones never contend.
-pub fn infer_in(
-    store: &TermStore,
-    tys: &crate::CoreArena,
-    sig: &Signature,
-    root: TermId,
-    free: &[(VarId, Ty)],
-) -> Result<CheckResult, CheckError> {
-    infer_inner(store, tys, sig, root, free, None).map(|(result, _)| result)
-}
-
-/// [`infer_in`], with subterm-level judgment memoization against `cache`.
+/// [`infer`], with subterm-level judgment memoization against `cache`.
 ///
 /// `config` must fingerprint everything beyond the term that can change
 /// a judgment — at minimum the analysis mode and the signature (see
@@ -228,9 +210,9 @@ pub fn infer_in(
 /// the edit to the root is recomputed; every untouched subtree judgment
 /// replays from the table, and the returned [`JudgmentCounts`] report
 /// the split. Cached values are store- and arena-independent, so one
-/// cache serves re-parsed programs and `deep_clone`d shard arenas alike.
-/// The result is byte-identical to [`infer_in`]'s — memoization is
-/// observable only in the counts.
+/// cache serves re-parsed programs and forked sessions alike. The result
+/// is byte-identical to [`infer`]'s — memoization is observable only in
+/// the counts.
 ///
 /// # Errors
 ///
@@ -238,28 +220,22 @@ pub fn infer_in(
 /// successfully checked subtrees.
 pub fn infer_memoized(
     store: &TermStore,
-    tys: &crate::CoreArena,
     sig: &Signature,
     root: TermId,
     free: &[(VarId, Ty)],
     cache: &mut JudgmentCache,
     config: u64,
 ) -> Result<(CheckResult, JudgmentCounts), CheckError> {
-    infer_inner(store, tys, sig, root, free, Some((cache, config)))
+    infer_pass(store, sig, root, free, Some((cache, config)))
 }
 
-fn infer_inner(
+fn infer_pass(
     store: &TermStore,
-    tys: &crate::CoreArena,
     sig: &Signature,
     root: TermId,
     free: &[(VarId, Ty)],
     memo_cfg: Option<(&mut JudgmentCache, u64)>,
 ) -> Result<(CheckResult, JudgmentCounts), CheckError> {
-    assert!(
-        tys.same_arena(store.tys()) || tys.len() >= store.tys().len(),
-        "infer_in: arena is not an id-compatible copy of the store's arena"
-    );
     // The scope-chain seed folds the free interface — each variable's
     // canonical number and type — over the caller's config fingerprint,
     // so a judgment replays only under an identical interface. Computed
@@ -286,7 +262,7 @@ fn infer_inner(
     };
     // The whole pass holds the arena lock once instead of locking per
     // query; nothing below may call back through the `CoreArena` handle.
-    let mut arena = tys.inner();
+    let mut arena = store.tys().inner();
     let rnd_grade_id = arena.intern_grade(sig.rnd_grade());
     let zero_grade_id = arena.intern_grade(&Grade::zero());
     let var_tys = free.iter().map(|(v, t)| (*v, arena.intern(t))).collect();

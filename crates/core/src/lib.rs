@@ -66,14 +66,14 @@ pub mod validate;
 
 pub use arena::{CoreArena, GradeId, TyId, TyNode};
 pub use backward::{
-    infer_backward, infer_backward_in, infer_backward_memoized, BackwardError, BackwardFnReport,
-    BackwardInferred, BackwardResult,
+    infer_backward, infer_backward_memoized, BackwardError, BackwardFnReport, BackwardInferred,
+    BackwardResult,
 };
 pub use cache::{
     AnalysisMode, CacheKey, CacheStats, CacheWeight, ConfigFingerprint, JudgmentCache,
     JudgmentCounts, ResultCache,
 };
-pub use check::{infer, infer_in, infer_memoized, CheckError, CheckResult, FnReport, Inferred};
+pub use check::{infer, infer_memoized, CheckError, CheckResult, FnReport, Inferred};
 pub use env::{BackwardEnv, Env};
 pub use grade::{Coeffect, Grade, LinExpr, Sym};
 pub use lexer::SyntaxError;

@@ -1,17 +1,18 @@
-//! A minimal scoped worker pool for sharded batch analysis.
+//! A minimal worker pool: the one way batches run in parallel.
 //!
 //! The build environment has no crates.io access, so this is a
-//! hand-rolled stand-in for the slice of `rayon` the engine needs: map a
-//! function over a slice on `N` worker threads and collect the results
+//! hand-rolled stand-in for the slice of `rayon` the workspace needs: map
+//! a function over a slice on `N` worker threads and collect the results
 //! **in input order**, independent of scheduling. Work distribution is a
 //! dynamic queue (one shared atomic cursor), so a few large items and
 //! many small ones still balance across workers.
 //!
 //! Workers can carry per-worker state (created once per thread by an
-//! `init` closure) — the sharded checker uses this to give every worker
-//! its own deep-cloned [`crate::CoreArena`] so shards never contend on a
-//! session arena lock; see `Analyzer::check_batch_parallel` in the
-//! facade crate.
+//! `init` closure). `numfuzz batch`, the serve `batch` op, and
+//! `numfuzz optimize` use it to give every worker its own analysis
+//! session with a private [`crate::CoreArena`], so workers never contend
+//! on one arena lock. [`TaskPool`] is the resident variant for work that
+//! arrives over time.
 //!
 //! ```
 //! use numfuzz_core::pool;
@@ -25,16 +26,15 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// The machine's available parallelism, or 1 when it cannot be queried.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
-}
-
-/// Resolves a user-facing jobs knob against a workload: `0` means "auto"
-/// ([`default_jobs`]), and the result is clamped to `[1, items]` so a
-/// small batch never spawns idle workers.
+/// Resolves a user-facing jobs knob against a workload: `0` means one
+/// worker per available core (1 when that cannot be queried), and the
+/// result is clamped to `[1, items]` so a small batch never spawns idle
+/// workers.
 pub fn effective_jobs(requested: usize, items: usize) -> usize {
-    let jobs = if requested == 0 { default_jobs() } else { requested };
+    let jobs = match requested {
+        0 => std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1),
+        n => n,
+    };
     jobs.min(items).max(1)
 }
 
@@ -50,27 +50,23 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    ordered_map_with(jobs, items, |_| (), |(), i, item| f(i, item)).0
+    ordered_map_with(jobs, items, |_| (), |(), i, item| f(i, item))
 }
 
 /// [`ordered_map`] with per-worker state: `init(w)` runs once on worker
 /// `w`'s thread, and each call of `f` on that worker gets `&mut` access
-/// to its state. Returns the ordered results plus every worker's final
-/// state (indexed by worker), so callers can collect per-shard
-/// accounting.
-pub fn ordered_map_with<S, T, R, I, F>(jobs: usize, items: &[T], init: I, f: F) -> (Vec<R>, Vec<S>)
+/// to its state. The state is dropped when the worker finishes.
+pub fn ordered_map_with<S, T, R, I, F>(jobs: usize, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    S: Send,
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
     let jobs = effective_jobs(jobs, items.len());
     if jobs <= 1 {
         let mut state = init(0);
-        let results = items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
-        return (results, vec![state]);
+        return items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
     }
 
     // One shared cursor hands out item indices; each result is written to
@@ -79,11 +75,10 @@ where
     // index is claimed exactly once).
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let states: Mutex<Vec<(usize, S)>> = Mutex::new(Vec::with_capacity(jobs));
 
     std::thread::scope(|scope| {
         for worker in 0..jobs {
-            let (cursor, slots, states, init, f) = (&cursor, &slots, &states, &init, &f);
+            let (cursor, slots, init, f) = (&cursor, &slots, &init, &f);
             scope.spawn(move || {
                 let mut state = init(worker);
                 loop {
@@ -94,22 +89,18 @@ where
                     let result = f(&mut state, i, &items[i]);
                     *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
                 }
-                states.lock().unwrap_or_else(|e| e.into_inner()).push((worker, state));
             });
         }
     });
 
-    let mut states = states.into_inner().unwrap_or_else(|e| e.into_inner());
-    states.sort_by_key(|(worker, _)| *worker);
-    let results = slots
+    slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(|e| e.into_inner())
                 .expect("pool: every item index is claimed by exactly one worker")
         })
-        .collect();
-    (results, states.into_iter().map(|(_, state)| state).collect())
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -278,50 +269,46 @@ mod tests {
     }
 
     #[test]
-    fn worker_states_are_returned_per_worker() {
+    fn init_runs_once_per_worker() {
+        let inits = AtomicUsize::new(0);
         let items: Vec<usize> = (0..100).collect();
-        let (results, states) = ordered_map_with(
+        let results = ordered_map_with(
             4,
             &items,
-            |_w| 0usize,
-            |count, _i, x| {
-                *count += 1;
-                *x
-            },
+            |_w| inits.fetch_add(1, Ordering::SeqCst),
+            |_state, _i, x| *x,
         );
         assert_eq!(results, items);
-        assert_eq!(states.len(), 4);
-        assert_eq!(states.iter().sum::<usize>(), items.len(), "every item counted exactly once");
+        assert_eq!(inits.load(Ordering::SeqCst), 4);
     }
 
     #[test]
-    fn jobs_one_equals_serial_including_worker_state() {
-        // `jobs = 1` must be byte-for-byte the inline serial path: same
-        // results, exactly one worker state, same visit order.
+    fn jobs_one_runs_inline_in_input_order() {
+        // `jobs = 1` is the inline serial path: one state, threaded
+        // through the items in input order.
         let items: Vec<u32> = (0..50).collect();
-        let (r1, s1) = ordered_map_with(
+        let results = ordered_map_with(
             1,
             &items,
             |_w| Vec::new(),
             |seen: &mut Vec<u32>, _i, x| {
                 seen.push(*x);
-                x * 7
+                seen.clone()
             },
         );
-        let serial: Vec<u32> = items.iter().map(|x| x * 7).collect();
-        assert_eq!(r1, serial);
-        assert_eq!(s1.len(), 1, "one worker state for jobs=1");
-        assert_eq!(s1[0], items, "inline path visits items in order");
+        assert_eq!(results.last(), Some(&items), "one state visits every item in order");
     }
 
     #[test]
-    fn empty_input_with_state_spawns_single_state() {
+    fn empty_input_with_state_runs_inline() {
+        let inits = AtomicUsize::new(0);
         let none: Vec<u8> = Vec::new();
-        let (results, states) = ordered_map_with(8, &none, |w| w, |_s, _i, x| *x);
+        let results =
+            ordered_map_with(8, &none, |_w| inits.fetch_add(1, Ordering::SeqCst), |_s, _i, x| *x);
         assert!(results.is_empty());
         // Clamping to the item count means no worker threads and one
         // inline state.
-        assert_eq!(states, vec![0]);
+        assert_eq!(inits.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -390,17 +377,11 @@ mod tests {
         // with 2 workers the remaining 63 cheap items finish on the other.
         let mut items = vec![1u64; 64];
         items[0] = 5_000_000;
-        let (results, states) = ordered_map_with(
-            2,
-            &items,
-            |_w| 0usize,
-            |count, _i, n| {
-                *count += 1;
-                // Busy-ish work proportional to the item.
-                (0..*n).fold(0u64, |a, b| a.wrapping_add(b))
-            },
-        );
+        let results = ordered_map(2, &items, |_i, n| {
+            // Busy-ish work proportional to the item.
+            (0..*n).fold(0u64, |a, b| a.wrapping_add(b))
+        });
         assert_eq!(results.len(), 64);
-        assert_eq!(states.iter().sum::<usize>(), 64);
+        assert!(results[1..].iter().all(|&r| r == 0));
     }
 }

@@ -25,7 +25,6 @@ fn check_both(
     let plain = infer(&lowered.store, sig, lowered.root, &[]).expect("forward-types");
     let (memo, counts) = infer_memoized(
         &lowered.store,
-        lowered.store.tys(),
         sig,
         lowered.root,
         &[],
@@ -48,7 +47,6 @@ fn backward_both(
     let plain = infer_backward(&lowered.store, sig, lowered.root, &[]).expect("backward-types");
     let (memo, counts) = infer_backward_memoized(
         &lowered.store,
-        lowered.store.tys(),
         sig,
         lowered.root,
         &[],
@@ -149,24 +147,16 @@ fn same_subterm_under_different_free_interface_does_not_replay() {
     // Pretend an interface: no free vars vs. one phantom free var typed
     // num. The two seeds differ even though the term is identical.
     let free: &[(numfuzz_core::VarId, Ty)] = &[];
-    let (first, c1) = infer_memoized(
-        store,
-        store.tys(),
-        &sig,
-        lowered.root,
-        free,
-        &mut cache,
-        config(AnalysisMode::Forward),
-    )
-    .expect("types");
+    let (first, c1) =
+        infer_memoized(store, &sig, lowered.root, free, &mut cache, config(AnalysisMode::Forward))
+            .expect("types");
     assert_eq!(c1.reused, 0);
     // A different config fingerprint simulates a different environment
     // seed; the same program must now recompute everything.
     let mut other = ConfigFingerprint::new(AnalysisMode::Forward);
     other.write_str("different-signature");
     let (second, c2) =
-        infer_memoized(store, store.tys(), &sig, lowered.root, free, &mut cache, other.finish())
-            .expect("types");
+        infer_memoized(store, &sig, lowered.root, free, &mut cache, other.finish()).expect("types");
     assert_eq!(c2.reused, 0, "judgments leaked across config fingerprints");
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
 }
@@ -199,7 +189,6 @@ fn alpha_renamed_parameter_replays_with_fresh_names() {
     let lowered = compile(p2, &sig).expect("compiles");
     let (memo, _) = infer_backward_memoized(
         &lowered.store,
-        lowered.store.tys(),
         &sig,
         lowered.root,
         &[],
@@ -221,7 +210,6 @@ fn errors_are_not_cached_and_recheck_identically() {
     for _ in 0..2 {
         let memo_err = infer_backward_memoized(
             &lowered.store,
-            lowered.store.tys(),
             &sig,
             lowered.root,
             &[],

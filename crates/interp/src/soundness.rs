@@ -107,6 +107,9 @@ pub fn metric_for(inst: Instantiation) -> NumMetric {
 /// type-checks, runs the ideal and the given floating-point semantics,
 /// and decides the distance bound rigorously. `rnd_unit` is substituted
 /// for the signature's rounding-grade symbol (e.g. `eps ↦ 2^(1-p)`).
+/// `sqrt` enclosures use the default [`EvalConfig`] precision (192 bits,
+/// enough for formats up to p = 64); use [`validate_with`] for wider
+/// formats.
 ///
 /// # Errors
 ///
@@ -124,16 +127,12 @@ pub fn validate(
         Grade::Finite(e) if e.terms().len() == 1 => e.terms()[0].0.to_string(),
         _ => "eps".to_string(),
     };
-    validate_with(store, sig, root, inputs, fp_rounding, &|s| {
-        if s == rnd_symbol {
-            Some(rnd_unit.clone())
-        } else {
-            None
-        }
-    })
+    let symbols = |s: &str| (s == rnd_symbol).then(|| rnd_unit.clone());
+    validate_with(store, sig, root, inputs, fp_rounding, &symbols, EvalConfig::default().sqrt_bits)
 }
 
-/// Like [`validate`], with an arbitrary symbol assignment for the grade.
+/// Like [`validate`], with an arbitrary symbol assignment for the grade
+/// and `sqrt` enclosures at `sqrt_bits` bits of precision.
 ///
 /// # Errors
 ///
@@ -145,6 +144,7 @@ pub fn validate_with(
     inputs: &[(VarId, Value)],
     fp_rounding: &mut dyn Rounding,
     symbols: &dyn Fn(&str) -> Option<Rational>,
+    sqrt_bits: u32,
 ) -> Result<SoundnessReport, SoundnessError> {
     // Free variables are typed from their supplied values (first-order
     // inputs only, which is all the benchmarks need).
@@ -165,7 +165,7 @@ pub fn validate_with(
     let bound =
         grade.eval(symbols).ok_or_else(|| SoundnessError::UnresolvedGrade(grade.clone()))?;
 
-    let config = EvalConfig { instantiation: sig.instantiation(), ..EvalConfig::default() };
+    let config = EvalConfig { instantiation: sig.instantiation(), sqrt_bits };
     let ideal_val = eval(store, root, &mut IdentityRounding, config, inputs)?;
     let fp_val = eval(store, root, fp_rounding, config, inputs)?;
 

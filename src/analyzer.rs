@@ -12,9 +12,13 @@
 //! * [`Analyzer::bound`] — the eq. (8) conversion from an RP grade to
 //!   the relative error bound the paper's tables report;
 //! * [`Analyzer::run`] — ideal + floating-point execution;
-//! * [`Analyzer::validate`] — the rigorous Corollary 4.20 check;
-//! * [`Analyzer::check_all`] — batch checking that amortizes signature
-//!   setup (embarrassingly parallel across programs).
+//! * [`Analyzer::validate`] — the rigorous Corollary 4.20 check.
+//!
+//! There is no batch method: `numfuzz batch`, the serve `batch` op,
+//! `optimize`, and `fuzz` map their programs over the scoped worker pool
+//! ([`numfuzz_core::pool`]) with one session per worker, typically an
+//! [`Analyzer::fork_session`] (same configuration and caches, private
+//! arena), so workers never contend on an arena lock.
 
 use crate::diag::{Diagnostic, ErrorCode};
 use crate::program::Program;
@@ -23,11 +27,10 @@ use numfuzz_bounds::{BoundConfig, IntervalBound};
 use numfuzz_core::cache::{
     AnalysisMode, CacheKey, CacheStats, CacheWeight, ConfigFingerprint, ResultCache,
 };
-use numfuzz_core::pool;
 use numfuzz_core::{
-    cache, infer, infer_backward, infer_backward_in, infer_backward_memoized, infer_in,
-    infer_memoized, BackwardFnReport, BackwardInferred, CoreArena, FnReport, Grade, Inferred,
-    Instantiation, JudgmentCache, JudgmentCounts, Signature, Ty, VarId,
+    cache, infer, infer_backward, infer_backward_memoized, infer_memoized, BackwardFnReport,
+    BackwardInferred, CoreArena, FnReport, Grade, Inferred, Instantiation, JudgmentCache,
+    JudgmentCounts, Signature, Ty, VarId,
 };
 use numfuzz_exact::{RatInterval, Rational};
 use numfuzz_interp::{
@@ -37,18 +40,16 @@ use numfuzz_interp::{
 };
 use numfuzz_metrics::rp::rp_to_rel_bound;
 use numfuzz_softfloat::{Format, RoundingMode};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// A configured analysis session: signature, target format, rounding
-/// mode, rounding-unit value, and parallelism, reused across programs.
+/// mode, and rounding-unit value, reused across programs.
 ///
 /// The session owns a hash-consing [`CoreArena`]: every program parsed or
 /// translated through this analyzer interns its types and grades into the
-/// same table, so repeated [`Analyzer::check_all`]/[`Analyzer::bound`]
-/// calls share interned ids and the memoized subtype/`max`/`min` caches.
+/// same table, so repeated [`Analyzer::check`]/[`Analyzer::bound`] calls
+/// share interned ids and the memoized subtype/`max`/`min` caches.
 /// (Cloning an `Analyzer` shares the arena — clones are cheap handles.)
 #[derive(Clone, Debug)]
 pub struct Analyzer {
@@ -58,9 +59,9 @@ pub struct Analyzer {
     /// Value substituted for the signature's rounding-grade symbol; when
     /// unset, the format/mode unit roundoff.
     rnd_unit: Option<Rational>,
+    /// Enclosure precision for `sqrt` in the ideal semantics and the
+    /// interval engine, derived from the format ([`sqrt_bits_for`]).
     sqrt_bits: u32,
-    /// Worker threads for batch entry points (1 = serial).
-    jobs: usize,
     /// The session's shared type/grade interning arena.
     tys: CoreArena,
     /// Optional content-addressed result cache (see [`AnalysisCache`]).
@@ -102,8 +103,6 @@ impl Analyzer {
             format: Format::BINARY64,
             mode: RoundingMode::TowardPositive,
             rnd_unit: None,
-            sqrt_bits: 192,
-            jobs: 1,
             cache: None,
             judgments: None,
         }
@@ -124,12 +123,6 @@ impl Analyzer {
     /// The floating-point format of [`Analyzer::run`] / [`Analyzer::validate`].
     pub fn format(&self) -> Format {
         self.format
-    }
-
-    /// Worker threads batch entry points use (see
-    /// [`AnalyzerBuilder::jobs`]); 1 means serial.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// The session's result cache, when one was configured
@@ -312,7 +305,6 @@ impl Analyzer {
         let mut cache = memo.lock();
         let (result, counts) = infer_memoized(
             program.store(),
-            program.arena(),
             &self.sig,
             program.root(),
             program.free(),
@@ -346,7 +338,6 @@ impl Analyzer {
         let mut cache = memo.lock();
         let (result, counts) = infer_backward_memoized(
             program.store(),
-            program.arena(),
             &self.sig,
             program.root(),
             program.free(),
@@ -380,17 +371,6 @@ impl Analyzer {
         result
     }
 
-    /// [`Analyzer::check`] resolving the program's interned annotations
-    /// against `tys` — an id-compatible deep clone of the program's
-    /// arena — so concurrent checks against distinct clones never take
-    /// the same lock.
-    fn check_in(&self, program: &Program, tys: &CoreArena) -> Result<Typed, Diagnostic> {
-        self.ensure_instantiation(program)?;
-        let result = infer_in(program.store(), tys, &self.sig, program.root(), program.free())
-            .map_err(|e| Diagnostic::from_check(&e, program.source(), program.name()))?;
-        Ok(Typed { root: result.root, fns: result.fns })
-    }
-
     /// Rejects programs lowered against another instantiation's
     /// signature with a clear diagnostic (cross-checking would only
     /// produce misleading unknown-operation errors).
@@ -413,199 +393,6 @@ impl Analyzer {
             d = d.with_file(name);
         }
         Err(d)
-    }
-
-    /// Checks a batch of programs against the shared signature. One
-    /// result per program, in order; a failure in one program does not
-    /// affect the others.
-    ///
-    /// Runs on the session's configured worker count
-    /// ([`AnalyzerBuilder::jobs`], default 1 = serial); the output is
-    /// identical for every job count. See
-    /// [`Analyzer::check_batch_parallel`] for how the parallel path
-    /// shards arenas.
-    ///
-    /// ```
-    /// use numfuzz::prelude::*;
-    ///
-    /// let analyzer = Analyzer::builder().jobs(4).build();
-    /// let programs = vec![
-    ///     analyzer.parse("rnd 1")?,
-    ///     analyzer.parse("ret ()")?,
-    ///     analyzer.parse("2 3")?, // parses, but does not type-check
-    /// ];
-    /// let results = analyzer.check_all(&programs);
-    /// assert!(results[0].is_ok() && results[1].is_ok());
-    /// assert_eq!(results[2].as_ref().unwrap_err().code, ErrorCode::Shape);
-    /// # Ok::<(), numfuzz::Diagnostic>(())
-    /// ```
-    pub fn check_all(&self, programs: &[Program]) -> Vec<Result<Typed, Diagnostic>> {
-        self.check_batch_parallel(programs, self.jobs)
-    }
-
-    /// [`Analyzer::check_all`] with an explicit worker count, overriding
-    /// the session's [`AnalyzerBuilder::jobs`] setting (`0` = one worker
-    /// per available core).
-    ///
-    /// The batch is sharded so workers never contend on an arena lock:
-    /// each worker takes programs off a shared queue, and the first time
-    /// it meets a program whose [`Program::arena`] is shared with another
-    /// program of the batch, it deep-clones that arena once and rebinds
-    /// the worker's copy of the program to the clone. Arenas are
-    /// append-only, so the clone contains every id the program
-    /// references; programs whose arena nobody else in the batch uses are
-    /// checked in place, clone-free. Results are collected by input
-    /// index, so the output is byte-identical to the serial path
-    /// regardless of scheduling.
-    pub fn check_batch_parallel(
-        &self,
-        programs: &[Program],
-        jobs: usize,
-    ) -> Vec<Result<Typed, Diagnostic>> {
-        self.check_batch_sharded(programs, jobs).0
-    }
-
-    /// [`Analyzer::check_batch_parallel`] plus per-shard accounting (how
-    /// many programs each worker checked and for how long) — the
-    /// instrumentation behind `numfuzz bench --jobs`.
-    pub fn check_batch_sharded(
-        &self,
-        programs: &[Program],
-        jobs: usize,
-    ) -> (Vec<Result<Typed, Diagnostic>>, Vec<ShardReport>) {
-        let refs: Vec<&Program> = programs.iter().collect();
-        match &self.cache {
-            None => self.check_batch_refs(&refs, jobs),
-            Some(cache) => self.check_batch_cached(&refs, jobs, cache),
-        }
-    }
-
-    /// The cached batch path: resolve hits up front, deduplicate the
-    /// misses by content fingerprint so each distinct program is analyzed
-    /// **once** per batch (even when the batch repeats it), shard only
-    /// the distinct misses, then fan results back out — localized to each
-    /// input's own name — in input order. Output is byte-identical to the
-    /// uncached path.
-    fn check_batch_cached(
-        &self,
-        programs: &[&Program],
-        jobs: usize,
-        cache: &AnalysisCache,
-    ) -> (Vec<Result<Typed, Diagnostic>>, Vec<ShardReport>) {
-        let mut results: Vec<Option<Result<Typed, Diagnostic>>> =
-            programs.iter().map(|_| None).collect();
-        // (key, display) -> position in `unique`; `pending` maps each
-        // unresolved input index to the unique program that will be
-        // analyzed for it. Deduplication includes the display fingerprint
-        // because a shared `Err` outcome quotes the owner's source —
-        // duplicates may only fan out a result whose rendering is theirs.
-        let mut owner: HashMap<(CacheKey, u128), usize> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::new();
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        for (i, p) in programs.iter().enumerate() {
-            let key = self.cache_key(p, OP_CHECK);
-            let display = p.display_fingerprint();
-            if let Some(&u) = owner.get(&(key, display)) {
-                pending.push((i, u));
-                continue;
-            }
-            if let Some(CachedResult::Check(hit, _)) = cache.get_admissible(&key, display) {
-                results[i] = Some(localize(hit, p));
-            } else {
-                owner.insert((key, display), unique.len());
-                pending.push((i, unique.len()));
-                unique.push(i);
-            }
-        }
-
-        let to_check: Vec<&Program> = unique.iter().map(|&i| programs[i]).collect();
-        let (checked, shards) = if to_check.is_empty() {
-            (Vec::new(), vec![ShardReport { shard: 0, programs: 0, busy: Duration::ZERO }])
-        } else {
-            self.check_batch_refs(&to_check, jobs)
-        };
-        for (u, result) in checked.iter().enumerate() {
-            let p = programs[unique[u]];
-            let key = self.cache_key(p, OP_CHECK);
-            cache.insert(
-                key,
-                CachedResult::Check(strip_file(result.clone()), p.display_fingerprint()),
-            );
-        }
-        for (i, u) in pending {
-            results[i] = Some(localize(strip_file(checked[u].clone()), programs[i]));
-        }
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every input index is a hit, an owner, or a duplicate"))
-            .collect();
-        (results, shards)
-    }
-
-    /// The uncached sharded engine (see [`Analyzer::check_batch_parallel`]
-    /// for the arena-sharding strategy).
-    fn check_batch_refs(
-        &self,
-        programs: &[&Program],
-        jobs: usize,
-    ) -> (Vec<Result<Typed, Diagnostic>>, Vec<ShardReport>) {
-        let jobs = pool::effective_jobs(jobs, programs.len());
-        if jobs <= 1 {
-            let t0 = Instant::now();
-            let results = programs.iter().map(|p| self.check(p)).collect();
-            let report = ShardReport { shard: 0, programs: programs.len(), busy: t0.elapsed() };
-            return (results, vec![report]);
-        }
-
-        // Only arenas actually shared within this batch force a clone;
-        // a program with a private arena cannot contend with anyone.
-        let mut uses: HashMap<usize, usize> = HashMap::new();
-        for p in programs {
-            *uses.entry(p.arena().token()).or_default() += 1;
-        }
-        let contended: HashSet<usize> =
-            uses.into_iter().filter(|&(_, n)| n > 1).map(|(t, _)| t).collect();
-
-        // The pool hands work out in slice order, so feed it the largest
-        // programs first: when a giant program sits late in the input, the
-        // worker that draws it would otherwise run long after the rest of
-        // the queue has drained (BENCH_core.json once showed a 24-vs-1
-        // shard split for exactly this reason). Results are scattered back
-        // to input positions, so the output stays byte-identical.
-        let order = largest_first(programs);
-        let scheduled: Vec<&Program> = order.iter().map(|&i| programs[i]).collect();
-
-        struct Shard {
-            clones: HashMap<usize, CoreArena>,
-            checked: usize,
-            busy: Duration,
-        }
-        let (permuted, shards) = pool::ordered_map_with(
-            jobs,
-            &scheduled,
-            |_worker| Shard { clones: HashMap::new(), checked: 0, busy: Duration::ZERO },
-            |shard, _i, program| {
-                let t0 = Instant::now();
-                let token = program.arena().token();
-                let result = if contended.contains(&token) {
-                    let arena =
-                        shard.clones.entry(token).or_insert_with(|| program.arena().deep_clone());
-                    self.check_in(program, arena)
-                } else {
-                    self.check(program)
-                };
-                shard.checked += 1;
-                shard.busy += t0.elapsed();
-                result
-            },
-        );
-        let results = scatter_back(order, permuted);
-        let reports = shards
-            .into_iter()
-            .enumerate()
-            .map(|(shard, s)| ShardReport { shard, programs: s.checked, busy: s.busy })
-            .collect();
-        (results, reports)
     }
 
     /// The eq. (8) error bound of a checked program's *root* type, with
@@ -808,21 +595,6 @@ impl Analyzer {
         Ok(BackwardTyped { root: result.root, fns: result.fns })
     }
 
-    /// [`Analyzer::check_backward`] resolving annotations against `tys`
-    /// (an id-compatible deep clone), the backward analogue of
-    /// [`Analyzer::check_in`] for the sharded batch path.
-    fn check_backward_in(
-        &self,
-        program: &Program,
-        tys: &CoreArena,
-    ) -> Result<BackwardTyped, Diagnostic> {
-        self.ensure_instantiation(program)?;
-        let result =
-            infer_backward_in(program.store(), tys, &self.sig, program.root(), program.free())
-                .map_err(|e| Diagnostic::from_backward(&e, program.source(), program.name()))?;
-        Ok(BackwardTyped { root: result.root, fns: result.fns })
-    }
-
     /// [`Analyzer::check_backward`] through the session's
     /// [`AnalysisCache`]. Backward entries are keyed under the backward
     /// configuration fingerprint ([`AnalysisMode`]), so a warm forward
@@ -931,156 +703,6 @@ impl Analyzer {
             self.check_backward_cached(program).and_then(|typed| self.bound_backward(&typed));
         cache.insert(key, CachedResult::BackwardBound(strip_file(result.clone()), display));
         result
-    }
-
-    /// Backward-checks a batch of programs: [`Analyzer::check_all`] for
-    /// the backward judgment, on the session's configured worker count.
-    /// Output is identical for every job count.
-    pub fn check_all_backward(
-        &self,
-        programs: &[Program],
-    ) -> Vec<Result<BackwardTyped, Diagnostic>> {
-        self.check_backward_batch_parallel(programs, self.jobs)
-    }
-
-    /// [`Analyzer::check_all_backward`] with an explicit worker count
-    /// (`0` = one worker per available core). Shards contended arenas
-    /// exactly like [`Analyzer::check_batch_parallel`].
-    pub fn check_backward_batch_parallel(
-        &self,
-        programs: &[Program],
-        jobs: usize,
-    ) -> Vec<Result<BackwardTyped, Diagnostic>> {
-        self.check_backward_batch_sharded(programs, jobs).0
-    }
-
-    /// [`Analyzer::check_backward_batch_parallel`] plus per-shard
-    /// accounting — the backward analogue of
-    /// [`Analyzer::check_batch_sharded`].
-    pub fn check_backward_batch_sharded(
-        &self,
-        programs: &[Program],
-        jobs: usize,
-    ) -> (Vec<Result<BackwardTyped, Diagnostic>>, Vec<ShardReport>) {
-        let refs: Vec<&Program> = programs.iter().collect();
-        match &self.cache {
-            None => self.backward_batch_refs(&refs, jobs),
-            Some(cache) => self.backward_batch_cached(&refs, jobs, cache),
-        }
-    }
-
-    /// The cached backward batch path: the algorithm of
-    /// [`Analyzer::check_batch_cached`], keyed under
-    /// `OP_CHECK_BACKWARD`.
-    fn backward_batch_cached(
-        &self,
-        programs: &[&Program],
-        jobs: usize,
-        cache: &AnalysisCache,
-    ) -> (Vec<Result<BackwardTyped, Diagnostic>>, Vec<ShardReport>) {
-        let mut results: Vec<Option<Result<BackwardTyped, Diagnostic>>> =
-            programs.iter().map(|_| None).collect();
-        let mut owner: HashMap<(CacheKey, u128), usize> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::new();
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        for (i, p) in programs.iter().enumerate() {
-            let key = self.cache_key(p, OP_CHECK_BACKWARD);
-            let display = p.display_fingerprint();
-            if let Some(&u) = owner.get(&(key, display)) {
-                pending.push((i, u));
-                continue;
-            }
-            if let Some(CachedResult::BackwardCheck(hit, _)) = cache.get_admissible(&key, display) {
-                results[i] = Some(localize(hit, p));
-            } else {
-                owner.insert((key, display), unique.len());
-                pending.push((i, unique.len()));
-                unique.push(i);
-            }
-        }
-
-        let to_check: Vec<&Program> = unique.iter().map(|&i| programs[i]).collect();
-        let (checked, shards) = if to_check.is_empty() {
-            (Vec::new(), vec![ShardReport { shard: 0, programs: 0, busy: Duration::ZERO }])
-        } else {
-            self.backward_batch_refs(&to_check, jobs)
-        };
-        for (u, result) in checked.iter().enumerate() {
-            let p = programs[unique[u]];
-            let key = self.cache_key(p, OP_CHECK_BACKWARD);
-            cache.insert(
-                key,
-                CachedResult::BackwardCheck(strip_file(result.clone()), p.display_fingerprint()),
-            );
-        }
-        for (i, u) in pending {
-            results[i] = Some(localize(strip_file(checked[u].clone()), programs[i]));
-        }
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every input index is a hit, an owner, or a duplicate"))
-            .collect();
-        (results, shards)
-    }
-
-    /// The uncached sharded backward engine (arena-sharding strategy of
-    /// [`Analyzer::check_batch_refs`]).
-    fn backward_batch_refs(
-        &self,
-        programs: &[&Program],
-        jobs: usize,
-    ) -> (Vec<Result<BackwardTyped, Diagnostic>>, Vec<ShardReport>) {
-        let jobs = pool::effective_jobs(jobs, programs.len());
-        if jobs <= 1 {
-            let t0 = Instant::now();
-            let results = programs.iter().map(|p| self.check_backward(p)).collect();
-            let report = ShardReport { shard: 0, programs: programs.len(), busy: t0.elapsed() };
-            return (results, vec![report]);
-        }
-
-        let mut uses: HashMap<usize, usize> = HashMap::new();
-        for p in programs {
-            *uses.entry(p.arena().token()).or_default() += 1;
-        }
-        let contended: HashSet<usize> =
-            uses.into_iter().filter(|&(_, n)| n > 1).map(|(t, _)| t).collect();
-
-        // Largest programs first, scattered back to input order — see
-        // `check_batch_refs`.
-        let order = largest_first(programs);
-        let scheduled: Vec<&Program> = order.iter().map(|&i| programs[i]).collect();
-
-        struct Shard {
-            clones: HashMap<usize, CoreArena>,
-            checked: usize,
-            busy: Duration,
-        }
-        let (permuted, shards) = pool::ordered_map_with(
-            jobs,
-            &scheduled,
-            |_worker| Shard { clones: HashMap::new(), checked: 0, busy: Duration::ZERO },
-            |shard, _i, program| {
-                let t0 = Instant::now();
-                let token = program.arena().token();
-                let result = if contended.contains(&token) {
-                    let arena =
-                        shard.clones.entry(token).or_insert_with(|| program.arena().deep_clone());
-                    self.check_backward_in(program, arena)
-                } else {
-                    self.check_backward(program)
-                };
-                shard.checked += 1;
-                shard.busy += t0.elapsed();
-                result
-            },
-        );
-        let results = scatter_back(order, permuted);
-        let reports = shards
-            .into_iter()
-            .enumerate()
-            .map(|(shard, s)| ShardReport { shard, programs: s.checked, busy: s.busy })
-            .collect();
-        (results, reports)
     }
 
     /// Runs both semantics: the ideal one (`rnd` = identity) and the
@@ -1238,6 +860,7 @@ impl Analyzer {
             &bound_inputs,
             fp_rounding,
             symbols,
+            self.sqrt_bits,
         )
         .map_err(|e| Diagnostic::from_soundness(&e, program.source(), program.name()))
     }
@@ -1268,8 +891,6 @@ pub struct AnalyzerBuilder {
     format: Format,
     mode: RoundingMode,
     rnd_unit: Option<Rational>,
-    sqrt_bits: u32,
-    jobs: usize,
     cache: Option<AnalysisCache>,
     judgments: Option<JudgmentMemo>,
 }
@@ -1309,27 +930,10 @@ impl AnalyzerBuilder {
         self
     }
 
-    /// Enclosure precision (bits) for `sqrt` during evaluation.
-    pub fn sqrt_bits(mut self, bits: u32) -> Self {
-        self.sqrt_bits = bits;
-        self
-    }
-
-    /// Worker threads for batch entry points ([`Analyzer::check_all`]):
-    /// `1` (the default) is serial, `0` means one worker per available
-    /// core, anything else is an explicit shard count. Results are
-    /// identical for every setting — parallelism changes wall time, not
-    /// output.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Attaches a (possibly shared) content-addressed result cache: every
-    /// check/bound entry point consults it, and the batch entry points
-    /// analyze repeated programs once. The handle is cheap to clone —
-    /// share one cache across the sessions of a service so content hits
-    /// regardless of which session computed the result.
+    /// Attaches a (possibly shared) content-addressed result cache,
+    /// consulted by the `*_cached` entry points. The handle is cheap to
+    /// clone — share one cache across the sessions of a service so
+    /// content hits regardless of which session computed the result.
     pub fn cache(mut self, cache: AnalysisCache) -> Self {
         self.cache = Some(cache);
         self
@@ -1364,13 +968,14 @@ impl AnalyzerBuilder {
             Instantiation::RelativePrecision => Signature::relative_precision(),
             Instantiation::AbsoluteError => Signature::absolute_error(),
         });
+        let sqrt_bits = sqrt_bits_for(self.format);
         let config_fp = config_fingerprint(
             AnalysisMode::Forward,
             &sig,
             self.format,
             self.mode,
             &self.rnd_unit,
-            self.sqrt_bits,
+            sqrt_bits,
         );
         let config_fp_backward = config_fingerprint(
             AnalysisMode::Backward,
@@ -1378,15 +983,14 @@ impl AnalyzerBuilder {
             self.format,
             self.mode,
             &self.rnd_unit,
-            self.sqrt_bits,
+            sqrt_bits,
         );
         Analyzer {
             sig,
             format: self.format,
             mode: self.mode,
             rnd_unit: self.rnd_unit,
-            sqrt_bits: self.sqrt_bits,
-            jobs: self.jobs,
+            sqrt_bits,
             tys: CoreArena::new(),
             cache: self.cache,
             judgments: self.judgments,
@@ -1396,12 +1000,20 @@ impl AnalyzerBuilder {
     }
 }
 
+/// The `sqrt` enclosure precision (bits) for programs rounding into
+/// `format`: `max(192, 2p + 64)`. That is 192 for every format up to
+/// p = 64, and for wider formats it keeps the enclosure far narrower than
+/// the unit roundoff, so the rigorous verdict can still separate the
+/// ideal result from the rounded one.
+fn sqrt_bits_for(format: Format) -> u32 {
+    format.precision().saturating_mul(2).saturating_add(64).max(192)
+}
+
 /// The configuration half of a cache key: a stable hash of everything
 /// about a session that can influence a check/bound outcome. The analysis
 /// mode is absorbed first ([`ConfigFingerprint`]), so forward and backward
 /// results for an otherwise identical configuration can never replay each
-/// other. Parallelism (`jobs`) is deliberately excluded — it changes wall
-/// time, not results.
+/// other.
 fn config_fingerprint(
     analysis: AnalysisMode,
     sig: &Signature,
@@ -1652,26 +1264,6 @@ impl JudgmentMemo {
     }
 }
 
-/// The longest-job-first schedule for a batch: input indices sorted by
-/// descending node count (stable, so equal-sized programs keep input
-/// order). Feeding the pool this order bounds the tail a late giant
-/// program adds to one worker's shard.
-fn largest_first(programs: &[&Program]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..programs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(programs[i].store().len()));
-    order
-}
-
-/// Undoes [`largest_first`]: `permuted[k]` was computed for input index
-/// `order[k]`, so scatter each result back to its input position.
-fn scatter_back<T>(order: Vec<usize>, permuted: Vec<T>) -> Vec<T> {
-    let mut results: Vec<Option<T>> = order.iter().map(|_| None).collect();
-    for (slot, result) in order.into_iter().zip(permuted) {
-        results[slot] = Some(result);
-    }
-    results.into_iter().map(|r| r.expect("schedule is a permutation")).collect()
-}
-
 /// Re-attaches the presentation-only `file` field for `program` to a
 /// result replayed from the cache.
 fn localize<T>(result: Result<T, Diagnostic>, program: &Program) -> Result<T, Diagnostic> {
@@ -1687,25 +1279,6 @@ fn strip_file<T>(result: Result<T, Diagnostic>) -> Result<T, Diagnostic> {
         d.file = None;
         d
     })
-}
-
-/// Per-shard accounting from one [`Analyzer::check_batch_sharded`] pass:
-/// which worker it was, how many programs it checked (the pool hands out
-/// work dynamically, so counts vary with load), and how long it spent
-/// checking.
-#[derive(Clone, Debug)]
-pub struct ShardReport {
-    /// Worker index, `0..jobs`.
-    pub shard: usize,
-    /// Programs this worker checked.
-    pub programs: usize,
-    /// Wall-clock time this worker spent on its programs, **including**
-    /// its one-time [`CoreArena::deep_clone`] of each contended arena
-    /// (the setup is part of the shard's real cost). On an
-    /// oversubscribed machine (more workers than free cores) it also
-    /// includes time the worker was descheduled, so shard `busy` sums
-    /// can exceed the batch's wall time.
-    pub busy: Duration,
 }
 
 /// A successfully checked program: the root judgment plus per-`function`

@@ -56,13 +56,12 @@
 //!     --out FILE     write the rewritten .nf program to FILE
 //! numfuzz bench [bench options]      measure check+bound throughput over
 //!                                    the benchsuite corpus, emit JSON
-//!     --prec P       precision bits (default 53)
-//!     --emax E       maximum exponent (default 1023)
+//!     --prec P       precision bits, 2..=237 (default 53)
+//!     --emax E       maximum exponent, 1..=262143 (default 1023)
 //!     --mode M       ru | rd | rz | rn (default ru)
 //!     --abs          absolute-error instantiation (default: relative)
-//!     --jobs N       batch/bench/serve: worker threads (0 = one per
-//!                    core; default: all cores for batch/serve, 1 for
-//!                    bench)
+//!     --jobs N       batch/serve: worker threads (0 = one per core, the
+//!                    default)
 //! serve options:
 //!     --listen ADDR  serve over TCP on ADDR (e.g. 127.0.0.1:7878; port 0
 //!                    picks a free port, printed to stderr). Default:
@@ -205,7 +204,7 @@ fn usage() -> String {
      \x20      numfuzz serve [--listen ADDR] [--jobs N] [--cache-bytes N] [--cache-file F] [--cache-file-cap N] [--idle-ms N] [--max-pending N] [--prec P] [--emax E] [--mode M] [--abs]\n\
      \x20      numfuzz client --connect HOST:PORT [--retry SECONDS]\n\
      \x20      numfuzz loadgen [--connect HOST:PORT] [--connections N] [--requests M] [--seed S] [--jobs N] [--out FILE] [--gate FILE] [--tolerance P]\n\
-     \x20      numfuzz bench [--iters N] [--jobs N] [--out FILE] [--baseline FILE] [--gate FILE] [--tolerance P] [--gate-incremental R]\n\
+     \x20      numfuzz bench [--iters N] [--out FILE] [--baseline FILE] [--gate FILE] [--tolerance P] [--gate-incremental R]\n\
      \x20      numfuzz optimize FILE [--budget N] [--seed S] [--jobs J] [--precision-search] [--target-rel R] [--out FILE] [--prec P] [--emax E] [--mode M]\n\
      \x20      numfuzz table1 [--dir DIR] [--prec P] [--emax E] [--mode ru|rd|rz|rn]\n\
      \x20      numfuzz fuzz [--backward] [--incremental] [--cases N] [--seed S] [--jobs N] [--repro PREFIX]"
@@ -620,8 +619,8 @@ fn parse_rational(s: &str) -> Option<Rational> {
 }
 
 /// `numfuzz batch DIR`: check and bound every `.nf` file under `DIR`
-/// (recursively), sharded across `--jobs` worker threads — each worker
-/// is its own session with its own arena, so workers never contend.
+/// (recursively) on `--jobs` worker threads — each worker is its own
+/// session with its own arena, so workers never contend.
 /// Output is printed in sorted-path order whatever the scheduling, so a
 /// batch run is byte-for-byte reproducible across job counts.
 fn batch(rest: &[String]) -> Result<(), Failure> {
@@ -638,8 +637,8 @@ fn batch(rest: &[String]) -> Result<(), Failure> {
     files.sort();
 
     // One analyzer session per worker: parse, check, and bound all
-    // happen against shard-local arenas.
-    let (reports, _) = numfuzz::core::pool::ordered_map_with(
+    // happen against worker-local arenas.
+    let reports = numfuzz::core::pool::ordered_map_with(
         jobs,
         &files,
         |_worker| {
@@ -813,8 +812,8 @@ fn judgment_line(counts: &numfuzz::JudgmentCounts) -> String {
     )
 }
 
-/// [`parse_opts`] plus the batch/bench `--jobs N` knob (`None` when the
-/// flag is absent, so each command picks its own default).
+/// [`parse_opts`] plus the batch/serve `--jobs N` knob (`None` when the
+/// flag is absent).
 fn parse_opts_with_jobs(rest: &[String]) -> Result<(Opts, Option<usize>), String> {
     let mut jobs = None;
     let mut passthrough = Vec::new();
@@ -1090,7 +1089,6 @@ fn table1_row(
 /// the reported throughput is the best of `--iters` passes.
 fn bench(rest: &[String]) -> Result<(), Failure> {
     let mut iters = 5usize;
-    let mut jobs = 1usize;
     let mut out = "BENCH_core.json".to_string();
     let mut baseline: Option<String> = None;
     let mut gate: Option<String> = None;
@@ -1104,11 +1102,6 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
             "--iters" => {
                 iters = value("--iters")
                     .and_then(|v| v.parse().map_err(|e| format!("--iters: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--jobs" => {
-                jobs = value("--jobs")
-                    .and_then(|v| v.parse().map_err(|e| format!("--jobs: {e}")))
                     .map_err(Failure::Usage)?
             }
             "--out" => out = value("--out").map_err(Failure::Usage)?,
@@ -1138,7 +1131,6 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     if gate_incremental.is_some_and(|r| !(0.0..=1.0).contains(&r)) {
         return Err(Failure::Usage("--gate-incremental must be a ratio in [0, 1]".into()));
     }
-    let jobs = if jobs == 0 { numfuzz::core::pool::default_jobs() } else { jobs };
     // Relative --out paths resolve against the invocation directory, and
     // the resolved path is printed below, so a CI gate and a local run
     // always agree on where the report landed.
@@ -1191,38 +1183,6 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     }
     let serial_rendered: Vec<String> =
         serial_results.iter().map(|r| render_check(&analyzer, r)).collect();
-
-    // The parallel measurement: same corpus, same session, same timed
-    // work (check + bound), sharded across workers. Results must be
-    // byte-identical to the serial pass.
-    let parallel = (jobs > 1)
-        .then(|| {
-            let mut p_best = f64::INFINITY;
-            let mut shards: Vec<ShardReport> = Vec::new();
-            let mut p_results: Vec<Result<Typed, Diagnostic>> = Vec::new();
-            for _ in 0..iters {
-                let t0 = std::time::Instant::now();
-                let (results, pass_shards) = analyzer.check_batch_sharded(&corpus, jobs);
-                for typed in results.iter().flatten() {
-                    let _ = analyzer.bound(typed);
-                }
-                let dt = t0.elapsed().as_secs_f64();
-                if dt < p_best {
-                    p_best = dt;
-                    shards = pass_shards;
-                }
-                p_results = results;
-            }
-            let rendered: Vec<String> =
-                p_results.iter().map(|r| render_check(&analyzer, r)).collect();
-            if rendered != serial_rendered {
-                return Err(Failure::Usage(
-                    "parallel results differ from serial results (engine bug)".into(),
-                ));
-            }
-            Ok((p_best, shards))
-        })
-        .transpose()?;
 
     // The cache measurement: the same corpus through a cache-enabled
     // session — the resident-service profile (`numfuzz serve` answering a
@@ -1289,32 +1249,6 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
         bwd_serial = pass;
     }
     let bwd_rendered: Vec<String> = bwd_serial.iter().map(render_backward).collect();
-
-    let bwd_parallel = (jobs > 1)
-        .then(|| {
-            let mut p_best = f64::INFINITY;
-            let mut p_results: Vec<Result<BackwardTyped, Diagnostic>> = Vec::new();
-            for _ in 0..iters {
-                let t0 = std::time::Instant::now();
-                let (results, _) = analyzer.check_backward_batch_sharded(&corpus, jobs);
-                for typed in results.iter().flatten() {
-                    let _ = analyzer.bound_backward(typed);
-                }
-                let dt = t0.elapsed().as_secs_f64();
-                if dt < p_best {
-                    p_best = dt;
-                }
-                p_results = results;
-            }
-            let rendered: Vec<String> = p_results.iter().map(render_backward).collect();
-            if rendered != bwd_rendered {
-                return Err(Failure::Usage(
-                    "parallel backward results differ from serial results (engine bug)".into(),
-                ));
-            }
-            Ok(p_best)
-        })
-        .transpose()?;
 
     // Backward warm-cache profile, on its own cache so the counters are
     // purely backward traffic (forward and backward keys are disjoint
@@ -1540,10 +1474,6 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     let mut json = String::from("{\n");
     json.push_str("  \"harness\": \"numfuzz bench: best-of-N corpus passes of Analyzer::check + Analyzer::bound\",\n");
     json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!("  \"jobs\": {jobs},\n"));
-    // Parallel numbers are only meaningful relative to the cores the
-    // machine actually has (a 1-core box cannot show a speedup).
-    json.push_str(&format!("  \"cores\": {},\n", numfuzz::core::pool::default_jobs()));
     json.push_str(&format!("  \"programs\": {},\n", corpus.len()));
     json.push_str(&format!("  \"total_nodes\": {total_nodes},\n"));
     json.push_str(&format!("  \"best_pass_seconds\": {best:.6},\n"));
@@ -1561,29 +1491,6 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     if let Some(base) = baseline_seconds {
         json.push_str(&format!(",\n  \"baseline_best_pass_seconds\": {base:.6}"));
         json.push_str(&format!(",\n  \"speedup\": {:.2}", base / best));
-    }
-    if let Some((p_best, shards)) = &parallel {
-        json.push_str(",\n  \"parallel\": {\n");
-        json.push_str(&format!("    \"jobs\": {jobs},\n"));
-        json.push_str(&format!("    \"best_pass_seconds\": {p_best:.6},\n"));
-        json.push_str(&format!("    \"checks_per_sec\": {:.2},\n", corpus.len() as f64 / p_best));
-        json.push_str(&format!("    \"nodes_per_sec\": {:.2},\n", total_nodes as f64 / p_best));
-        json.push_str(&format!("    \"speedup_vs_serial\": {:.2},\n", best / p_best));
-        json.push_str("    \"matches_serial\": true,\n");
-        json.push_str("    \"shards\": [\n");
-        for (i, s) in shards.iter().enumerate() {
-            let busy = s.busy.as_secs_f64();
-            let rate = if busy > 0.0 { s.programs as f64 / busy } else { 0.0 };
-            json.push_str(&format!(
-                "      {{\"shard\": {}, \"programs\": {}, \"busy_seconds\": {:.6}, \"checks_per_sec\": {:.2}}}{}\n",
-                s.shard,
-                s.programs,
-                busy,
-                rate,
-                if i + 1 < shards.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("    ]\n  }");
     }
     json.push_str(",\n  \"cache\": {\n");
     json.push_str(&format!("    \"budget_bytes\": {},\n", cache_stats.budget));
@@ -1633,13 +1540,6 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     json.push_str(&format!("    \"programs_accepted\": {bwd_ok},\n"));
     json.push_str(&format!("    \"best_pass_seconds\": {bwd_best:.6},\n"));
     json.push_str(&format!("    \"checks_per_sec\": {:.2}", corpus.len() as f64 / bwd_best));
-    if let Some(p_best) = bwd_parallel {
-        json.push_str(",\n    \"parallel\": {\n");
-        json.push_str(&format!("      \"jobs\": {jobs},\n"));
-        json.push_str(&format!("      \"best_pass_seconds\": {p_best:.6},\n"));
-        json.push_str(&format!("      \"speedup_vs_serial\": {:.2},\n", bwd_best / p_best));
-        json.push_str("      \"matches_serial\": true\n    }");
-    }
     json.push_str(",\n    \"cache\": {\n");
     json.push_str(&format!("      \"cold_pass_seconds\": {bwd_cache_cold:.6},\n"));
     json.push_str(&format!("      \"warm_pass_seconds\": {bwd_cache_warm:.6},\n"));
@@ -1830,9 +1730,10 @@ fn bump_first_literal(src: &str) -> Option<String> {
     None
 }
 
-/// Renders one corpus result the same way for the serial and parallel
-/// bench passes, so the byte-identical comparison is meaningful: the
-/// inferred type plus its eq. (8) bound, or the rendered diagnostic.
+/// Renders one corpus result the same way for the uncached, cached, and
+/// incremental bench passes, so the byte-identical comparison is
+/// meaningful: the inferred type plus its eq. (8) bound, or the rendered
+/// diagnostic.
 fn render_check(analyzer: &Analyzer, result: &Result<Typed, Diagnostic>) -> String {
     match result {
         Ok(typed) => match analyzer.bound_of_ty(typed.ty()) {
@@ -1843,8 +1744,8 @@ fn render_check(analyzer: &Analyzer, result: &Result<Typed, Diagnostic>) -> Stri
     }
 }
 
-/// Renders one backward corpus result identically for the serial,
-/// parallel, and cached bench passes: the full backward check report, or
+/// Renders one backward corpus result identically for the uncached and
+/// cached bench passes: the full backward check report, or
 /// the rendered diagnostic (backward rejections are expected for most of
 /// the forward corpus and compare byte-for-byte like any other output).
 fn render_backward(result: &Result<BackwardTyped, Diagnostic>) -> String {
@@ -1914,6 +1815,15 @@ fn parse_opts(rest: &[String]) -> Result<Opts, String> {
             "--backward" => backward = true,
             other => return Err(format!("unknown option `{other}`")),
         }
+    }
+    // `Format::new` asserts on degenerate formats, and huge ones make
+    // evaluation allocate or loop without bound; binary256 is the widest
+    // IEEE 754 interchange format.
+    if !(2..=237).contains(&prec) {
+        return Err(format!("--prec {prec} is out of range (2..=237)"));
+    }
+    if !(1..=262143).contains(&emax) {
+        return Err(format!("--emax {emax} is out of range (1..=262143)"));
     }
     Ok(Opts { format: Format::new(prec, emax), mode, instantiation, backward })
 }

@@ -915,7 +915,7 @@ pub fn optimize(
             })
             .collect();
         evaluated += jobs.len();
-        let (verdicts, _) = numfuzz_core::pool::ordered_map_with(
+        let verdicts = numfuzz_core::pool::ordered_map_with(
             cfg.jobs,
             &jobs,
             |_| analyzer.fork_session(),

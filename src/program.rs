@@ -2,9 +2,8 @@
 //! term arena, root, free variables, and interned source text.
 //!
 //! A `Program` is produced once and analyzed many times — by
-//! [`crate::Analyzer::check`], [`crate::Analyzer::run`],
-//! [`crate::Analyzer::validate`] and the batch entry point
-//! [`crate::Analyzer::check_all`]. It replaces hand-threading
+//! [`crate::Analyzer::check`], [`crate::Analyzer::run`], and
+//! [`crate::Analyzer::validate`]. It replaces hand-threading
 //! `TermStore` + `TermId` + free-variable lists through free functions.
 
 use crate::diag::Diagnostic;
@@ -250,13 +249,6 @@ impl Program {
     /// The term arena.
     pub fn store(&self) -> &TermStore {
         &self.store
-    }
-
-    /// The type/grade arena this program's annotations live in (the
-    /// session arena when the program was parsed via
-    /// [`crate::Analyzer::parse`], a private arena otherwise).
-    pub fn arena(&self) -> &CoreArena {
-        self.store.tys()
     }
 
     /// The root term.

@@ -1113,7 +1113,7 @@ impl Service {
         // Dispatch onto the scoped worker pool: every worker is a forked
         // session (own arena, shared content cache), exactly like
         // `numfuzz batch` over a directory.
-        let (entries, _) = pool::ordered_map_with(
+        let entries = pool::ordered_map_with(
             self.jobs,
             &jobs_items,
             |_worker| self.base.fork_session(),

@@ -1,13 +1,34 @@
 //! The content-addressed result cache, end to end: hit/miss accounting,
 //! key sensitivity to program content and analyzer configuration, LRU
 //! eviction under a byte budget, and — the soundness property — byte
-//! identity between cached and uncached analysis across job counts.
+//! identity between cached and uncached analysis, including serve
+//! `batch` requests on the worker pool at every job count.
 
 use numfuzz::prelude::*;
+use numfuzz::serve::{backward_batch_entry, batch_entry, Json, Service};
 
 fn cached_analyzer(budget: usize) -> (Analyzer, AnalysisCache) {
     let cache = AnalysisCache::with_budget(budget);
     (Analyzer::builder().cache(cache.clone()).build(), cache)
+}
+
+/// Sends one serve `batch` request (`mode` is `"forward"` or
+/// `"backward"`) and returns each result's `line`, in request order.
+fn serve_batch(service: &Service, sources: &[(&str, &str)], mode: &str) -> Vec<String> {
+    let programs = sources
+        .iter()
+        .map(|(name, src)| Json::obj(vec![("name", Json::str(*name)), ("src", Json::str(*src))]))
+        .collect();
+    let request = Json::obj(vec![
+        ("id", Json::int(1)),
+        ("op", Json::str("batch")),
+        ("mode", Json::str(mode)),
+        ("programs", Json::Arr(programs)),
+    ]);
+    let reply = service.handle_line(service.analyzer(), &request.to_string());
+    let reply = Json::parse(&reply.json).expect("the reply is JSON");
+    let results = reply.get("results").and_then(Json::as_array).expect("batch results");
+    results.iter().map(|r| r.get("line").and_then(Json::as_str).expect("line").into()).collect()
 }
 
 #[test]
@@ -91,21 +112,24 @@ fn alpha_renamed_errors_render_their_own_source() {
     assert_eq!(db2.snippet, db.snippet);
     assert_eq!(cache.stats().hits, 1);
 
-    // The same guard holds inside a deduplicated batch: the duplicate of
-    // `a` fans out a's rendering, while `b` is analyzed separately.
-    let (analyzer, _) = cached_analyzer(1 << 20);
-    let batch = vec![
-        analyzer.parse("s = mul (true, 2); rnd s").unwrap(),
-        analyzer.parse("t = mul (true, 2); rnd t").unwrap(),
-        analyzer.parse("s = mul (true, 2); rnd s").unwrap(),
+    // The same guard holds for a serve batch on a shared cache, cold and
+    // warm: `b` is analyzed on its own, never replaying a's rendering.
+    let batch = [
+        ("a.nf", "s = mul (true, 2); rnd s"),
+        ("b.nf", "t = mul (true, 2); rnd t"),
+        ("a-again.nf", "s = mul (true, 2); rnd s"),
     ];
+    let plain = Analyzer::new();
+    let expected: Vec<String> = batch.iter().map(|(n, s)| batch_entry(&plain, n, s).0).collect();
     for jobs in [1, 2] {
-        let (results, _) = analyzer.check_batch_sharded(&batch, jobs);
-        let snippets: Vec<&str> =
-            results.iter().map(|r| r.as_ref().unwrap_err().snippet.as_deref().unwrap()).collect();
-        assert!(snippets[0].contains("rnd s"), "jobs={jobs}");
-        assert!(snippets[1].contains("rnd t"), "jobs={jobs}: own source, not the owner's");
-        assert!(snippets[2].contains("rnd s"), "jobs={jobs}");
+        let service = Service::new(cached_analyzer(1 << 20).0, jobs);
+        for pass in ["cold", "warm"] {
+            let lines = serve_batch(&service, &batch, "forward");
+            assert_eq!(lines, expected, "{pass} batch, jobs={jobs}");
+            assert!(lines[0].contains("rnd s"), "{pass}, jobs={jobs}");
+            assert!(lines[1].contains("rnd t"), "{pass}, jobs={jobs}: own source, not a's");
+            assert!(lines[2].contains("rnd s"), "{pass}, jobs={jobs}");
+        }
     }
 }
 
@@ -186,20 +210,6 @@ fn lru_eviction_under_a_tiny_budget() {
     assert_eq!(s.misses, before.misses + 1);
 }
 
-/// Renders a batch outcome the way the CLI does, for byte comparison.
-fn render_all(analyzer: &Analyzer, results: &[Result<Typed, Diagnostic>]) -> Vec<String> {
-    results
-        .iter()
-        .map(|r| match r {
-            Ok(typed) => match analyzer.bound_of_ty(typed.ty()) {
-                Some(b) => format!("{} — {b}", typed.ty()),
-                None => typed.ty().to_string(),
-            },
-            Err(d) => d.render(),
-        })
-        .collect()
-}
-
 #[test]
 fn cached_and_uncached_batches_are_byte_identical_across_jobs() {
     // A corpus with well-typed programs, ill-typed programs, and
@@ -214,47 +224,29 @@ fn cached_and_uncached_batches_are_byte_identical_across_jobs() {
         ("dup-of-a-again.nf", "s = mul (2, 2); rnd s"),
     ];
     let plain = Analyzer::new();
-    let programs: Vec<Program> =
-        sources.iter().map(|(n, s)| plain.parse_named(n, s).unwrap()).collect();
-    let expected = render_all(&plain, &plain.check_all(&programs));
+    let expected: Vec<String> = sources.iter().map(|(n, s)| batch_entry(&plain, n, s).0).collect();
     // Uncached diagnostics name each program's own file.
-    let uncached = plain.check_all(&programs);
-    assert_eq!(uncached[1].as_ref().unwrap_err().file.as_deref(), Some("bad1.nf"));
-    assert_eq!(uncached[4].as_ref().unwrap_err().file.as_deref(), Some("bad2.nf"));
+    assert!(expected[1].contains("bad1.nf"), "{}", expected[1]);
+    assert!(expected[4].contains("bad2.nf"), "{}", expected[4]);
 
     for jobs in [1, 2, 4] {
         let (analyzer, cache) = cached_analyzer(1 << 20);
-        let programs: Vec<Program> =
-            sources.iter().map(|(n, s)| analyzer.parse_named(n, s).unwrap()).collect();
-        // First batch: only distinct programs are analyzed.
-        let (results, _) = analyzer.check_batch_sharded(&programs, jobs);
-        assert_eq!(render_all(&analyzer, &results), expected, "cold cached batch, jobs={jobs}");
-        assert_eq!(
-            results[4].as_ref().unwrap_err().file.as_deref(),
-            Some("bad2.nf"),
-            "duplicate's diagnostic is re-localized, jobs={jobs}"
-        );
+        let service = Service::new(analyzer, jobs);
+        let cold = serve_batch(&service, &sources, "forward");
+        assert_eq!(cold, expected, "cold cached batch, jobs={jobs}");
+        assert!(cold[3].starts_with("dup-of-a.nf: "), "duplicate keeps its name, jobs={jobs}");
         let s = cache.stats();
-        assert_eq!(s.insertions, 4, "4 distinct contents analyzed once each, jobs={jobs}");
-        // Second batch: everything replays.
-        let (replayed, _) = analyzer.check_batch_sharded(&programs, jobs);
-        assert_eq!(render_all(&analyzer, &replayed), expected, "warm cached batch, jobs={jobs}");
+        // With more than one worker, two duplicates may both miss before
+        // either inserts, so the exact count holds serially only.
+        if jobs == 1 {
+            assert_eq!(s.insertions, 4, "4 distinct contents analyzed once each");
+        }
+        let warm = serve_batch(&service, &sources, "forward");
+        assert_eq!(warm, expected, "warm cached batch, jobs={jobs}");
         let s2 = cache.stats();
-        assert_eq!(s2.insertions, 4, "warm batch recomputes nothing, jobs={jobs}");
+        assert_eq!(s2.insertions, s.insertions, "warm batch recomputes nothing, jobs={jobs}");
         assert_eq!(s2.hits, s.hits + 7, "warm batch hits once per input, jobs={jobs}");
     }
-}
-
-#[test]
-fn check_all_respects_session_cache_and_jobs_knob() {
-    let cache = AnalysisCache::with_budget(1 << 20);
-    let analyzer = Analyzer::builder().jobs(2).cache(cache.clone()).build();
-    let programs: Vec<Program> =
-        (0..8).map(|i| analyzer.parse(&format!("rnd {}.5", i % 2)).unwrap()).collect();
-    let results = analyzer.check_all(&programs);
-    assert!(results.iter().all(Result::is_ok));
-    let s = cache.stats();
-    assert_eq!(s.insertions, 2, "8 programs, 2 distinct contents");
 }
 
 #[test]
@@ -320,38 +312,28 @@ fn backward_batches_are_byte_identical_across_jobs_and_cache_state() {
         ("nocarrier.nf", "rnd 1.5"),
     ];
     let plain = Analyzer::new();
-    let programs: Vec<Program> =
-        sources.iter().map(|(n, s)| plain.parse_named(n, s).unwrap()).collect();
-    let render = |results: &[Result<BackwardTyped, Diagnostic>]| -> Vec<String> {
-        results
-            .iter()
-            .map(|r| match r {
-                Ok(t) => format!(
-                    "{} {:?}",
-                    t.ty(),
-                    t.functions()
-                        .iter()
-                        .map(|f| (f.name.clone(), f.inputs.clone()))
-                        .collect::<Vec<_>>()
-                ),
-                Err(d) => d.render(),
-            })
-            .collect()
-    };
-    let expected = render(&plain.check_all_backward(&programs));
+    let expected: Vec<String> =
+        sources.iter().map(|(n, s)| backward_batch_entry(&plain, n, s).0).collect();
     assert!(expected[1].contains("E0502"), "{:?}", expected[1]);
     assert!(expected[3].contains("E0504"), "{:?}", expected[3]);
 
     for jobs in [1, 2, 4] {
         let (analyzer, cache) = cached_analyzer(1 << 20);
-        let programs: Vec<Program> =
-            sources.iter().map(|(n, s)| analyzer.parse_named(n, s).unwrap()).collect();
-        let (cold, _) = analyzer.check_backward_batch_sharded(&programs, jobs);
-        assert_eq!(render(&cold), expected, "cold backward batch, jobs={jobs}");
-        assert_eq!(cache.stats().insertions, 3, "3 distinct contents, jobs={jobs}");
-        let (warm, _) = analyzer.check_backward_batch_sharded(&programs, jobs);
-        assert_eq!(render(&warm), expected, "warm backward batch, jobs={jobs}");
-        assert_eq!(cache.stats().insertions, 3, "warm batch recomputes nothing, jobs={jobs}");
+        let service = Service::new(analyzer, jobs);
+        let cold = serve_batch(&service, &sources, "backward");
+        assert_eq!(cold, expected, "cold backward batch, jobs={jobs}");
+        assert!(cold[2].contains("--> dup.nf"), "duplicate names its own file, jobs={jobs}");
+        let inserted = cache.stats().insertions;
+        if jobs == 1 {
+            assert_eq!(inserted, 3, "3 distinct contents analyzed once each");
+        }
+        let warm = serve_batch(&service, &sources, "backward");
+        assert_eq!(warm, expected, "warm backward batch, jobs={jobs}");
+        assert_eq!(
+            cache.stats().insertions,
+            inserted,
+            "warm batch recomputes nothing, jobs={jobs}"
+        );
     }
 }
 

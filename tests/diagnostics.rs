@@ -187,12 +187,13 @@ fn parse_pretty_reparse_round_trips() {
 }
 
 #[test]
-fn check_all_reports_per_program_results() {
+fn one_session_checks_each_program_independently() {
+    // A failing program leaves the session usable for the next one.
     let analyzer = Analyzer::new();
     let good = Program::parse("function f (x: num) : M[eps]num { rnd x }").expect("parses");
     let bad = Program::parse("function g (x: num) : num { mul (x, x) }").expect("parses");
-    let results = analyzer.check_all(&[good, bad]);
-    assert_eq!(results.len(), 2);
+    let results: Vec<_> = [&good, &bad, &good].map(|p| analyzer.check(p)).into();
     assert!(results[0].is_ok());
     assert_eq!(results[1].as_ref().expect_err("ill-typed").code, ErrorCode::LambdaSensitivity);
+    assert!(results[2].is_ok());
 }

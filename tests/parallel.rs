@@ -1,124 +1,8 @@
-//! The parallel sharded analysis engine's contract: output identical to
-//! serial for every job count and every run, shard arenas isolated from
-//! the session arena, and `numfuzz batch` printing deterministically
-//! ordered diagnostics.
+//! `numfuzz batch` on the worker pool: deterministically ordered output
+//! for every job count, and usage errors (including out-of-range format
+//! flags on every command that takes them) exiting 2.
 
-use numfuzz::benchsuite::{table3, table5};
-use numfuzz::prelude::*;
 use std::process::Command;
-
-/// A mixed corpus sharing ONE session arena (the contended case the
-/// sharding exists for): Table 3 kernels, Table 5 surface programs, a
-/// few ill-typed programs so the diagnostics path is exercised too.
-fn shared_corpus(analyzer: &Analyzer) -> Vec<Program> {
-    let mut corpus: Vec<Program> = Vec::new();
-    for b in table3() {
-        corpus.push(analyzer.program_from_kernel(&b.kernel).expect("translatable"));
-    }
-    for b in table5() {
-        corpus.push(analyzer.parse_named(b.name, b.source).expect("parses"));
-    }
-    for (name, bad) in [
-        ("bad_shape.nf", "2 3"),
-        ("bad_grade.nf", "function f (xy: (num,num)) : M[0]num { s = mul xy; rnd s }\nf (1,2)"),
-        ("bad_oparg.nf", "s = add (1, 2); rnd s"),
-    ] {
-        corpus.push(analyzer.parse_named(name, bad).expect("parses"));
-    }
-    corpus
-}
-
-/// Renders a batch result into the strings users actually see, so
-/// "identical" means identical diagnostics and identical types.
-fn render(results: &[Result<Typed, Diagnostic>]) -> Vec<String> {
-    results
-        .iter()
-        .map(|r| match r {
-            Ok(t) => t.ty().to_string(),
-            Err(d) => d.render(),
-        })
-        .collect()
-}
-
-#[test]
-fn parallel_check_all_is_identical_to_serial_for_all_job_counts() {
-    let analyzer = Analyzer::new();
-    let corpus = shared_corpus(&analyzer);
-    let serial = render(&analyzer.check_all(&corpus));
-    assert!(serial.iter().any(|s| s.starts_with("error[")), "corpus has failing programs");
-    for jobs in [0, 2, 3, 8] {
-        for run in 0..3 {
-            let parallel = render(&analyzer.check_batch_parallel(&corpus, jobs));
-            assert_eq!(parallel, serial, "jobs={jobs} run={run}");
-        }
-    }
-}
-
-#[test]
-fn jobs_knob_on_the_builder_drives_check_all() {
-    let analyzer = Analyzer::builder().jobs(3).build();
-    assert_eq!(analyzer.jobs(), 3);
-    let corpus = shared_corpus(&analyzer);
-    let configured = render(&analyzer.check_all(&corpus));
-    let serial = render(&analyzer.check_batch_parallel(&corpus, 1));
-    assert_eq!(configured, serial);
-}
-
-#[test]
-fn shard_reports_account_for_every_program() {
-    let analyzer = Analyzer::new();
-    let corpus = shared_corpus(&analyzer);
-    let (results, shards) = analyzer.check_batch_sharded(&corpus, 4);
-    assert_eq!(results.len(), corpus.len());
-    assert_eq!(shards.len(), 4);
-    assert_eq!(shards.iter().map(|s| s.programs).sum::<usize>(), corpus.len());
-    for (i, s) in shards.iter().enumerate() {
-        assert_eq!(s.shard, i);
-    }
-}
-
-#[test]
-fn shard_arenas_do_not_leak_ids_into_the_session_arena() {
-    let analyzer = Analyzer::new();
-    let corpus = shared_corpus(&analyzer);
-    // Warm the session arena (serial pass interns everything checking
-    // needs), then record its size.
-    let _ = analyzer.check_batch_parallel(&corpus, 1);
-    let before = analyzer.arena().len();
-    // Parallel passes check against per-worker deep clones: whatever
-    // they intern lands in the clones, never in the session arena.
-    for jobs in [2, 5] {
-        let _ = analyzer.check_batch_parallel(&corpus, jobs);
-        assert_eq!(analyzer.arena().len(), before, "jobs={jobs} leaked ids into the session");
-    }
-    // The session stays fully usable afterwards: same arena, new parses
-    // intern into it.
-    let p = analyzer.parse("rnd 1").expect("parses");
-    assert!(p.arena().same_arena(analyzer.arena()));
-    assert!(analyzer.check(&p).is_ok());
-}
-
-#[test]
-fn deep_cloned_arena_is_id_compatible_but_independent() {
-    use numfuzz::core::{infer_in, CoreArena};
-    let analyzer = Analyzer::new();
-    let program = analyzer
-        .parse("function fp (xy: <num,num>) : M[eps]num { s = add xy; rnd s }\nfp (|1,2|)")
-        .expect("parses");
-    let clone: CoreArena = program.arena().deep_clone();
-    assert!(!clone.same_arena(program.arena()));
-    assert_ne!(clone.token(), program.arena().token());
-    // Checking against the clone resolves the same annotations to the
-    // same type, and grows only the clone.
-    let before = program.arena().len();
-    let sig = analyzer.signature().clone();
-    let direct = numfuzz::core::infer(program.store(), &sig, program.root(), program.free())
-        .expect("checks");
-    let via_clone =
-        infer_in(program.store(), &clone, &sig, program.root(), program.free()).expect("checks");
-    assert_eq!(direct.root.ty, via_clone.root.ty);
-    assert_eq!(program.arena().len(), before);
-}
 
 /// Runs the built `numfuzz` binary (Cargo exposes the path to
 /// integration tests).
@@ -175,4 +59,49 @@ fn numfuzz_batch_usage_errors_exit_2() {
     assert_eq!(code, Some(2), "{stderr}");
     let (_, stderr, code) = numfuzz_bin(&["batch"]);
     assert_eq!(code, Some(2), "{stderr}");
+}
+
+#[test]
+fn out_of_range_format_flags_exit_2() {
+    let dir = std::env::temp_dir().join(format!("numfuzz-format-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let file = dir.join("ok.nf");
+    std::fs::write(&file, "rnd 1.5\n").expect("write");
+    let (dir_arg, file_arg) = (dir.to_str().expect("utf-8"), file.to_str().expect("utf-8"));
+
+    let commands: [&[&str]; 8] = [
+        &["check", file_arg],
+        &["bound", file_arg],
+        &["run", file_arg],
+        &["batch", dir_arg],
+        &["watch", file_arg, "--iterations", "1"],
+        &["serve"],
+        &["table1"],
+        &["optimize", file_arg],
+    ];
+    let bad: [&[&str]; 4] =
+        [&["--prec", "1"], &["--prec", "238"], &["--emax", "0"], &["--emax", "262144"]];
+    for command in commands {
+        for flags in bad {
+            let args = [command, flags].concat();
+            let (_, stderr, code) = numfuzz_bin(&args);
+            assert_eq!(code, Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains("out of range"), "{args:?}: {stderr}");
+        }
+    }
+    // Values that would otherwise allocate ~2^60 bytes or run without bound.
+    for args in [
+        ["run", file_arg, "--emax", "9223372036854775807"],
+        ["bound", file_arg, "--prec", "4294967295"],
+    ] {
+        let (_, stderr, code) = numfuzz_bin(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    }
+    // The widest accepted format (binary256) still works.
+    let (stdout, stderr, code) =
+        numfuzz_bin(&["run", file_arg, "--prec", "237", "--emax", "262143"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("bound holds"), "{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
 }

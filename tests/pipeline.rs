@@ -1,7 +1,7 @@
 //! End-to-end integration through the facade: every Table 3 / Table 5
-//! benchmark goes through `Program` construction → `Analyzer::check` (in
-//! batch) → ideal+fp evaluation → rigorous bound check (Corollary 4.20),
-//! across formats and modes.
+//! benchmark goes through `Program` construction → `Analyzer::check` →
+//! ideal+fp evaluation → rigorous bound check (Corollary 4.20), across
+//! formats and modes.
 
 use numfuzz::benchsuite::{table3, table5};
 use numfuzz::prelude::*;
@@ -12,14 +12,13 @@ fn table3_kernels_check_and_validate() {
     let programs: Vec<Program> =
         benches.iter().map(|b| Program::from_kernel(&b.kernel).expect("translatable")).collect();
 
-    // One batch check amortizes the session; grades equal the recorded
-    // paper coefficients.
+    // One session checks every kernel; grades equal the recorded paper
+    // coefficients.
     let analyzer = Analyzer::new();
-    let typed: Vec<Typed> =
-        analyzer.check_all(&programs).into_iter().map(|r| r.expect("checks")).collect();
-    for (b, t) in benches.iter().zip(&typed) {
+    for (b, program) in benches.iter().zip(&programs) {
+        let typed = analyzer.check(program).expect("checks");
         let expected = Ty::monad(Grade::symbol("eps").scale(&b.expected_eps_coeff), Ty::Num);
-        assert_eq!(t.ty(), &expected, "{}", b.kernel.name);
+        assert_eq!(typed.ty(), &expected, "{}", b.kernel.name);
     }
 
     let formats = [Format::BINARY64, Format::new(10, 50)];
@@ -72,6 +71,24 @@ fn generated_table4_programs_validate() {
         assert!(rep.holds(), "{name} violated: {rep:?}");
         // Error really accumulates in a 16-bit format: measured > 0.
         assert!(rep.measured.unwrap_or(0.0) > 0.0, "{name}");
+    }
+}
+
+#[test]
+fn hypot_validates_and_runs_in_formats_wider_than_192_bits() {
+    // The ideal semantics encloses `sqrt` at a precision derived from the
+    // format. A fixed 192-bit enclosure is coarser than these formats'
+    // unit roundoff, and the rigorous verdict reported a violation.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benches/table1/hypot.nf");
+    let src = std::fs::read_to_string(path).expect("hypot.nf is committed");
+    for format in [Format::new(200, 16383), Format::new(237, 262143)] {
+        let session = Analyzer::builder().format(format).build();
+        let program = session.parse_named("hypot.nf", &src).expect("parses");
+        let rep = session.validate(&program, &Inputs::none()).expect("validates");
+        assert!(rep.holds(), "validate in {format}: {rep:?}");
+        let exec = session.run(&program, &Inputs::none()).expect("runs");
+        let rep = exec.report.expect("an M[r]num program carries a verdict");
+        assert!(rep.holds(), "run in {format}: {rep:?}");
     }
 }
 

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md §3:
+//! Ablation benches measuring what three design choices cost:
 //!
 //! * exact symbolic grades: cost of grade arithmetic per checker step;
 //! * sqrt enclosure precision: ideal-evaluation cost vs `sqrt_bits`;

@@ -1,75 +1,45 @@
 //! Regenerates the paper's Table 3: small kernels, comparing the Λnum
 //! bound (one `Analyzer::check` pass and the eq. 8 conversion) against
-//! the interval (Gappa-style) and Taylor-form (FPTaylor-style) baselines,
+//! the `numfuzz-bounds` interval engine over each kernel's input box,
 //! with the paper's published values alongside.
 //!
-//! Conventions (see DESIGN.md / EXPERIMENTS.md): binary64, round toward
-//! +∞ (`u = 2^-52`), all inputs in `[0.1, 1000]`, constants exact.
+//! Conventions: binary64, round toward +∞ (`u = 2^-52`, which reproduces
+//! the paper's Λnum column), all inputs in `[0.1, 1000]`, constants exact
+//! (the kernels' literals are reals, not rounded inputs).
+//! Rows run serially: the timing columns are the point of this table,
+//! and concurrent rows would inflate each other's wall-clock numbers.
 
+use numfuzz::bounds::{analyze_with_inputs, BoundConfig};
 use numfuzz::prelude::*;
-use numfuzz_analyzers::{analyze_interval, analyze_taylor};
-use numfuzz_bench::{fmt_time, opt_bound_string, ratio_string, rp_bound_string, PAPER_TABLE3};
-use numfuzz_benchsuite::{horner2_with_error_kernel, horner2_with_error_source, table3};
-use numfuzz_core::pool;
-use std::time::Instant;
+use numfuzz_bench::{fmt_time, ratio_string, rp_bound_string, PAPER_TABLE3};
+use numfuzz_benchsuite::{
+    horner2_with_error_kernel, horner2_with_error_source, table3, Kernel, SmallBench,
+};
+use std::time::{Duration, Instant};
 
 fn main() {
-    // Serial by default: this binary's whole point is its timing
-    // columns, and oversubscribed workers would inflate per-row
-    // wall-clock numbers. `--jobs N` opts into sharding when only the
-    // bounds matter.
-    let mut jobs = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("table3: --jobs needs a number");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("table3: unknown option `{other}` (usage: table3 [--jobs N])");
-                std::process::exit(2);
-            }
-        }
-    }
     let analyzer =
         Analyzer::builder().format(Format::BINARY64).mode(RoundingMode::TowardPositive).build();
 
     println!("Table 3: small kernels (binary64, round toward +inf, inputs in [0.1, 1000])");
-    println!("Bounds are worst-case relative error; ratio = ours / best(baselines).\n");
+    println!("Bounds are worst-case relative error; ratio = Lnum grade / interval bound.\n");
     println!(
-        "{:<20} {:>4} | {:>9} {:>9} {:>9} {:>5} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9}",
+        "{:<20} {:>4} | {:>9} {:>9} {:>5} | {:>9} {:>9} | {:>9} {:>9} {:>9}",
         "Benchmark",
         "Ops",
         "Lnum",
-        "Taylor",
         "Intvl",
         "ratio",
         "t(Lnum)",
-        "t(Taylor)",
         "t(Intvl)",
         "paperLnum",
         "paperFPT",
         "paperGappa"
     );
 
-    // Rows are independent (Λnum check + two baseline analyses each), so
-    // they shard across workers — one session per worker, rows collected
-    // in table order. The printed bounds are identical for every job
-    // count; only the wall-clock timing columns vary.
-    let benches = table3();
-    let mut rows = pool::ordered_map_with(
-        jobs,
-        &benches,
-        |_w| {
-            Analyzer::builder().format(Format::BINARY64).mode(RoundingMode::TowardPositive).build()
-        },
-        |analyzer, _i, b| run_ir_row(b, analyzer),
-    );
-    // Horner2_with_error: Λnum from the Fig. 9 surface program, baselines
-    // from the kernel with one unit of input error.
+    let mut rows: Vec<Row> = table3().iter().map(|b| run_ir_row(b, &analyzer)).collect();
+    // Horner2_with_error: Λnum from the Fig. 9 surface program, the
+    // interval bound from the kernel with one unit of input error.
     rows.push(run_with_error_row(&analyzer));
 
     for row in rows {
@@ -79,23 +49,22 @@ fn main() {
             .copied()
             .unwrap_or(("", "-", "-", "-"));
         println!(
-            "{:<20} {:>4} | {:>9} {:>9} {:>9} {:>5} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9}",
+            "{:<20} {:>4} | {:>9} {:>9} {:>5} | {:>9} {:>9} | {:>9} {:>9} {:>9}",
             row.name,
             row.ops,
-            row.ours,
-            opt_bound_string(&row.taylor),
-            opt_bound_string(&row.interval),
-            row.ratio,
-            row.t_ours,
-            row.t_taylor,
-            row.t_interval,
+            rp_bound_string(&row.alpha),
+            rp_bound_string(&row.interval),
+            ratio_string(&row.alpha, &row.interval),
+            fmt_time(row.t_ours),
+            fmt_time(row.t_interval),
             paper.1,
             paper.2,
             paper.3,
         );
     }
     println!("\nNotes:");
-    println!("  * baselines are this repo's Gappa/FPTaylor technique stand-ins (DESIGN.md §1);");
+    println!("  * Intvl is numfuzz-bounds: exact interval evaluation plus first-order error");
+    println!("    propagation, the technique behind the paper's FPTaylor/Gappa columns;");
     println!("  * Horner rows use FMA (one rounding per two ops), as in the paper;");
     println!("  * Λnum grades are exact k*eps values; bounds use eq. (8): rel <= a/(1-a).");
 }
@@ -103,16 +72,27 @@ fn main() {
 struct Row {
     name: String,
     ops: usize,
-    ours: String,
-    taylor: Option<Rational>,
-    interval: Option<Rational>,
-    ratio: String,
-    t_ours: String,
-    t_taylor: String,
-    t_interval: String,
+    /// The typed grade's coefficient times `u`.
+    alpha: Rational,
+    /// The interval engine's bound in the same RP metric.
+    interval: Rational,
+    t_ours: Duration,
+    t_interval: Duration,
 }
 
-fn run_ir_row(b: &numfuzz_benchsuite::SmallBench, analyzer: &Analyzer) -> Row {
+/// The interval engine's bound for `program`, translated from `kernel`,
+/// over the kernel's input box, and the time the analysis took.
+fn interval_bound(program: &Program, kernel: &Kernel, analyzer: &Analyzer) -> (Rational, Duration) {
+    let cfg =
+        BoundConfig::new(Instantiation::RelativePrecision, analyzer.format(), analyzer.mode());
+    let inputs: Vec<_> = program.free().iter().map(|(v, _)| *v).zip(kernel.ranges()).collect();
+    let t0 = Instant::now();
+    let bound = analyze_with_inputs(program.store(), program.root(), &cfg, &inputs)
+        .unwrap_or_else(|e| panic!("{}: interval engine: {e}", kernel.name));
+    (bound.bound().clone(), t0.elapsed())
+}
+
+fn run_ir_row(b: &SmallBench, analyzer: &Analyzer) -> Row {
     let program = Program::from_kernel(&b.kernel).expect("translatable");
     let t0 = Instant::now();
     let typed = analyzer.check(&program).expect("checks");
@@ -125,26 +105,14 @@ fn run_ir_row(b: &numfuzz_benchsuite::SmallBench, analyzer: &Analyzer) -> Row {
         "{}",
         b.kernel.name
     );
-
-    let (format, mode) = (analyzer.format(), analyzer.mode());
-    let t0 = Instant::now();
-    let taylor = analyze_taylor(&b.kernel, format, mode).ok().and_then(|r| r.rel);
-    let t_taylor = t0.elapsed();
-    let t0 = Instant::now();
-    let interval = analyze_interval(&b.kernel, format, mode).ok().and_then(|r| r.rel);
-    let t_interval = t0.elapsed();
-
-    let ours_rel = bound.relative.clone().expect("alpha < 1");
+    let (interval, t_interval) = interval_bound(&program, &b.kernel, analyzer);
     Row {
         name: b.kernel.name.clone(),
         ops: b.kernel.op_count(),
-        ours: rp_bound_string(&bound.alpha),
-        ratio: ratio_string(&ours_rel, &[&taylor, &interval]),
-        taylor,
+        alpha: bound.alpha,
         interval,
-        t_ours: fmt_time(t_ours),
-        t_taylor: fmt_time(t_taylor),
-        t_interval: fmt_time(t_interval),
+        t_ours,
+        t_interval,
     }
 }
 
@@ -159,23 +127,14 @@ fn run_with_error_row(analyzer: &Analyzer) -> Row {
     let t_ours = t0.elapsed();
 
     let b = horner2_with_error_kernel();
-    let (format, mode) = (analyzer.format(), analyzer.mode());
-    let t0 = Instant::now();
-    let taylor = analyze_taylor(&b.kernel, format, mode).ok().and_then(|r| r.rel);
-    let t_taylor = t0.elapsed();
-    let t0 = Instant::now();
-    let interval = analyze_interval(&b.kernel, format, mode).ok().and_then(|r| r.rel);
-    let t_interval = t0.elapsed();
-    let ours_rel = bound.relative.clone().expect("alpha < 1");
+    let kernel_program = Program::from_kernel(&b.kernel).expect("translatable");
+    let (interval, t_interval) = interval_bound(&kernel_program, &b.kernel, analyzer);
     Row {
-        name: "Horner2_with_error".to_string(),
+        name: b.kernel.name.clone(),
         ops: b.kernel.op_count(),
-        ours: rp_bound_string(&bound.alpha),
-        ratio: ratio_string(&ours_rel, &[&taylor, &interval]),
-        taylor,
+        alpha: bound.alpha,
         interval,
-        t_ours: fmt_time(t_ours),
-        t_taylor: fmt_time(t_taylor),
-        t_interval: fmt_time(t_interval),
+        t_ours,
+        t_interval,
     }
 }

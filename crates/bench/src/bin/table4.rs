@@ -8,9 +8,8 @@
 //! `NUMFUZZ_LARGE=1` is set.
 
 use numfuzz::prelude::*;
-use numfuzz_analyzers::std_bounds;
 use numfuzz_bench::{fmt_time, rp_bound_string, PAPER_TABLE4};
-use numfuzz_benchsuite::{horner, matrix_multiply, poly_naive, serial_sum, Generated};
+use numfuzz_benchsuite::{horner, matrix_multiply, poly_naive, serial_sum, std_bounds, Generated};
 use std::time::Instant;
 
 fn main() {

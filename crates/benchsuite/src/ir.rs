@@ -1,11 +1,12 @@
 //! A straight-line expression IR for floating-point kernels.
 //!
-//! This is the common input format of the baseline analyzers (the Gappa-
-//! and FPTaylor-style tools of the paper's Table 3 comparison) and of the
-//! translation into Λnum. It mirrors the FPBench core fragment the paper
-//! can handle: `+ − × ÷ √` over real constants and range-bounded inputs
-//! (subtraction appears only in baseline-only kernels; the RP
-//! instantiation of Λnum does not type it).
+//! The Table 3 kernels are written in this IR and reach both the typing
+//! judgment and the `numfuzz-bounds` interval engine through the
+//! translation into Λnum ([`crate::to_core`]). It mirrors the FPBench
+//! core fragment the paper can handle: `+ − × ÷ √` over real constants
+//! and range-bounded inputs (subtraction is representable so that
+//! out-of-fragment kernels get a diagnostic; the RP instantiation of Λnum
+//! does not type it).
 
 use numfuzz_exact::{RatInterval, Rational};
 
@@ -31,6 +32,9 @@ pub enum Expr {
     Fma(Box<Expr>, Box<Expr>, Box<Expr>),
 }
 
+// `add`/`sub`/`mul`/`div` are static constructors named after the IR
+// nodes, not operator overloads.
+#[allow(clippy::should_implement_trait)]
 impl Expr {
     /// Constant from a decimal literal.
     ///
@@ -84,40 +88,6 @@ impl Expr {
             Expr::Fma(a, b, c) => 2 + a.op_count() + b.op_count() + c.op_count(),
         }
     }
-
-    /// Interval evaluation over input ranges (`None` on division by an
-    /// interval containing zero or sqrt of a negative range).
-    pub fn eval_interval(&self, inputs: &[RatInterval], sqrt_bits: u32) -> Option<RatInterval> {
-        match self {
-            Expr::Const(c) => Some(RatInterval::point(c.clone())),
-            Expr::Var(i) => inputs.get(*i).cloned(),
-            Expr::Add(a, b) => {
-                Some(a.eval_interval(inputs, sqrt_bits)?.add(&b.eval_interval(inputs, sqrt_bits)?))
-            }
-            Expr::Sub(a, b) => {
-                Some(a.eval_interval(inputs, sqrt_bits)?.sub(&b.eval_interval(inputs, sqrt_bits)?))
-            }
-            Expr::Mul(a, b) => {
-                Some(a.eval_interval(inputs, sqrt_bits)?.mul(&b.eval_interval(inputs, sqrt_bits)?))
-            }
-            Expr::Div(a, b) => {
-                a.eval_interval(inputs, sqrt_bits)?.div(&b.eval_interval(inputs, sqrt_bits)?)
-            }
-            Expr::Sqrt(a) => {
-                let i = a.eval_interval(inputs, sqrt_bits)?;
-                if i.lo().is_negative() {
-                    None
-                } else {
-                    Some(i.sqrt(sqrt_bits))
-                }
-            }
-            Expr::Fma(a, b, c) => Some(
-                a.eval_interval(inputs, sqrt_bits)?
-                    .mul(&b.eval_interval(inputs, sqrt_bits)?)
-                    .add(&c.eval_interval(inputs, sqrt_bits)?),
-            ),
-        }
-    }
 }
 
 /// A named kernel: an expression plus input names and ranges.
@@ -131,7 +101,8 @@ pub struct Kernel {
     pub expr: Expr,
     /// Relative error already present on every input, in units of the
     /// rounding unit `u` (0 for exact inputs; the `*_with_error`
-    /// benchmarks use 1).
+    /// benchmarks use 1). The Λnum translation rounds each input this
+    /// many times before the body.
     pub input_rel_ulps: u32,
 }
 
@@ -167,14 +138,6 @@ impl Kernel {
 mod tests {
     use super::*;
 
-    fn rat(s: &str) -> Rational {
-        Rational::from_decimal_str(s).expect("valid test literal")
-    }
-
-    fn iv(lo: &str, hi: &str) -> RatInterval {
-        RatInterval::new(rat(lo), rat(hi))
-    }
-
     #[test]
     fn op_count_counts_roundings() {
         // hypot: sqrt(x*x + y*y) = 4 ops.
@@ -184,26 +147,5 @@ mod tests {
         ));
         assert_eq!(e.op_count(), 4);
         assert_eq!(Expr::Var(0).op_count(), 0);
-    }
-
-    #[test]
-    fn interval_eval() {
-        let e = Expr::div(Expr::Var(0), Expr::add(Expr::Var(0), Expr::Var(1)));
-        let ranges = vec![iv("0.1", "1000"), iv("0.1", "1000")];
-        let i = e.eval_interval(&ranges, 64).unwrap();
-        // x/(x+y) over [0.1,1000]^2 is within [0.1/2000, 1000/0.2].
-        assert!(i.lo() >= &rat("0.00005"));
-        assert!(i.hi() <= &rat("5000"));
-        // Division by a zero-containing range fails.
-        let bad = Expr::div(Expr::Var(0), Expr::sub(Expr::Var(0), Expr::Var(1)));
-        assert_eq!(bad.eval_interval(&ranges, 64), None);
-    }
-
-    #[test]
-    fn sqrt_eval_rigor() {
-        let e = Expr::sqrt(Expr::Var(0));
-        let i = e.eval_interval(&[iv("2", "2")], 100).unwrap();
-        assert!(i.lo().mul(i.lo()) <= rat("2"));
-        assert!(i.hi().mul(i.hi()) >= rat("2"));
     }
 }

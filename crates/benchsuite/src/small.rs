@@ -7,13 +7,14 @@
 //! Table 3 column reports after the eq. (8) conversion, plus sample inputs
 //! used by the error-soundness validator.
 
-use numfuzz_analyzers::{Expr, Kernel};
+use crate::ir::{Expr, Kernel};
 use numfuzz_exact::{RatInterval, Rational};
 
 /// One Table 3 row.
 #[derive(Clone, Debug)]
 pub struct SmallBench {
-    /// Kernel (IR form, for the baselines and the Λnum translation).
+    /// Kernel (IR form, translated to Λnum for both the typing judgment
+    /// and the interval engine).
     pub kernel: Kernel,
     /// Whether the kernel comes from FPBench (starred in the paper).
     pub fpbench: bool,
@@ -70,8 +71,8 @@ fn bench(
 /// All Table 3 kernels, in the paper's row order.
 ///
 /// `Horner2_with_error` is the 14th row; its Λnum form needs monadic
-/// inputs and lives in [`horner2_with_error_source`], while its baseline
-/// form is the Horner-2 kernel with one unit of input error.
+/// inputs and lives in [`horner2_with_error_source`], while its kernel
+/// form, for the interval engine, is [`horner2_with_error_kernel`].
 pub fn table3() -> Vec<SmallBench> {
     vec![
         bench(
@@ -220,8 +221,8 @@ pub fn table3() -> Vec<SmallBench> {
     ]
 }
 
-/// The Horner2-with-input-error row: baseline form (one unit of relative
-/// input error on the Horner-2 kernel).
+/// The Horner2-with-input-error row as a kernel: the Horner-2 kernel with
+/// one unit of relative input error, which the interval engine bounds.
 pub fn horner2_with_error_kernel() -> SmallBench {
     let mut b = bench(
         "Horner2_with_error",
@@ -258,7 +259,7 @@ function Horner2we (a0: M[eps]num) (a1: M[eps]num) (a2: M[eps]num) (x: ![2.0]M[e
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numfuzz_analyzers::kernel_to_core;
+    use crate::to_core::kernel_to_core;
     use numfuzz_core::{infer, Grade, Signature, Ty};
 
     /// Every Table 3 kernel's Λnum translation infers exactly the grade
@@ -283,8 +284,9 @@ mod tests {
     #[test]
     fn op_counts_match_table3() {
         // Our convention counts one op per rounding (two for FMA). The
-        // paper's Ops column is one higher for a few rows (x_by_xy 3,
-        // test02_sum8 8, sums4 4, i4 4) — see EXPERIMENTS.md.
+        // paper's Ops column is one higher for four rows (x_by_xy 3,
+        // test02_sum8 8, sums4 4, i4 4); `table3` prints this count, and
+        // the grades do not depend on it.
         let expected: &[(&str, usize)] = &[
             ("hypot", 4),
             ("x_by_xy", 2),

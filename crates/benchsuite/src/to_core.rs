@@ -4,8 +4,11 @@
 //! benchmarks into Λnum" (Section 6): every IR operation becomes the
 //! corresponding primitive application followed by `rnd`, sequenced with
 //! monadic binds — i.e. the `mulfp`/`addfp`/`sqrtfp` style of Fig. 7,
-//! inlined. Constants stay exact real constants (`num` is the real
-//! numbers; see DESIGN.md for the comparison conventions).
+//! inlined. Constants stay exact real constants: `num` is the real
+//! numbers, and Table 3 compares bounds on kernels whose literals are
+//! exact, so a constant contributes no rounding of its own. A kernel
+//! whose inputs already carry `k·u` of error ([`Kernel::input_rel_ulps`])
+//! rounds each input `k` times before the body.
 //!
 //! Kernels with `Sub` cannot be translated: the RP instantiation has no
 //! subtraction (Section 6.1 limitations).
@@ -58,8 +61,24 @@ pub fn kernel_to_core_in(tys: CoreArena, kernel: &Kernel) -> Result<CoreKernel, 
     let mut store = TermStore::with_arena(tys);
     let free: Vec<(VarId, Ty)> =
         kernel.inputs.iter().map(|(name, _)| (store.fresh_var(name), Ty::Num)).collect();
-    let mut tx = Translator { store, vars: free.iter().map(|(v, _)| *v).collect() };
-    let root = tx.monadic(&kernel.expr)?;
+    // One `(from, to)` step per rounding of input error, in binding order;
+    // the body reads each input's last name.
+    let mut steps = Vec::new();
+    let mut vars = Vec::new();
+    for (x, _) in &free {
+        let mut cur = *x;
+        for _ in 0..kernel.input_rel_ulps {
+            let t = store.fresh_var("t");
+            steps.push((cur, t));
+            cur = t;
+        }
+        vars.push(cur);
+    }
+    let mut tx = Translator { store, vars };
+    let mut root = tx.monadic(&kernel.expr)?;
+    for &(x, t) in steps.iter().rev() {
+        root = tx.rounded_input(x, t, root);
+    }
     Ok(CoreKernel { store: tx.store, root, free })
 }
 
@@ -164,6 +183,17 @@ impl Translator {
         }
     }
 
+    /// `c = rnd x; let-bind t = c in body`: the body reads `x` after one
+    /// rounding, in the [`Translator::with_operand`] shape.
+    fn rounded_input(&mut self, x: VarId, t: VarId, body: TermId) -> TermId {
+        let xv = self.store.var(x);
+        let rnd = self.store.rnd(xv);
+        let c = self.store.fresh_var("c");
+        let cv = self.store.var(c);
+        let bind = self.store.let_bind(t, cv, body);
+        self.store.let_in(c, rnd, bind)
+    }
+
     /// Provides an operand as a *value* term: leaves directly, compound
     /// operands in the paper's explicit style
     /// `c = ⟦operand⟧; let x = c; …` — the plain `let` names the monadic
@@ -254,6 +284,20 @@ mod tests {
         assert_eq!(res.root.ty.to_string(), "M[3*eps]num");
         // x appears once per FMA: 3-sensitive.
         assert_eq!(res.root.env.get(ck.free[0].0).to_string(), "3");
+    }
+
+    #[test]
+    fn input_error_rounds_each_input_before_the_body() {
+        // Horner2 with `u` of error on x: 2 eps from the FMAs plus x's
+        // eps at sensitivity 2.
+        let k = crate::small::horner2_with_error_kernel().kernel;
+        assert_eq!(k.input_rel_ulps, 1);
+        let ck = kernel_to_core(&k).unwrap();
+        assert!(ck.store.conforms_to_value_restriction(ck.root), "Fig. 1 syntax");
+        let sig = Signature::relative_precision();
+        let res = infer(&ck.store, &sig, ck.root, &ck.free).unwrap();
+        assert_eq!(res.root.ty.to_string(), "M[4*eps]num");
+        assert_eq!(res.root.env.get(ck.free[0].0).to_string(), "2");
     }
 
     #[test]

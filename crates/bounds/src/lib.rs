@@ -1,9 +1,9 @@
 //! # numfuzz-bounds
 //!
 //! An **independent** interval/Taylor-form roundoff bound engine — the
-//! repo's stand-in for the FPTaylor/Gappa column of the paper's Table 1
-//! comparison (Section 6.2), and the second opinion behind the fuzzer's
-//! engines-agree oracle.
+//! repo's stand-in for the FPTaylor/Gappa columns of the paper's
+//! comparison (Section 6.2: `numfuzz table1` and the `table3` binary), and
+//! the second opinion behind the fuzzer's engines-agree oracle.
 //!
 //! The engine shares *nothing* with the graded typing judgment: it is a
 //! direct abstract interpreter over the core term language. Every

@@ -14,7 +14,7 @@
 //! is ever built except at the public boundary (the returned [`Inferred`]
 //! root, the per-function [`FnReport`]s, and error messages).
 //!
-//! Deviations from the published figure (see DESIGN.md §3 for rationale):
+//! Deviations from the published figure, each with its reason:
 //!
 //! * (⊸I) enforces `s <= 1` on the λ-bound variable (the figure prints
 //!   `s >= 1`, which would reject `λx. x` bodies that *under*-use `x` and

@@ -16,7 +16,7 @@ use numfuzz_exact::Rational;
 ///
 /// The paper's (Op) rule fixes `τ = num`; we allow any return type so that
 /// the Section 5.1 comparison `is_pos : !∞ num ⊸ bool` is an ordinary
-/// signature entry (documented deviation, see DESIGN.md).
+/// signature entry (the (Op) deviation listed in the `check` module docs).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct OpSig {
     /// Operation name as it appears in programs.
@@ -97,7 +97,9 @@ impl Signature {
     /// `d(x,y) = |x - y|`. Here `add`/`sub` are non-expansive in the sum
     /// metric, `neg` is an isometry, `scale2`/`half` scale distances by
     /// their constant, and `rnd` carries an *absolute* error grade `delta`
-    /// (sound on a bounded range; see DESIGN.md).
+    /// (sound on a bounded range: rounding `x` moves it by at most `u·|x|`,
+    /// so `delta` is `u·M` for a bound `M` on the magnitudes, set through
+    /// `AnalyzerBuilder::rounding_unit` in the facade).
     pub fn absolute_error() -> Self {
         let num = Ty::Num;
         let two = Grade::constant(Rational::from_int(2));

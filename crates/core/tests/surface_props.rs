@@ -1,7 +1,8 @@
 //! Surface-syntax properties: the lexer/parser never panic on garbage,
 //! the pretty-printer's output re-parses to an equivalent program on the
 //! paper corpus, and checking is invariant under unused free variables
-//! (the weakening direction that matters, see DESIGN.md §3 deviations).
+//! (weakening: the minimal environment Fig. 10 infers gives a variable
+//! the program never reads sensitivity zero).
 
 use numfuzz_core::{compile, infer, lower, parse_program, pretty_term, Signature, Ty};
 use proptest::prelude::*;

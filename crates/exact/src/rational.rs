@@ -2,7 +2,7 @@
 //!
 //! [`Rational`] is the numeric workhorse of the whole workspace: grades in
 //! the Λnum type system, floating-point values in the softfloat substrate,
-//! and interval endpoints in the analyzers are all exact rationals, so no
+//! and interval endpoints in the bound engine are all exact rationals, so no
 //! part of the trusted computation path depends on host floating point.
 //!
 //! # Representation

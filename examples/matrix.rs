@@ -7,8 +7,7 @@
 //! cargo run --release --example matrix
 //! ```
 
-use numfuzz::analyzers::std_bounds;
-use numfuzz::benchsuite::matrix_multiply;
+use numfuzz::benchsuite::{matrix_multiply, std_bounds};
 use numfuzz::prelude::*;
 use std::time::Instant;
 

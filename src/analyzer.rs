@@ -22,7 +22,7 @@
 
 use crate::diag::{Diagnostic, ErrorCode};
 use crate::program::Program;
-use numfuzz_analyzers::Kernel;
+use numfuzz_benchsuite::Kernel;
 use numfuzz_bounds::{BoundConfig, IntervalBound};
 use numfuzz_core::cache::{
     AnalysisMode, CacheKey, CacheStats, CacheWeight, ConfigFingerprint, ResultCache,

@@ -267,7 +267,7 @@ pub enum ErrorCode {
     /// has no subtraction: relative error is unbounded near cancellation).
     ///
     /// ```
-    /// use numfuzz::analyzers::{Expr, Kernel};
+    /// use numfuzz::benchsuite::{Expr, Kernel};
     /// use numfuzz::prelude::*;
     ///
     /// let one = RatInterval::point(Rational::from_int(1));

@@ -19,8 +19,8 @@
 //! | [`metrics`] | relative precision (Olver), relative/absolute/ULP error |
 //! | [`core`] | Λnum: grades, types, terms, inference (Figs. 1–2, 10–12), surface syntax (Figs. 7–9) |
 //! | [`interp`] | ideal/FP semantics, §7 rounding extensions, error-soundness validation |
-//! | [`analyzers`] | interval & Taylor-form baselines, textbook bounds, IR→Λnum translation |
-//! | [`benchsuite`] | the Table 3/4/5 workloads |
+//! | [`bounds`] | the interval/Taylor-form roundoff engine (Table 1 and Table 3 comparisons, engines-agree oracle) |
+//! | [`benchsuite`] | the Table 3/4/5 workloads, the kernel IR and its Λnum translation, textbook bounds |
 //! | [`fuzz`] | the soundness fuzzer: typed program generator, shrinker, campaign driver (oracle: [`fuzzing`]) |
 //!
 //! ## Quickstart
@@ -86,7 +86,6 @@ pub use numfuzz_core::cache::CacheStats;
 pub use numfuzz_core::JudgmentCounts;
 pub use program::Program;
 
-pub use numfuzz_analyzers as analyzers;
 pub use numfuzz_benchsuite as benchsuite;
 pub use numfuzz_bounds as bounds;
 pub use numfuzz_core as core;

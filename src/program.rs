@@ -7,8 +7,7 @@
 //! `TermStore` + `TermId` + free-variable lists through free functions.
 
 use crate::diag::Diagnostic;
-use numfuzz_analyzers::{kernel_to_core_in, Kernel};
-use numfuzz_benchsuite::Generated;
+use numfuzz_benchsuite::{kernel_to_core_in, Generated, Kernel};
 use numfuzz_core::{
     cache, compile_in, pretty_term, CoreArena, Instantiation, Signature, TermId, TermStore, Ty,
     VarId,

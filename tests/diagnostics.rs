@@ -102,7 +102,7 @@ fn input_errors_are_structured_not_panics() {
 
     // Missing inputs likewise.
     let kernel_prog = {
-        use numfuzz::analyzers::{Expr, Kernel};
+        use numfuzz::benchsuite::{Expr, Kernel};
         let k = Kernel::new(
             "needs-a",
             vec![("a", RatInterval::new(Rational::one(), Rational::from_int(2)))],
@@ -131,7 +131,7 @@ fn cross_instantiation_programs_are_rejected_up_front() {
 
 #[test]
 fn untranslatable_kernels_are_diagnosed() {
-    use numfuzz::analyzers::{Expr, Kernel};
+    use numfuzz::benchsuite::{Expr, Kernel};
     let k = Kernel::new(
         "has-sub",
         vec![("a", RatInterval::new(Rational::one(), Rational::from_int(2)))],

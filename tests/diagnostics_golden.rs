@@ -14,7 +14,7 @@
 //! The scenario table below is an exhaustive `match` over [`ErrorCode`],
 //! so adding a new code without a golden test fails to compile.
 
-use numfuzz::analyzers::{Expr, Kernel};
+use numfuzz::benchsuite::{Expr, Kernel};
 use numfuzz::core::Signature;
 use numfuzz::prelude::*;
 use std::path::PathBuf;

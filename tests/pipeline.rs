@@ -1,9 +1,11 @@
 //! End-to-end integration through the facade: every Table 3 / Table 5
 //! benchmark goes through `Program` construction → `Analyzer::check` →
 //! ideal+fp evaluation → rigorous bound check (Corollary 4.20), across
-//! formats and modes.
+//! formats and modes; the Table 3 kernels also through the independent
+//! interval engine over their input boxes.
 
-use numfuzz::benchsuite::{table3, table5};
+use numfuzz::benchsuite::{horner2_with_error_kernel, table3, table5};
+use numfuzz::bounds::{analyze_with_inputs, BoundConfig};
 use numfuzz::prelude::*;
 
 #[test]
@@ -21,13 +23,39 @@ fn table3_kernels_check_and_validate() {
         assert_eq!(typed.ty(), &expected, "{}", b.kernel.name);
     }
 
+    // Every committed sample stays within the typed bound. At binary64 it
+    // also stays within the independent interval engine's bound over the
+    // kernel's input box, pinned as an exact multiple of u. (In the 10-bit
+    // format Horner5/10/20 overflow over [0.1, 1000], and the engine
+    // reports the fault.)
+    let with_error = horner2_with_error_kernel();
+    let with_error_program = Program::from_kernel(&with_error.kernel).expect("translatable");
+    let interval_multiples =
+        ["2", "2", "5/2", "7/2", "7", "2", "2", "4", "7", "3", "2", "2", "2", "5", "10", "20"];
+    assert_eq!(interval_multiples.len(), benches.len());
+    let rows = benches
+        .iter()
+        .zip(&programs)
+        .zip(interval_multiples)
+        .chain([((&with_error, &with_error_program), "4")]);
     let formats = [Format::BINARY64, Format::new(10, 50)];
-    for (b, program) in benches.iter().zip(&programs) {
-        for sample in &b.samples {
-            let inputs = Inputs::positional(sample.iter().map(|q| Value::num(q.clone())));
-            for format in formats {
-                for mode in [RoundingMode::TowardPositive, RoundingMode::NearestEven] {
-                    let session = Analyzer::builder().format(format).mode(mode).build();
+    for ((b, program), multiple) in rows {
+        let box_inputs: Vec<_> =
+            program.free().iter().map(|(v, _)| *v).zip(b.kernel.ranges()).collect();
+        for format in formats {
+            for mode in [RoundingMode::TowardPositive, RoundingMode::NearestEven] {
+                let ranged = (format == Format::BINARY64).then(|| {
+                    let cfg = BoundConfig::new(Instantiation::RelativePrecision, format, mode);
+                    let ranged =
+                        analyze_with_inputs(program.store(), program.root(), &cfg, &box_inputs)
+                            .unwrap_or_else(|e| panic!("{} {mode}: {e}", b.kernel.name));
+                    let expected = multiple.parse::<Rational>().expect("pinned").mul(&cfg.unit());
+                    assert_eq!(ranged.bound(), &expected, "{} {mode}", b.kernel.name);
+                    ranged
+                });
+                let session = Analyzer::builder().format(format).mode(mode).build();
+                for sample in &b.samples {
+                    let inputs = Inputs::positional(sample.iter().map(|q| Value::num(q.clone())));
                     let rep = session
                         .validate(program, &inputs)
                         .unwrap_or_else(|e| panic!("{}: {e}", b.kernel.name));
@@ -36,6 +64,16 @@ fn table3_kernels_check_and_validate() {
                         "{} violated at {sample:?} {format} {mode}: {rep:?}",
                         b.kernel.name
                     );
+                    // A faulted run is vacuous, as in Cor. 7.5.
+                    if let (Some(ranged), Some(fp)) = (&ranged, &rep.fp) {
+                        let metric = numfuzz::interp::metric_for(Instantiation::RelativePrecision);
+                        assert_eq!(
+                            metric.within(&rep.ideal, fp, ranged.bound()),
+                            Within::Yes,
+                            "{} escapes the interval bound at {sample:?} {mode}",
+                            b.kernel.name
+                        );
+                    }
                 }
             }
         }

@@ -15,7 +15,7 @@
 //!   strictly positive corpus the paper's leading instantiation
 //!   interprets).
 
-use numfuzz::analyzers::{Expr, Kernel};
+use numfuzz::benchsuite::{Expr, Kernel};
 use numfuzz::fuzz::generate_case;
 use numfuzz::fuzzing::AnalyzerOracle;
 use numfuzz::prelude::*;

@@ -30,9 +30,9 @@
 //!   result, with hit/miss/insert/evict accounting ([`CacheStats`]).
 //!
 //! The facade crate wraps a `ResultCache` in an `Arc<Mutex<..>>` handle
-//! (`numfuzz::AnalysisCache`) shared by every session of a service, and
-//! threads it through `Analyzer::check_cached` / `bound_cached` and
-//! their backward twins.
+//! (`numfuzz::AnalysisCache`) shared by every session of a service:
+//! `Analyzer::check` and `Analyzer::check_backward` answer through it
+//! whenever a session was built with one.
 
 use crate::check::FnReport;
 use crate::grade::{Coeffect, Grade};
@@ -776,11 +776,6 @@ impl JudgmentCache {
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
     }
-
-    /// Drops every entry, keeping lifetime counters.
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
 }
 
 /// Which analysis produced (or is requesting) a cached result.
@@ -821,7 +816,7 @@ impl AnalysisMode {
 
 /// Builder for the configuration half of a [`CacheKey`]: the analysis
 /// mode plus whatever the caller's configuration contributes (signature,
-/// format, rounding unit, operation kind). Constructing one *requires* an
+/// format, rounding unit). Constructing one *requires* an
 /// [`AnalysisMode`], making it impossible to mint a config fingerprint
 /// that two analysis modes share.
 ///
@@ -832,7 +827,7 @@ impl AnalysisMode {
 /// let mut bwd = ConfigFingerprint::new(AnalysisMode::Backward);
 /// for f in [&mut fwd, &mut bwd] {
 ///     f.write_str("binary64");
-///     f.write_u8(1); // operation: check
+///     f.write_u8(0); // instantiation: relative precision
 /// }
 /// assert_ne!(fwd.finish(), bwd.finish());
 /// ```
@@ -849,7 +844,7 @@ impl ConfigFingerprint {
         ConfigFingerprint { hasher }
     }
 
-    /// Absorbs one configuration byte (e.g. an operation discriminant).
+    /// Absorbs one configuration byte (e.g. an instantiation tag).
     pub fn write_u8(&mut self, b: u8) {
         self.hasher.write_u8(b);
     }
@@ -883,13 +878,13 @@ impl ConfigFingerprint {
 
 /// The address of one memoized result: *what* was analyzed
 /// ([`fingerprint_term`]) under *which* configuration (a caller-supplied
-/// fingerprint of signature, format, mode, rounding unit, and the
-/// operation performed — check vs. bound vs. validate).
+/// fingerprint of analysis mode, signature, format, rounding mode, and
+/// rounding unit).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey {
     /// Content fingerprint of the program.
     pub program: u128,
-    /// Fingerprint of the analyzer configuration + operation kind.
+    /// Fingerprint of the analyzer configuration.
     pub config: u64,
 }
 
@@ -1027,12 +1022,6 @@ impl<V: Clone + CacheWeight> ResultCache<V> {
         }
     }
 
-    /// Whether a key is resident, *without* touching recency or counters
-    /// (for duplicate-scheduling decisions, not for reads).
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Stores a result, replacing any previous entry for the key, then
     /// evicts least-recently-used entries until the byte budget holds. A
     /// value heavier than the whole budget is evicted immediately (the
@@ -1079,14 +1068,6 @@ impl<V: Clone + CacheWeight> ResultCache<V> {
             bytes: self.bytes,
             budget: self.budget,
         }
-    }
-
-    /// Drops every entry (counters other than `entries`/`bytes` are
-    /// preserved — they are lifetime totals).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.recency.clear();
-        self.bytes = 0;
     }
 }
 
@@ -1299,13 +1280,13 @@ mod tests {
         // Touch 1 so 2 becomes the LRU entry.
         assert_eq!(cache.get(&key(1)), Some(Blob("a", 100)));
         cache.insert(key(3), Blob("c", 100));
-        assert!(cache.contains(&key(1)), "recently used survives");
-        assert!(!cache.contains(&key(2)), "LRU entry evicted");
-        assert!(cache.contains(&key(3)));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes <= stats.budget);
+        assert!(cache.get(&key(1)).is_some(), "recently used survives");
+        assert!(cache.get(&key(2)).is_none(), "LRU entry evicted");
+        assert!(cache.get(&key(3)).is_some());
     }
 
     #[test]

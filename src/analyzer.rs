@@ -14,6 +14,11 @@
 //! * [`Analyzer::run`] — ideal + floating-point execution;
 //! * [`Analyzer::validate`] — the rigorous Corollary 4.20 check.
 //!
+//! Caching is session policy: a session built with
+//! [`AnalyzerBuilder::cache`] answers [`Analyzer::check`] and
+//! [`Analyzer::check_backward`] through that shared result cache, and
+//! every other session computes from scratch.
+//!
 //! There is no batch method: `numfuzz batch`, the serve `batch` op,
 //! `optimize`, and `fuzz` map their programs over the scoped worker pool
 //! ([`numfuzz_core::pool`]) with one session per worker, typically an
@@ -125,21 +130,9 @@ impl Analyzer {
         self.format
     }
 
-    /// The session's result cache, when one was configured
-    /// ([`AnalyzerBuilder::cache`]).
-    pub fn cache(&self) -> Option<&AnalysisCache> {
-        self.cache.as_ref()
-    }
-
     /// Counters of the session's result cache, when one was configured.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(AnalysisCache::stats)
-    }
-
-    /// The session's judgment-level memo table, when one was configured
-    /// ([`AnalyzerBuilder::judgment_cache`]).
-    pub fn judgment_cache(&self) -> Option<&JudgmentMemo> {
-        self.judgments.as_ref()
     }
 
     /// Counters of the session's judgment memo table, when one was
@@ -170,22 +163,11 @@ impl Analyzer {
         }
     }
 
-    /// The full cache address of one (program, operation) pair. The
-    /// operation byte selects the analysis mode's configuration
-    /// fingerprint, so forward and backward entries live in disjoint key
-    /// spaces by construction.
-    fn cache_key(&self, program: &Program, op: u8) -> CacheKey {
-        let config_fp = match op {
-            OP_CHECK_BACKWARD | OP_BOUND_BACKWARD => self.config_fp_backward,
-            _ => self.config_fp,
-        };
-        let mut h = ConfigFingerprint::new(match op {
-            OP_CHECK_BACKWARD | OP_BOUND_BACKWARD => AnalysisMode::Backward,
-            _ => AnalysisMode::Forward,
-        });
-        h.write_u64(config_fp);
-        h.write_u8(op);
-        CacheKey { program: program.fingerprint(), config: h.finish() }
+    /// The result-cache address of `program` under `mode`: its content
+    /// fingerprint plus the mode's configuration fingerprint, so forward
+    /// and backward entries live in disjoint key spaces by construction.
+    fn cache_key(&self, program: &Program, mode: AnalysisMode) -> CacheKey {
+        CacheKey { program: program.fingerprint(), config: self.config_fingerprint(mode) }
     }
 
     /// The rounding mode of [`Analyzer::run`] / [`Analyzer::validate`].
@@ -241,6 +223,13 @@ impl Analyzer {
     /// The resulting [`Typed`] carries the root judgment and one report
     /// per `function` definition.
     ///
+    /// A session built with an [`AnalysisCache`] ([`AnalyzerBuilder::cache`])
+    /// answers through it: a content hit replays the memoized outcome
+    /// (with the program's own name re-attached to any diagnostic), and a
+    /// miss is checked and stored. Results are byte-identical either way,
+    /// because checking is a pure function of the term content and the
+    /// session configuration.
+    ///
     /// # Errors
     ///
     /// A spanned [`Diagnostic`] for any ill-typed program, or
@@ -249,44 +238,34 @@ impl Analyzer {
     /// differ between instantiations, so cross-checking would only
     /// produce misleading unknown-operation errors).
     pub fn check(&self, program: &Program) -> Result<Typed, Diagnostic> {
+        let Some(cache) = &self.cache else { return self.judge(program) };
+        let key = self.cache_key(program, AnalysisMode::Forward);
+        let display = program.display_fingerprint();
+        if let Some(CachedResult::Forward(hit, _)) = cache.get_admissible(&key, display) {
+            return localize(hit, program);
+        }
+        let result = self.judge(program);
+        cache.insert(key, CachedResult::Forward(strip_file(result.clone()), display));
+        result
+    }
+
+    /// One forward pass that bypasses the result cache.
+    fn judge(&self, program: &Program) -> Result<Typed, Diagnostic> {
         self.ensure_instantiation(program)?;
         let result = infer(program.store(), &self.sig, program.root(), program.free())
             .map_err(|e| Diagnostic::from_check(&e, program.source(), program.name()))?;
         Ok(Typed { root: result.root, fns: result.fns })
     }
 
-    /// [`Analyzer::check`] through the session's [`AnalysisCache`]: on a
-    /// content hit the memoized outcome is replayed (with the program's
-    /// own name re-attached to any diagnostic); on a miss the program is
-    /// checked and the outcome stored. Without a configured cache this
-    /// *is* [`Analyzer::check`]. Results are byte-identical to the
-    /// uncached path either way — memoization is sound because checking
-    /// is a pure function of the term content and the session
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::check`].
-    pub fn check_cached(&self, program: &Program) -> Result<Typed, Diagnostic> {
-        let Some(cache) = &self.cache else { return self.check(program) };
-        let key = self.cache_key(program, OP_CHECK);
-        let display = program.display_fingerprint();
-        if let Some(CachedResult::Check(hit, _)) = cache.get_admissible(&key, display) {
-            return localize(hit, program);
-        }
-        let result = self.check(program);
-        cache.insert(key, CachedResult::Check(strip_file(result.clone()), display));
-        result
-    }
-
-    /// [`Analyzer::check`] through the session's [`JudgmentMemo`]: every
-    /// *subterm* judgment is keyed on its content fingerprint and scope
-    /// chain, so a recheck after an edit replays the untouched subtrees
-    /// and recomputes only the spine from the edited node to the root.
-    /// The returned [`JudgmentCounts`] say how much was replayed. Without
-    /// a configured judgment cache this is [`Analyzer::check`] with
-    /// all-recomputed counts. The outcome — success or diagnostic — is
-    /// byte-identical to the from-scratch path (enforced by the
+    /// [`Analyzer::check`] through the session's judgment memo table
+    /// ([`AnalyzerBuilder::judgment_cache_bytes`]): every *subterm*
+    /// judgment is keyed on its content fingerprint and scope chain, so a
+    /// recheck after an edit replays the untouched subtrees and recomputes
+    /// only the spine from the edited node to the root. The returned
+    /// [`JudgmentCounts`] say how much was replayed. Without a memo table
+    /// every judgment is recomputed (the result cache is not consulted,
+    /// so the counts stay truthful). The outcome — success or diagnostic —
+    /// is byte-identical to the from-scratch path (enforced by the
     /// edit-sequence fuzzer, `numfuzz fuzz --incremental`).
     ///
     /// # Errors
@@ -297,7 +276,7 @@ impl Analyzer {
         program: &Program,
     ) -> Result<(Typed, JudgmentCounts), Diagnostic> {
         let Some(memo) = &self.judgments else {
-            let typed = self.check(program)?;
+            let typed = self.judge(program)?;
             let total = program.store().len() as u64;
             return Ok((typed, JudgmentCounts { reused: 0, recomputed: total, total }));
         };
@@ -315,12 +294,11 @@ impl Analyzer {
         Ok((Typed { root: result.root, fns: result.fns }, counts))
     }
 
-    /// [`Analyzer::check_backward`] through the session's
-    /// [`JudgmentMemo`] — the backward twin of
-    /// [`Analyzer::check_incremental`]. Forward and backward judgments
-    /// share the table without aliasing: the analysis mode is the first
-    /// byte of the configuration fingerprint each scope chain is seeded
-    /// with.
+    /// [`Analyzer::check_backward`] through the session's judgment memo
+    /// table — the backward twin of [`Analyzer::check_incremental`].
+    /// Forward and backward judgments share the table without aliasing:
+    /// the analysis mode is the first byte of the configuration
+    /// fingerprint each scope chain is seeded with.
     ///
     /// # Errors
     ///
@@ -330,7 +308,7 @@ impl Analyzer {
         program: &Program,
     ) -> Result<(BackwardTyped, JudgmentCounts), Diagnostic> {
         let Some(memo) = &self.judgments else {
-            let typed = self.check_backward(program)?;
+            let typed = self.judge_backward(program)?;
             let total = program.store().len() as u64;
             return Ok((typed, JudgmentCounts { reused: 0, recomputed: total, total }));
         };
@@ -346,29 +324,6 @@ impl Analyzer {
         )
         .map_err(|e| Diagnostic::from_backward(&e, program.source(), program.name()))?;
         Ok((BackwardTyped { root: result.root, fns: result.fns }, counts))
-    }
-
-    /// [`Analyzer::check`] + [`Analyzer::bound`] through the session's
-    /// [`AnalysisCache`] (separately keyed from [`Analyzer::check_cached`],
-    /// so either entry point can hit independently). Without a configured
-    /// cache this just checks and bounds.
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::check`] and [`Analyzer::bound`].
-    pub fn bound_cached(&self, program: &Program) -> Result<ErrorBound, Diagnostic> {
-        let Some(cache) = &self.cache else {
-            let typed = self.check(program)?;
-            return self.bound(&typed);
-        };
-        let key = self.cache_key(program, OP_BOUND);
-        let display = program.display_fingerprint();
-        if let Some(CachedResult::Bound(hit, _)) = cache.get_admissible(&key, display) {
-            return localize(hit, program);
-        }
-        let result = self.check_cached(program).and_then(|typed| self.bound(&typed));
-        cache.insert(key, CachedResult::Bound(strip_file(result.clone()), display));
-        result
     }
 
     /// Rejects programs lowered against another instantiation's
@@ -568,6 +523,11 @@ impl Analyzer {
     /// `x` means the computed result is the *exact* ideal result of some
     /// perturbed input `x̃` within distance `r` of `x`.
     ///
+    /// Like [`Analyzer::check`], a session with an [`AnalysisCache`]
+    /// answers through it. Backward entries are keyed under the backward
+    /// configuration fingerprint ([`AnalysisMode`]), so a warm forward
+    /// entry can never replay for a backward request or vice versa.
+    ///
     /// ```
     /// use numfuzz::prelude::*;
     ///
@@ -589,30 +549,23 @@ impl Analyzer {
     /// [`ErrorCode::DuplicatedUse`], [`ErrorCode::BackwardIncompatible`],
     /// [`ErrorCode::NoCarrier`], [`ErrorCode::BranchSupport`].
     pub fn check_backward(&self, program: &Program) -> Result<BackwardTyped, Diagnostic> {
+        let Some(cache) = &self.cache else { return self.judge_backward(program) };
+        let key = self.cache_key(program, AnalysisMode::Backward);
+        let display = program.display_fingerprint();
+        if let Some(CachedResult::Backward(hit, _)) = cache.get_admissible(&key, display) {
+            return localize(hit, program);
+        }
+        let result = self.judge_backward(program);
+        cache.insert(key, CachedResult::Backward(strip_file(result.clone()), display));
+        result
+    }
+
+    /// One backward pass that bypasses the result cache.
+    fn judge_backward(&self, program: &Program) -> Result<BackwardTyped, Diagnostic> {
         self.ensure_instantiation(program)?;
         let result = infer_backward(program.store(), &self.sig, program.root(), program.free())
             .map_err(|e| Diagnostic::from_backward(&e, program.source(), program.name()))?;
         Ok(BackwardTyped { root: result.root, fns: result.fns })
-    }
-
-    /// [`Analyzer::check_backward`] through the session's
-    /// [`AnalysisCache`]. Backward entries are keyed under the backward
-    /// configuration fingerprint ([`AnalysisMode`]), so a warm forward
-    /// entry can never replay for a backward request or vice versa.
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::check_backward`].
-    pub fn check_backward_cached(&self, program: &Program) -> Result<BackwardTyped, Diagnostic> {
-        let Some(cache) = &self.cache else { return self.check_backward(program) };
-        let key = self.cache_key(program, OP_CHECK_BACKWARD);
-        let display = program.display_fingerprint();
-        if let Some(CachedResult::BackwardCheck(hit, _)) = cache.get_admissible(&key, display) {
-            return localize(hit, program);
-        }
-        let result = self.check_backward(program);
-        cache.insert(key, CachedResult::BackwardCheck(strip_file(result.clone()), display));
-        result
     }
 
     /// Numeric per-input backward-error bounds of a backward-checked
@@ -680,29 +633,6 @@ impl Analyzer {
                 })
             })
             .collect()
-    }
-
-    /// [`Analyzer::check_backward`] + [`Analyzer::bound_backward`] through
-    /// the session's [`AnalysisCache`] (separately keyed from
-    /// [`Analyzer::check_backward_cached`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::check_backward`] and [`Analyzer::bound_backward`].
-    pub fn bound_backward_cached(&self, program: &Program) -> Result<BackwardBound, Diagnostic> {
-        let Some(cache) = &self.cache else {
-            let typed = self.check_backward(program)?;
-            return self.bound_backward(&typed);
-        };
-        let key = self.cache_key(program, OP_BOUND_BACKWARD);
-        let display = program.display_fingerprint();
-        if let Some(CachedResult::BackwardBound(hit, _)) = cache.get_admissible(&key, display) {
-            return localize(hit, program);
-        }
-        let result =
-            self.check_backward_cached(program).and_then(|typed| self.bound_backward(&typed));
-        cache.insert(key, CachedResult::BackwardBound(strip_file(result.clone()), display));
-        result
     }
 
     /// Runs both semantics: the ideal one (`rnd` = identity) and the
@@ -930,36 +860,25 @@ impl AnalyzerBuilder {
         self
     }
 
-    /// Attaches a (possibly shared) content-addressed result cache,
-    /// consulted by the `*_cached` entry points. The handle is cheap to
-    /// clone — share one cache across the sessions of a service so
-    /// content hits regardless of which session computed the result.
+    /// Attaches a (possibly shared) content-addressed result cache:
+    /// [`Analyzer::check`] and [`Analyzer::check_backward`] replay and
+    /// store their outcomes through it. The handle is cheap to clone —
+    /// share one cache across the sessions of a service so content hits
+    /// regardless of which session computed the result.
     pub fn cache(mut self, cache: AnalysisCache) -> Self {
         self.cache = Some(cache);
         self
     }
 
-    /// [`AnalyzerBuilder::cache`] with a fresh, private cache of the given
-    /// byte budget.
-    pub fn cache_bytes(self, budget_bytes: usize) -> Self {
-        self.cache(AnalysisCache::with_budget(budget_bytes))
-    }
-
-    /// Attaches a (possibly shared) judgment-level memo table: the
-    /// `*_incremental` entry points key every subterm judgment on content
-    /// and scope, so rechecks after edits replay the untouched subtrees.
-    /// The handle is cheap to clone — share one table across the forked
-    /// sessions of a service so judgments computed by any worker replay
-    /// for all of them.
-    pub fn judgment_cache(mut self, judgments: JudgmentMemo) -> Self {
-        self.judgments = Some(judgments);
+    /// Attaches a fresh judgment-level memo table of the given byte
+    /// budget: the `*_incremental` entry points key every subterm
+    /// judgment on content and scope, so rechecks after edits replay the
+    /// untouched subtrees. Every [`Analyzer::fork_session`] of the built
+    /// session shares the table, so judgments computed by any worker
+    /// replay for all of them.
+    pub fn judgment_cache_bytes(mut self, budget_bytes: usize) -> Self {
+        self.judgments = Some(JudgmentMemo::with_budget(budget_bytes));
         self
-    }
-
-    /// [`AnalyzerBuilder::judgment_cache`] with a fresh, private table of
-    /// the given byte budget.
-    pub fn judgment_cache_bytes(self, budget_bytes: usize) -> Self {
-        self.judgment_cache(JudgmentMemo::with_budget(budget_bytes))
     }
 
     /// Finishes the session.
@@ -1044,15 +963,6 @@ fn config_fingerprint(
     h.finish()
 }
 
-/// Operation discriminators mixed into the config half of a cache key, so
-/// a check outcome and a bound outcome for the same program never alias.
-/// Backward operations additionally key on the backward configuration
-/// fingerprint (see [`Analyzer::cache_key`]).
-const OP_CHECK: u8 = 1;
-const OP_BOUND: u8 = 2;
-const OP_CHECK_BACKWARD: u8 = 3;
-const OP_BOUND_BACKWARD: u8 = 4;
-
 /// One memoized analysis outcome (the value type of [`AnalysisCache`]),
 /// tagged with the [`Program::display_fingerprint`] of the program that
 /// produced it. Cached diagnostics are stored with the `file` field
@@ -1065,10 +975,8 @@ const OP_BOUND_BACKWARD: u8 = 4;
 /// outcomes depend on the structural fingerprint alone.
 #[derive(Clone, Debug)]
 enum CachedResult {
-    Check(Result<Typed, Diagnostic>, u128),
-    Bound(Result<ErrorBound, Diagnostic>, u128),
-    BackwardCheck(Result<BackwardTyped, Diagnostic>, u128),
-    BackwardBound(Result<BackwardBound, Diagnostic>, u128),
+    Forward(Result<Typed, Diagnostic>, u128),
+    Backward(Result<BackwardTyped, Diagnostic>, u128),
 }
 
 impl CachedResult {
@@ -1076,14 +984,8 @@ impl CachedResult {
     /// display fingerprint.
     fn admissible_for(&self, display: u128) -> bool {
         match self {
-            CachedResult::Check(Ok(_), _)
-            | CachedResult::Bound(Ok(_), _)
-            | CachedResult::BackwardCheck(Ok(_), _)
-            | CachedResult::BackwardBound(Ok(_), _) => true,
-            CachedResult::Check(Err(_), d)
-            | CachedResult::Bound(Err(_), d)
-            | CachedResult::BackwardCheck(Err(_), d)
-            | CachedResult::BackwardBound(Err(_), d) => *d == display,
+            CachedResult::Forward(Ok(_), _) | CachedResult::Backward(Ok(_), _) => true,
+            CachedResult::Forward(Err(_), d) | CachedResult::Backward(Err(_), d) => *d == display,
         }
     }
 }
@@ -1109,7 +1011,7 @@ fn diag_weight(d: &Diagnostic) -> usize {
 impl CacheWeight for CachedResult {
     fn weight(&self) -> usize {
         match self {
-            CachedResult::Check(Ok(typed), _) => {
+            CachedResult::Forward(Ok(typed), _) => {
                 64 + ty_weight(typed.ty())
                     + typed
                         .functions()
@@ -1119,8 +1021,7 @@ impl CacheWeight for CachedResult {
                         })
                         .sum::<usize>()
             }
-            CachedResult::Bound(Ok(bound), _) => 128 + bound.grade.to_string().len(),
-            CachedResult::BackwardCheck(Ok(typed), _) => {
+            CachedResult::Backward(Ok(typed), _) => {
                 64 + ty_weight(typed.ty())
                     + backward_inputs_weight(typed.inputs())
                     + typed
@@ -1133,14 +1034,7 @@ impl CacheWeight for CachedResult {
                         })
                         .sum::<usize>()
             }
-            CachedResult::BackwardBound(Ok(bound), _) => {
-                64 + (bound.root.len() + bound.fns.iter().map(|f| f.inputs.len()).sum::<usize>())
-                    * 128
-            }
-            CachedResult::Check(Err(d), _)
-            | CachedResult::Bound(Err(d), _)
-            | CachedResult::BackwardCheck(Err(d), _)
-            | CachedResult::BackwardBound(Err(d), _) => diag_weight(d),
+            CachedResult::Forward(Err(d), _) | CachedResult::Backward(Err(d), _) => diag_weight(d),
         }
     }
 }
@@ -1168,8 +1062,8 @@ fn backward_inputs_weight(inputs: &[(String, Grade)]) -> usize {
 /// let cache = AnalysisCache::with_budget(16 << 20);
 /// let analyzer = Analyzer::builder().cache(cache.clone()).build();
 /// let program = analyzer.parse("rnd 1.5")?;
-/// analyzer.check_cached(&program)?; // miss: computed and stored
-/// analyzer.check_cached(&program)?; // hit: replayed
+/// analyzer.check(&program)?; // miss: computed and stored
+/// analyzer.check(&program)?; // hit: replayed
 /// let stats = cache.stats();
 /// assert_eq!((stats.hits, stats.misses), (1, 1));
 /// # Ok::<(), numfuzz::Diagnostic>(())
@@ -1188,11 +1082,6 @@ impl AnalysisCache {
     /// Current counters (hits, misses, residency, evictions).
     pub fn stats(&self) -> CacheStats {
         self.lock().stats()
-    }
-
-    /// Drops every resident entry; cumulative counters are preserved.
-    pub fn clear(&self) {
-        self.lock().clear()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ResultCache<CachedResult>> {
@@ -1215,7 +1104,8 @@ impl AnalysisCache {
 
 /// A shareable, thread-safe judgment-level memo table: the handle an
 /// [`Analyzer`] session (and every [`Analyzer::fork_session`] of it)
-/// consults from the `*_incremental` entry points.
+/// consults from the `*_incremental` entry points. Sessions get one from
+/// [`AnalyzerBuilder::judgment_cache_bytes`].
 ///
 /// Where [`AnalysisCache`] memoizes whole-program outcomes, this table
 /// memoizes one entry per *subterm* judgment, keyed on the subterm's
@@ -1236,25 +1126,20 @@ impl AnalysisCache {
 /// # Ok::<(), numfuzz::Diagnostic>(())
 /// ```
 #[derive(Clone, Debug)]
-pub struct JudgmentMemo {
+pub(crate) struct JudgmentMemo {
     inner: Arc<Mutex<JudgmentCache>>,
 }
 
 impl JudgmentMemo {
     /// A fresh table bounded by ~`budget_bytes` of resident judgments.
-    pub fn with_budget(budget_bytes: usize) -> Self {
+    fn with_budget(budget_bytes: usize) -> Self {
         JudgmentMemo { inner: Arc::new(Mutex::new(JudgmentCache::new(budget_bytes))) }
     }
 
     /// Current counters (hits, misses, residency, evictions) across every
     /// session sharing this handle.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         self.lock().stats()
-    }
-
-    /// Drops every resident judgment; cumulative counters are preserved.
-    pub fn clear(&self) {
-        self.lock().clear()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, JudgmentCache> {

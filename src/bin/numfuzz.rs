@@ -293,7 +293,7 @@ fn serve(rest: &[String]) -> Result<(), Failure> {
 /// Exits with the worst `exit` field seen in a response.
 fn client(rest: &[String]) -> Result<(), Failure> {
     let mut connect: Option<String> = None;
-    let mut retry = 10.0f64;
+    let mut retry = std::time::Duration::from_secs(10);
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut value =
@@ -303,6 +303,10 @@ fn client(rest: &[String]) -> Result<(), Failure> {
             "--retry" => {
                 retry = value("--retry")
                     .and_then(|v| v.parse().map_err(|e| format!("--retry: {e}")))
+                    .and_then(|secs| {
+                        std::time::Duration::try_from_secs_f64(secs)
+                            .map_err(|e| format!("--retry {secs}: {e}"))
+                    })
                     .map_err(Failure::Usage)?
             }
             other => return Err(Failure::Usage(format!("unknown option `{other}`"))),
@@ -311,13 +315,8 @@ fn client(rest: &[String]) -> Result<(), Failure> {
     let addr = connect.ok_or_else(|| Failure::Usage("client needs --connect HOST:PORT".into()))?;
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout().lock();
-    let worst = numfuzz::serve::client(
-        &addr,
-        std::time::Duration::from_secs_f64(retry),
-        &mut stdin.lock(),
-        &mut stdout,
-    )
-    .map_err(|e| Failure::Usage(format!("client: {e}")))?;
+    let worst = numfuzz::serve::client(&addr, retry, &mut stdin.lock(), &mut stdout)
+        .map_err(|e| Failure::Usage(format!("client: {e}")))?;
     match worst {
         0 => Ok(()),
         1 => Err(Failure::Batch("a request failed with a program error".into())),
@@ -1159,30 +1158,17 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     corpus.push(Program::from_generated(numfuzz::benchsuite::poly_naive_in(tys(), 80)));
 
     let total_nodes: usize = corpus.iter().map(|p| p.store().len()).sum();
-    let mut best = f64::INFINITY;
-    let mut serial_results: Vec<Result<Typed, Diagnostic>> = Vec::new();
-    // One untimed pass warms caches exactly like a session reusing its
-    // arena would; timed passes then measure steady-state throughput.
-    // The timed region is check + bound only (same harness as every
-    // previous report, so --baseline comparisons stay meaningful);
-    // rendering for the byte-identical comparison happens after the
-    // clock stops.
-    for timed in 0..=iters {
-        let t0 = std::time::Instant::now();
-        let mut pass = Vec::with_capacity(corpus.len());
-        for program in &corpus {
-            let typed = analyzer.check(program)?;
-            let _ = analyzer.bound(&typed);
-            pass.push(Ok(typed));
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if timed > 0 && dt < best {
-            best = dt;
-        }
-        serial_results = pass;
+    // One untimed pass warms the session arena exactly like a session
+    // reusing it would; timed passes then measure steady-state throughput.
+    // Rendering for the byte-identical comparison happens after the clock
+    // stops. Every forward corpus program must check.
+    let serial = timed_passes(iters, || forward_pass(&analyzer, &corpus));
+    if let Some(d) = serial.last.iter().find_map(|r| r.as_ref().err()) {
+        return Err(d.clone().into());
     }
+    let best = serial.best_seconds;
     let serial_rendered: Vec<String> =
-        serial_results.iter().map(|r| render_check(&analyzer, r)).collect();
+        serial.last.iter().map(|r| render_check(&analyzer, r)).collect();
 
     // The cache measurement: the same corpus through a cache-enabled
     // session — the resident-service profile (`numfuzz serve` answering a
@@ -1191,31 +1177,9 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     // byte-identical to the serial pass.
     let cache = AnalysisCache::with_budget(256 << 20);
     let cached_analyzer = Analyzer::builder().cache(cache.clone()).build();
-    let t0 = std::time::Instant::now();
-    let mut cold_results: Vec<Result<Typed, Diagnostic>> = Vec::with_capacity(corpus.len());
-    for program in &corpus {
-        let typed = cached_analyzer.check_cached(program);
-        let _ = cached_analyzer.bound_cached(program);
-        cold_results.push(typed);
-    }
-    let cache_cold = t0.elapsed().as_secs_f64();
-    let mut cache_warm = f64::INFINITY;
-    let mut warm_results: Vec<Result<Typed, Diagnostic>> = Vec::new();
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        let mut pass = Vec::with_capacity(corpus.len());
-        for program in &corpus {
-            let typed = cached_analyzer.check_cached(program);
-            let _ = cached_analyzer.bound_cached(program);
-            pass.push(typed);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if dt < cache_warm {
-            cache_warm = dt;
-        }
-        warm_results = pass;
-    }
-    for (label, results) in [("cold", &cold_results), ("warm", &warm_results)] {
+    let cached = timed_passes(iters, || forward_pass(&cached_analyzer, &corpus));
+    let (cache_cold, cache_warm) = (cached.first_seconds, cached.best_seconds);
+    for (label, results) in [("cold", &cached.first), ("warm", &cached.last)] {
         let rendered: Vec<String> =
             results.iter().map(|r| render_check(&cached_analyzer, r)).collect();
         if rendered != serial_rendered {
@@ -1230,57 +1194,18 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     // judgment (check_backward + bound_backward). Most forward corpus
     // programs reuse variables and are *rejected* backward — rejections
     // are part of the measured work and of the byte-identity comparison.
-    let mut bwd_best = f64::INFINITY;
-    let mut bwd_serial: Vec<Result<BackwardTyped, Diagnostic>> = Vec::new();
-    for timed in 0..=iters {
-        let t0 = std::time::Instant::now();
-        let mut pass = Vec::with_capacity(corpus.len());
-        for program in &corpus {
-            let typed = analyzer.check_backward(program);
-            if let Ok(t) = &typed {
-                let _ = analyzer.bound_backward(t);
-            }
-            pass.push(typed);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if timed > 0 && dt < bwd_best {
-            bwd_best = dt;
-        }
-        bwd_serial = pass;
-    }
-    let bwd_rendered: Vec<String> = bwd_serial.iter().map(render_backward).collect();
+    let bwd_serial = timed_passes(iters, || backward_pass(&analyzer, &corpus));
+    let bwd_best = bwd_serial.best_seconds;
+    let bwd_rendered: Vec<String> = bwd_serial.last.iter().map(render_backward).collect();
 
     // Backward warm-cache profile, on its own cache so the counters are
     // purely backward traffic (forward and backward keys are disjoint
     // either way — the mode is part of the config fingerprint).
     let bwd_cache = AnalysisCache::with_budget(256 << 20);
     let bwd_cached_analyzer = Analyzer::builder().cache(bwd_cache.clone()).build();
-    let t0 = std::time::Instant::now();
-    let mut bwd_cold_results: Vec<Result<BackwardTyped, Diagnostic>> =
-        Vec::with_capacity(corpus.len());
-    for program in &corpus {
-        let typed = bwd_cached_analyzer.check_backward_cached(program);
-        let _ = bwd_cached_analyzer.bound_backward_cached(program);
-        bwd_cold_results.push(typed);
-    }
-    let bwd_cache_cold = t0.elapsed().as_secs_f64();
-    let mut bwd_cache_warm = f64::INFINITY;
-    let mut bwd_warm_results: Vec<Result<BackwardTyped, Diagnostic>> = Vec::new();
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        let mut pass = Vec::with_capacity(corpus.len());
-        for program in &corpus {
-            let typed = bwd_cached_analyzer.check_backward_cached(program);
-            let _ = bwd_cached_analyzer.bound_backward_cached(program);
-            pass.push(typed);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if dt < bwd_cache_warm {
-            bwd_cache_warm = dt;
-        }
-        bwd_warm_results = pass;
-    }
-    for (label, results) in [("cold", &bwd_cold_results), ("warm", &bwd_warm_results)] {
+    let bwd_cached = timed_passes(iters, || backward_pass(&bwd_cached_analyzer, &corpus));
+    let (bwd_cache_cold, bwd_cache_warm) = (bwd_cached.first_seconds, bwd_cached.best_seconds);
+    for (label, results) in [("cold", &bwd_cached.first), ("warm", &bwd_cached.last)] {
         let rendered: Vec<String> = results.iter().map(render_backward).collect();
         if rendered != bwd_rendered {
             return Err(Failure::Usage(format!(
@@ -1289,7 +1214,7 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
         }
     }
     let bwd_cache_stats = bwd_cache.stats();
-    let bwd_ok = bwd_serial.iter().filter(|r| r.is_ok()).count();
+    let bwd_ok = bwd_serial.last.iter().filter(|r| r.is_ok()).count();
 
     // The incremental measurement: the `numfuzz watch` / serve-`edit`
     // profile — one session keeps its judgment cache while a program is
@@ -1341,17 +1266,15 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
 
     // ...and through the judgment cache. Each program is rechecked once —
     // a second pass would replay itself at 100% and say nothing.
-    let mut inc_reused = 0u64;
-    let mut inc_recomputed = 0u64;
-    let mut inc_total = 0u64;
+    let mut inc = numfuzz::JudgmentCounts::default();
     let t0 = std::time::Instant::now();
     let mut inc_results: Vec<Result<Typed, Diagnostic>> = Vec::with_capacity(inc_pairs.len());
     for (_, edited) in &inc_pairs {
         match inc_analyzer.check_incremental(edited) {
             Ok((typed, counts)) => {
-                inc_reused += counts.reused;
-                inc_recomputed += counts.recomputed;
-                inc_total += counts.total;
+                inc.reused += counts.reused;
+                inc.recomputed += counts.recomputed;
+                inc.total += counts.total;
                 inc_results.push(Ok(typed));
             }
             Err(d) => inc_results.push(Err(d)),
@@ -1367,7 +1290,7 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
             "incremental edited results differ from from-scratch results (memoization bug)".into(),
         ));
     }
-    let reuse_ratio = if inc_total > 0 { inc_reused as f64 / inc_total as f64 } else { 1.0 };
+    let reuse_ratio = inc.reuse_ratio();
 
     // The bounds measurement: the committed Table 1 corpus through both
     // engines — the same differential surface as `numfuzz table1`. The
@@ -1528,9 +1451,9 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
         "    \"edit_speedup_vs_scratch\": {:.2},\n",
         inc_scratch_seconds / inc_edit_seconds
     ));
-    json.push_str(&format!("    \"reused\": {inc_reused},\n"));
-    json.push_str(&format!("    \"recomputed\": {inc_recomputed},\n"));
-    json.push_str(&format!("    \"total\": {inc_total},\n"));
+    json.push_str(&format!("    \"reused\": {},\n", inc.reused));
+    json.push_str(&format!("    \"recomputed\": {},\n", inc.recomputed));
+    json.push_str(&format!("    \"total\": {},\n", inc.total));
     json.push_str(&format!("    \"reuse_ratio\": {reuse_ratio:.4},\n"));
     json.push_str("    \"matches_scratch\": true\n  }");
     // The backward section comes after every top-level forward key:
@@ -1683,6 +1606,68 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
         }
     }
     Ok(())
+}
+
+/// The bench's timed region in the forward mode: check + bound of every
+/// corpus program through `analyzer` (which answers from its result cache
+/// when it has one), keeping each program's check outcome. It is the same
+/// region every previous report timed, so `--baseline` comparisons stay
+/// meaningful.
+fn forward_pass(analyzer: &Analyzer, corpus: &[Program]) -> Vec<Result<Typed, Diagnostic>> {
+    corpus
+        .iter()
+        .map(|program| {
+            let typed = analyzer.check(program);
+            if let Ok(t) = &typed {
+                let _ = analyzer.bound(t);
+            }
+            typed
+        })
+        .collect()
+}
+
+/// [`forward_pass`] under the backward judgment: check_backward +
+/// bound_backward of every corpus program.
+fn backward_pass(
+    analyzer: &Analyzer,
+    corpus: &[Program],
+) -> Vec<Result<BackwardTyped, Diagnostic>> {
+    corpus
+        .iter()
+        .map(|program| {
+            let typed = analyzer.check_backward(program);
+            if let Ok(t) = &typed {
+                let _ = analyzer.bound_backward(t);
+            }
+            typed
+        })
+        .collect()
+}
+
+/// `1 + iters` timed runs of one corpus pass: the first is a warm-up for
+/// an uncached session and the cold pass for a cached one; the rest are
+/// reported best-of-`iters`.
+struct Passes<T> {
+    first_seconds: f64,
+    first: Vec<T>,
+    best_seconds: f64,
+    last: Vec<T>,
+}
+
+fn timed_passes<T>(iters: usize, mut pass: impl FnMut() -> Vec<T>) -> Passes<T> {
+    let mut timed = || {
+        let t0 = std::time::Instant::now();
+        let results = pass();
+        (t0.elapsed().as_secs_f64(), results)
+    };
+    let (first_seconds, first) = timed();
+    let mut passes = Passes { first_seconds, first, best_seconds: f64::INFINITY, last: Vec::new() };
+    for _ in 0..iters {
+        let (seconds, results) = timed();
+        passes.best_seconds = passes.best_seconds.min(seconds);
+        passes.last = results;
+    }
+    passes
 }
 
 /// The bench's single-leaf edit: bumps the first standalone integer

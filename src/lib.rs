@@ -79,7 +79,7 @@ pub mod serve;
 
 pub use analyzer::{
     AnalysisCache, Analyzer, AnalyzerBuilder, BackwardBound, BackwardTyped, ErrorBound, Execution,
-    FnBackwardBound, InputBackwardBound, Inputs, JudgmentMemo, Typed,
+    FnBackwardBound, InputBackwardBound, Inputs, Typed,
 };
 pub use diag::{Diagnostic, ErrorCode, Span};
 pub use numfuzz_core::cache::CacheStats;
@@ -99,7 +99,7 @@ pub use numfuzz_softfloat as softfloat;
 pub mod prelude {
     pub use crate::analyzer::{
         AnalysisCache, Analyzer, AnalyzerBuilder, BackwardBound, BackwardTyped, ErrorBound,
-        Execution, FnBackwardBound, InputBackwardBound, Inputs, JudgmentMemo, Typed,
+        Execution, FnBackwardBound, InputBackwardBound, Inputs, Typed,
     };
     pub use crate::diag::{Diagnostic, ErrorCode, Span};
     pub use crate::program::Program;

@@ -27,11 +27,11 @@
 //! (see [`AnalysisMode`]).
 //!
 //! The `edit` op is the incremental variant of `check`: it rechecks
-//! through the analyzer's judgment-level memo table
-//! ([`crate::JudgmentMemo`]) and reports `reused`/`recomputed`/`total`
-//! judgment counts alongside the usual `output` — which stays
-//! byte-identical to a `check` of the same source. `numfuzz watch` is
-//! built on the same entry points.
+//! through the analyzer's judgment-level memo table (attached with
+//! [`AnalyzerBuilder::judgment_cache_bytes`](crate::AnalyzerBuilder::judgment_cache_bytes))
+//! and reports `reused`/`recomputed`/`total` judgment counts alongside
+//! the usual `output` — which stays byte-identical to a `check` of the
+//! same source. `numfuzz watch` is built on the same entry points.
 //!
 //! The TCP transport is a nonblocking event loop ([`serve_listener`]):
 //! one thread owns every socket, requests pipeline per connection
@@ -493,7 +493,7 @@ pub fn bound_report(analyzer: &Analyzer, typed: &Typed) -> String {
 /// (a `name: type — bound` summary, or the fully rendered diagnostic)
 /// and whether the program passed.
 pub fn batch_entry(analyzer: &Analyzer, name: &str, src: &str) -> (String, bool) {
-    match analyzer.parse_named(name, src).and_then(|program| analyzer.check_cached(&program)) {
+    match analyzer.parse_named(name, src).and_then(|program| analyzer.check(&program)) {
         Ok(typed) => match analyzer.bound_of_ty(typed.ty()) {
             Some(bound) => (format!("{name}: {} — {bound}", typed.ty()), true),
             None => (format!("{name}: {}", typed.ty()), true),
@@ -581,10 +581,7 @@ pub fn backward_bound_report(analyzer: &Analyzer, bound: &BackwardBound) -> Stri
 /// (through the session's cache when configured), and summarize as
 /// `name: type [per-input grades]` — or the rendered diagnostic.
 pub fn backward_batch_entry(analyzer: &Analyzer, name: &str, src: &str) -> (String, bool) {
-    match analyzer
-        .parse_named(name, src)
-        .and_then(|program| analyzer.check_backward_cached(&program))
-    {
+    match analyzer.parse_named(name, src).and_then(|program| analyzer.check_backward(&program)) {
         Ok(typed) => {
             (format!("{name}: {}{}", typed.ty(), backward_grades_suffix(typed.inputs())), true)
         }
@@ -1007,16 +1004,19 @@ impl Service {
         }
         let outcome = parsed.and_then(|program| match mode {
             AnalysisMode::Forward => {
-                let typed = session.check_cached(&program)?;
+                let typed = session.check(&program)?;
                 Ok(match op {
                     "check" => check_report(&typed),
                     _ => bound_report(session, &typed),
                 })
             }
-            AnalysisMode::Backward => Ok(match op {
-                "check" => backward_check_report(&session.check_backward_cached(&program)?),
-                _ => backward_bound_report(session, &session.bound_backward_cached(&program)?),
-            }),
+            AnalysisMode::Backward => {
+                let typed = session.check_backward(&program)?;
+                Ok(match op {
+                    "check" => backward_check_report(&typed),
+                    _ => backward_bound_report(session, &session.bound_backward(&typed)?),
+                })
+            }
         });
         let response = match outcome {
             Ok(output) => Json::obj(vec![
@@ -1044,8 +1044,8 @@ impl Service {
     /// previous check replayed. The `output` field is byte-identical to a
     /// `check` response for the same source — incrementality changes
     /// counts, never results. Requires the service's analyzer to carry a
-    /// [`crate::JudgmentMemo`] for judgments to actually replay; without
-    /// one the op still answers, with everything recomputed.
+    /// judgment memo table for judgments to actually replay; without one
+    /// the op still answers, with everything recomputed.
     fn edit(&self, session: &Analyzer, id: Json, request: &Json) -> Reply {
         let Some(src) = request.get("src").and_then(Json::as_str) else {
             return proto_error(id, "op `edit` needs a string field `src`");
@@ -1737,14 +1737,20 @@ fn admission_reject(id: Json, tenant: &str, max_pending: usize) -> Reply {
 ///
 /// # Errors
 ///
-/// Connection failure after retries, or I/O errors on either side.
+/// `InvalidInput` when `retry` reaches past the clock's range, connection
+/// failure after retries, or I/O errors on either side.
 pub fn client(
     addr: &str,
     retry: Duration,
     input: &mut dyn BufRead,
     output: &mut dyn Write,
 ) -> std::io::Result<u8> {
-    let deadline = Instant::now() + retry;
+    let deadline = Instant::now().checked_add(retry).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a retry window of {}s is beyond the clock's range", retry.as_secs()),
+        )
+    })?;
     let stream = 'connect: loop {
         // Try every resolved address each round: a hostname may resolve
         // IPv6-first while the server is bound to the IPv4 address.

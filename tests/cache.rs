@@ -1,8 +1,10 @@
 //! The content-addressed result cache, end to end: hit/miss accounting,
 //! key sensitivity to program content and analyzer configuration, LRU
-//! eviction under a byte budget, and — the soundness property — byte
-//! identity between cached and uncached analysis, including serve
-//! `batch` requests on the worker pool at every job count.
+//! eviction under a byte budget, caching as session policy (`check` on a
+//! session built with a cache answers through it, `optimize` included),
+//! and — the soundness property — byte identity between cached and
+//! uncached analysis, including serve `batch` requests on the worker pool
+//! at every job count.
 
 use numfuzz::prelude::*;
 use numfuzz::serve::{backward_batch_entry, batch_entry, Json, Service};
@@ -36,21 +38,19 @@ fn hit_and_miss_accounting() {
     let (analyzer, cache) = cached_analyzer(1 << 20);
     let program = analyzer.parse("rnd 1.5").unwrap();
 
-    analyzer.check_cached(&program).unwrap();
+    analyzer.check(&program).unwrap();
     let s = cache.stats();
     assert_eq!((s.hits, s.misses, s.insertions), (0, 1, 1));
 
-    analyzer.check_cached(&program).unwrap();
+    analyzer.check(&program).unwrap();
     let s = cache.stats();
     assert_eq!((s.hits, s.misses), (1, 1));
 
-    // bound is keyed separately: first call misses (and hits the stored
-    // check on its way), later calls hit directly.
-    analyzer.bound_cached(&program).unwrap();
+    // A bound is read off the checked program, never cached on its own:
+    // bounding a replayed check is one hit and adds no entry.
+    analyzer.bound(&analyzer.check(&program).unwrap()).unwrap();
     let s = cache.stats();
-    assert_eq!(s.misses, 2, "bound key is distinct from check key");
-    analyzer.bound_cached(&program).unwrap();
-    assert_eq!(cache.stats().hits, s.hits + 1);
+    assert_eq!((s.hits, s.misses, s.insertions, s.entries), (2, 1, 1, 1));
 }
 
 #[test]
@@ -64,9 +64,9 @@ fn content_addressing_ignores_names_and_binder_names() {
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert_eq!(a.fingerprint(), c.fingerprint());
 
-    analyzer.check_cached(&a).unwrap();
-    analyzer.check_cached(&b).unwrap();
-    analyzer.check_cached(&c).unwrap();
+    analyzer.check(&a).unwrap();
+    analyzer.check(&b).unwrap();
+    analyzer.check(&c).unwrap();
     let s = cache.stats();
     assert_eq!((s.hits, s.misses), (2, 1), "one analysis served all three");
 }
@@ -80,13 +80,13 @@ fn function_names_are_content_not_presentation() {
     let f = analyzer.parse("function f (x: num) : M[eps]num { rnd x }\nf 2").unwrap();
     let g = analyzer.parse("function g (x: num) : M[eps]num { rnd x }\ng 2").unwrap();
     assert_ne!(f.fingerprint(), g.fingerprint());
-    let tf = analyzer.check_cached(&f).unwrap();
-    let tg = analyzer.check_cached(&g).unwrap();
+    let tf = analyzer.check(&f).unwrap();
+    let tg = analyzer.check(&g).unwrap();
     assert_eq!(tf.functions()[0].name, "f");
     assert_eq!(tg.functions()[0].name, "g", "g must not replay f's report");
     assert_eq!(cache.stats().hits, 0);
     // But each replays itself.
-    assert_eq!(analyzer.check_cached(&g).unwrap().functions()[0].name, "g");
+    assert_eq!(analyzer.check(&g).unwrap().functions()[0].name, "g");
     assert_eq!(cache.stats().hits, 1);
 }
 
@@ -101,14 +101,14 @@ fn alpha_renamed_errors_render_their_own_source() {
     let b = analyzer.parse("t = mul (true, 2); rnd t").unwrap();
     assert_eq!(a.fingerprint(), b.fingerprint(), "alpha-equivalent content");
     assert_ne!(a.display_fingerprint(), b.display_fingerprint(), "different rendering");
-    let da = analyzer.check_cached(&a).unwrap_err();
-    let db = analyzer.check_cached(&b).unwrap_err();
+    let da = analyzer.check(&a).unwrap_err();
+    let db = analyzer.check(&b).unwrap_err();
     assert!(da.snippet.as_deref().unwrap().contains("rnd s"), "{da:?}");
     assert!(db.snippet.as_deref().unwrap().contains("rnd t"), "b must not replay a's snippet");
     assert_eq!(cache.stats().hits, 0, "display mismatch is a miss, not a hit");
     // Identical source still replays.
     let b2 = analyzer.parse("t = mul (true, 2); rnd t").unwrap();
-    let db2 = analyzer.check_cached(&b2).unwrap_err();
+    let db2 = analyzer.check(&b2).unwrap_err();
     assert_eq!(db2.snippet, db.snippet);
     assert_eq!(cache.stats().hits, 1);
 
@@ -138,8 +138,8 @@ fn cached_diagnostics_carry_each_programs_own_name() {
     let (analyzer, cache) = cached_analyzer(1 << 20);
     let a = analyzer.parse_named("first.nf", "2 3").unwrap();
     let b = analyzer.parse_named("second.nf", "2 3").unwrap();
-    let da = analyzer.check_cached(&a).unwrap_err();
-    let db = analyzer.check_cached(&b).unwrap_err();
+    let da = analyzer.check(&a).unwrap_err();
+    let db = analyzer.check(&b).unwrap_err();
     assert_eq!(cache.stats().hits, 1, "identical ill-typed program replays from cache");
     assert_eq!(da.file.as_deref(), Some("first.nf"));
     assert_eq!(db.file.as_deref(), Some("second.nf"), "replayed diagnostic is re-localized");
@@ -158,32 +158,32 @@ fn key_is_sensitive_to_rounding_mode_format_and_instantiation() {
 
     let src = "rnd 1.5";
     let program = base.parse(src).unwrap();
-    base.bound_cached(&program).unwrap();
+    base.check(&program).unwrap();
     let after_base = cache.stats();
 
-    // Same source under round-toward−∞: must miss, and the bound really
-    // differs (RN/RD halve vs. full unit roundoff is mode-specific).
-    rd.bound_cached(&rd.parse(src).unwrap()).unwrap();
+    // Same source under round-toward−∞: must miss (the bound read off the
+    // result differs — RN/RD halve vs. full unit roundoff is mode-specific).
+    rd.check(&rd.parse(src).unwrap()).unwrap();
     let s = cache.stats();
     assert_eq!(s.hits, after_base.hits, "different mode may not hit");
     assert!(s.misses > after_base.misses);
 
     // Same source in binary32: must miss.
     let before = cache.stats();
-    b32.bound_cached(&b32.parse(src).unwrap()).unwrap();
+    b32.check(&b32.parse(src).unwrap()).unwrap();
     let s = cache.stats();
     assert_eq!(s.hits, before.hits, "different format may not hit");
 
     // Same source under the absolute-error instantiation: must miss.
     let before = cache.stats();
-    abs.bound_cached(&abs.parse(src).unwrap()).unwrap();
+    abs.check(&abs.parse(src).unwrap()).unwrap();
     let s = cache.stats();
     assert_eq!(s.hits, before.hits, "different instantiation may not hit");
 
     // And each configuration hits itself on replay.
     let before = cache.stats();
-    rd.bound_cached(&rd.parse(src).unwrap()).unwrap();
-    b32.bound_cached(&b32.parse(src).unwrap()).unwrap();
+    rd.check(&rd.parse(src).unwrap()).unwrap();
+    b32.check(&b32.parse(src).unwrap()).unwrap();
     assert_eq!(cache.stats().hits, before.hits + 2);
 }
 
@@ -194,7 +194,7 @@ fn lru_eviction_under_a_tiny_budget() {
     let (analyzer, cache) = cached_analyzer(400);
     let sources: Vec<String> = (1..=6).map(|i| format!("rnd {i}.5")).collect();
     for src in &sources {
-        analyzer.check_cached(&analyzer.parse(src).unwrap()).unwrap();
+        analyzer.check(&analyzer.parse(src).unwrap()).unwrap();
     }
     let s = cache.stats();
     assert_eq!(s.misses, 6);
@@ -204,7 +204,7 @@ fn lru_eviction_under_a_tiny_budget() {
 
     // The earliest program was evicted — checking it again misses.
     let before = cache.stats();
-    analyzer.check_cached(&analyzer.parse(&sources[0]).unwrap()).unwrap();
+    analyzer.check(&analyzer.parse(&sources[0]).unwrap()).unwrap();
     let s = cache.stats();
     assert_eq!(s.hits, before.hits);
     assert_eq!(s.misses, before.misses + 1);
@@ -260,10 +260,10 @@ fn forward_and_backward_results_never_replay_each_other() {
     let src = "function mulfp (xy: (num, num)) : M[eps]num { s = mul xy; rnd s }";
     let program = analyzer.parse(src).unwrap();
 
-    analyzer.check_cached(&program).unwrap();
+    analyzer.check(&program).unwrap();
     let warm_forward = cache.stats();
 
-    let bwd = analyzer.check_backward_cached(&program).unwrap();
+    let bwd = analyzer.check_backward(&program).unwrap();
     let s = cache.stats();
     assert_eq!(s.hits, warm_forward.hits, "backward check replayed a forward entry");
     assert!(s.misses > warm_forward.misses);
@@ -273,8 +273,8 @@ fn forward_and_backward_results_never_replay_each_other() {
 
     // Each mode hits itself on replay, and the replay is byte-identical.
     let before = cache.stats();
-    analyzer.check_cached(&program).unwrap();
-    let replayed = analyzer.check_backward_cached(&program).unwrap();
+    analyzer.check(&program).unwrap();
+    let replayed = analyzer.check_backward(&program).unwrap();
     assert_eq!(cache.stats().hits, before.hits + 2);
     assert_eq!(format!("{replayed:?}"), format!("{bwd:?}"), "cached backward replay drifted");
 
@@ -282,25 +282,22 @@ fn forward_and_backward_results_never_replay_each_other() {
     // must still miss.
     let (analyzer, cache) = cached_analyzer(1 << 20);
     let program = analyzer.parse(src).unwrap();
-    analyzer.check_backward_cached(&program).unwrap();
+    analyzer.check_backward(&program).unwrap();
     let warm_backward = cache.stats();
-    analyzer.check_cached(&program).unwrap();
+    analyzer.check(&program).unwrap();
     let s = cache.stats();
     assert_eq!(s.hits, warm_backward.hits, "forward check replayed a backward entry");
 
-    // The bound op is mode-distinct too: its own entry misses, and the
-    // only replay is the warm backward-*check* entry it builds on (one
-    // hit) — never a forward entry.
+    // A backward bound is read off the backward check: its only replay is
+    // the warm backward-*check* entry (one hit, never a forward entry),
+    // and it adds no entry of its own.
     let before = cache.stats();
-    let backward_bound = analyzer.bound_backward_cached(&program).unwrap();
+    let backward_bound = analyzer.bound_backward(&analyzer.check_backward(&program).unwrap());
     let s = cache.stats();
     assert_eq!(s.hits, before.hits + 1, "backward bound replays only its mode's check entry");
-    assert!(s.misses > before.misses);
-    let alpha = backward_bound.function("mulfp").unwrap().inputs[0].alpha.as_ref();
+    assert_eq!((s.misses, s.entries), (before.misses, before.entries));
+    let alpha = backward_bound.unwrap().function("mulfp").unwrap().inputs[0].alpha.clone();
     assert!(alpha.is_some(), "eps resolves to the unit roundoff");
-    let before = cache.stats();
-    analyzer.bound_backward_cached(&program).unwrap();
-    assert_eq!(cache.stats().hits, before.hits + 1, "backward bound replays itself");
 }
 
 #[test]
@@ -338,11 +335,34 @@ fn backward_batches_are_byte_identical_across_jobs_and_cache_state() {
 }
 
 #[test]
-fn uncached_entry_points_stay_uncached() {
+fn check_uses_the_session_cache() {
     let (analyzer, cache) = cached_analyzer(1 << 20);
     let program = analyzer.parse("rnd 1.5").unwrap();
     analyzer.check(&program).unwrap();
     analyzer.check(&program).unwrap();
     let s = cache.stats();
-    assert_eq!((s.hits, s.misses, s.insertions), (0, 0, 0), "plain check bypasses the cache");
+    assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1), "check answers through the cache");
+    // Without a judgment memo the incremental entry point is a truthful
+    // from-scratch pass: it never replays from the result cache.
+    let (_, counts) = analyzer.check_incremental(&program).unwrap();
+    assert_eq!((counts.reused, counts.recomputed), (0, counts.total));
+    assert_eq!(cache.stats(), s, "check_incremental leaves the result cache alone");
+}
+
+#[test]
+fn optimize_candidates_fill_the_session_cache() {
+    // Every candidate `optimize` certifies is checked on the session (or
+    // a fork sharing its cache), so the emitted program is already warm.
+    let (analyzer, cache) = cached_analyzer(64 << 20);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benches/table1/verhulst.nf");
+    let src = std::fs::read_to_string(path).expect("verhulst.nf is committed");
+    let program = analyzer.parse_named("verhulst.nf", &src).unwrap();
+    let cfg = numfuzz::optimize::OptimizeConfig { budget: 8, ..Default::default() };
+    let outcome = analyzer.optimize(&program, &cfg).unwrap();
+    let before = cache.stats();
+    assert!(before.insertions > 0, "optimize checked through the session cache: {before:?}");
+    analyzer.check(&analyzer.parse(&outcome.rewritten).unwrap()).unwrap();
+    let s = cache.stats();
+    assert_eq!(s.hits, before.hits + 1, "the emitted program replays its certification");
+    assert_eq!(s.misses, before.misses);
 }

@@ -1,6 +1,8 @@
-//! Keeps `docs/language.md` honest: every fenced snippet the reference
+//! Keeps the docs honest: every fenced snippet `docs/language.md`
 //! annotates with "infers `TYPE`" is parsed and checked through the real
-//! pipeline, and the inferred type must match the quoted one exactly.
+//! pipeline, and the inferred type must match the quoted one exactly; and
+//! README's `## CLI` block names every command and flag `numfuzz --help`
+//! prints.
 
 use numfuzz::prelude::*;
 
@@ -67,4 +69,52 @@ fn language_reference_snippets_check_with_quoted_types() {
             "doc snippet infers a different type than documented:\n{snippet}"
         );
     }
+}
+
+/// The first ```text block after README's `## CLI` heading.
+fn readme_cli_block(readme: &str) -> String {
+    let section = readme.split("\n## CLI\n").nth(1).expect("README has a `## CLI` section");
+    let body = section.split("```text\n").nth(1).expect("the CLI section has a text block");
+    body.split("```").next().expect("split yields a first piece").to_string()
+}
+
+/// Whether `needle` occurs in `text` as a whole token: not followed by a
+/// word character or `-`, so `--gate` is not satisfied by
+/// `--gate-incremental`.
+fn contains_token(text: &str, needle: &str) -> bool {
+    text.match_indices(needle).any(|(at, _)| {
+        !text[at + needle.len()..]
+            .starts_with(|c: char| c.is_alphanumeric() || c == '-' || c == '_')
+    })
+}
+
+#[test]
+fn readme_cli_block_lists_every_command_and_flag() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_numfuzz"))
+        .arg("--help")
+        .output()
+        .expect("run numfuzz --help");
+    assert!(out.status.success(), "numfuzz --help exits 0");
+    let help = String::from_utf8(out.stdout).expect("utf-8 help");
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md exists");
+    let block = readme_cli_block(&readme);
+
+    let mut named = Vec::new();
+    for line in help.lines() {
+        // Each usage line reads `numfuzz CMD ...` or `numfuzz <CMD|CMD> ...`.
+        let Some(rest) = line.split("numfuzz ").nth(1) else { continue };
+        let commands = rest.split_whitespace().next().unwrap_or_default();
+        for command in commands.trim_matches(|c| c == '<' || c == '>').split('|') {
+            named.push(format!("numfuzz {command}"));
+        }
+        let flags = line.split(|c: char| c.is_whitespace() || c == '[' || c == ']');
+        named.extend(flags.filter(|t| t.starts_with("--")).map(String::from));
+    }
+    assert!(named.len() > 20, "the help text names the commands and flags: {help}");
+    let mut missing: Vec<String> =
+        named.into_iter().filter(|name| !contains_token(&block, name)).collect();
+    missing.sort();
+    missing.dedup();
+    assert!(missing.is_empty(), "README's `## CLI` block does not mention {missing:?}");
 }

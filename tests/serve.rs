@@ -335,6 +335,23 @@ fn client_mode_pipes_requests_and_propagates_exit_codes() {
     assert!(status.success());
 }
 
+#[test]
+fn client_rejects_unusable_retry_values() {
+    // Negative, non-finite and out-of-range windows are usage errors, and
+    // so is a window the clock cannot add to `now` — never a panic.
+    for retry in ["-1", "NaN", "inf", "1e30", "1e19"] {
+        let mut client = Command::new(BIN)
+            .args(["client", "--connect", "127.0.0.1:1", "--retry", retry])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn numfuzz client");
+        let status = wait_timeout(&mut client, Duration::from_secs(10));
+        assert_eq!(status.code(), Some(2), "--retry {retry}: {status:?}");
+    }
+}
+
 /// One request/response exchange over an existing TCP connection pair.
 fn tcp_request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
     writeln!(writer, "{line}").expect("write request");
@@ -543,7 +560,7 @@ fn wait_timeout(child: &mut Child, timeout: Duration) -> std::process::ExitStatu
         }
         if Instant::now() > deadline {
             child.kill().ok();
-            panic!("server did not exit within {timeout:?}");
+            panic!("process did not exit within {timeout:?}");
         }
         std::thread::sleep(Duration::from_millis(20));
     }

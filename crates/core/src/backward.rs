@@ -1,5 +1,5 @@
-//! Backward-error inference: the **Bean** judgment as a second analysis
-//! mode over the shared hash-consed IR.
+//! Backward-error inference: the **Bean** judgment as a second rule set
+//! over the shared judgment walker ([`crate::walk`]).
 //!
 //! Where [`crate::infer`] types *forward* error — one bound on how far the
 //! output of the floating-point run drifts from the ideal one — this pass
@@ -21,41 +21,42 @@
 //! `absorb · ε`; composition (`x = e; …`) replays the binder's
 //! accumulated demand onto the producer's context.
 //!
-//! Bean's discipline is **strictly linear** and first-order, which this
-//! pass enforces with dedicated errors (surfaced as the facade's `E05xx`
-//! diagnostics):
+//! Bean's discipline is **strictly linear** and first-order, which these
+//! rules enforce with the backward variants of [`CheckError`] (surfaced
+//! as the facade's `E05xx` diagnostics):
 //!
-//! * every non-unit binder must be consumed ([`BackwardError::UnusedLinear`]),
+//! * every non-unit binder must be consumed ([`CheckError::UnusedLinear`]),
 //! * no variable may be consumed twice — general contraction is exactly
-//!   what backward error cannot cross ([`BackwardError::DuplicatedUse`]),
+//!   what backward error cannot cross ([`CheckError::DuplicatedUse`]),
 //! * `case` branches must consume the same context
-//!   ([`BackwardError::BranchSupport`]),
+//!   ([`CheckError::BranchSupport`]),
 //! * constructs with no backward reading are rejected
-//!   ([`BackwardError::Incompatible`]): `!`-introduction/elimination,
-//!   Cartesian projections, first-class function values, `err`,
+//!   ([`CheckError::Incompatible`]): `!`-introduction/elimination,
+//!   Cartesian projections, first-class function values, `err` — all but
+//!   the function values before their children are visited,
 //! * rounding error must land on *some* linear input — `rnd` over
-//!   constants has nowhere to push its error ([`BackwardError::NoCarrier`]).
+//!   constants has nowhere to push its error ([`CheckError::NoCarrier`]).
 //!
 //! Top-level `function`s are Bean's non-linear (duplicable) context: a
 //! function *name* is not a tracked resource, but its captured linear
 //! variables travel with every use, so a twice-called closure over a
-//! linear variable still reports a duplicated use.
+//! linear variable still reports a duplicated use. This context lives in
+//! the rule set's `Let`/`LetFun` binder hook, which also folds it into
+//! the memo scope chain and keeps a canonical mirror of the function
+//! reports for memoization.
 
 use crate::arena::{ArenaInner, GradeId, TyId, TyNode, NUM_ID as NUM, UNIT_ID as UNIT};
 use crate::cache::{
-    hash_ty_tree, node_fingerprints, scope_extend, BackwardFnEntry, BackwardJudgment,
-    BackwardParamEntry, JudgmentCache, JudgmentCounts, JudgmentEntry, NodeFingerprints,
-    StableHasher,
+    BackwardFnEntry, BackwardJudgment, BackwardParamEntry, JudgmentCache, JudgmentCounts,
+    JudgmentEntry, NodeFingerprints, StableHasher,
 };
-use crate::check::count_parent_edges;
 use crate::env::BackwardEnv;
 use crate::grade::{Coeffect, Grade};
 use crate::sig::Signature;
 use crate::term::{Node, TermId, TermStore, VarId};
 use crate::ty::Ty;
+use crate::walk::{walk, CheckError, Rules, Walker};
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::MutexGuard;
 
 /// The backward judgment for the root term: one error bound per consumed
 /// input, plus the (forward-compatible) type.
@@ -97,137 +98,12 @@ impl BackwardResult {
     }
 }
 
-/// Backward-checking errors. The first block mirrors [`crate::CheckError`]
-/// (shape errors exist in both modes); the second is Bean's linearity and
-/// first-order discipline.
-#[derive(Clone, Debug, PartialEq)]
-pub enum BackwardError {
-    /// A variable was used without a binding.
-    UnboundVar(String),
-    /// An operation name is not in the signature.
-    UnknownOp(String),
-    /// A term's type had the wrong shape for its context.
-    Expected {
-        /// What the context needed (human-readable).
-        what: &'static str,
-        /// The type that was found.
-        found: Ty,
-    },
-    /// A function argument does not match the domain type.
-    ArgMismatch {
-        /// The function's declared domain.
-        expected: Ty,
-        /// The argument's inferred type.
-        found: Ty,
-    },
-    /// An operation argument does not match the signature.
-    OpArgMismatch {
-        /// Operation name.
-        op: String,
-        /// Signature argument type.
-        expected: Ty,
-        /// Inferred argument type.
-        found: Ty,
-    },
-    /// A grade product of two symbolic quantities arose.
-    NonlinearGrade,
-    /// `case` branches have incompatible types.
-    BranchTypeMismatch {
-        /// Left branch type.
-        left: Ty,
-        /// Right branch type.
-        right: Ty,
-    },
-    /// A declared function type is not a supertype of the inferred one.
-    DeclaredMismatch {
-        /// Function name.
-        name: String,
-        /// The declaration.
-        declared: Ty,
-        /// What inference produced.
-        inferred: Ty,
-    },
-    /// A linear binder is never consumed (weakening, which Bean forbids
-    /// on data).
-    UnusedLinear {
-        /// The binder's name.
-        var: String,
-    },
-    /// A linear variable is consumed more than once (general contraction).
-    DuplicatedUse {
-        /// The variable's name.
-        var: String,
-    },
-    /// A construct with no backward-error interpretation.
-    Incompatible {
-        /// Which construct (human-readable).
-        construct: &'static str,
-    },
-    /// Rounding error (or a replayed demand) arises over a context with
-    /// no linear variable to carry it back.
-    NoCarrier {
-        /// The syntactic site (`rnd`, `application`, …).
-        site: &'static str,
-    },
-    /// `case` branches consume different sets of linear variables.
-    BranchSupport {
-        /// A variable consumed by only one branch.
-        var: String,
-    },
-}
-
-impl fmt::Display for BackwardError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackwardError::UnboundVar(x) => write!(f, "unbound variable `{x}`"),
-            BackwardError::UnknownOp(op) => write!(f, "unknown operation `{op}`"),
-            BackwardError::Expected { what, found } => {
-                write!(f, "expected {what}, found `{found}`")
-            }
-            BackwardError::ArgMismatch { expected, found } => {
-                write!(f, "argument type `{found}` is not a subtype of `{expected}`")
-            }
-            BackwardError::OpArgMismatch { op, expected, found } => {
-                write!(f, "operation `{op}` expects `{expected}`, got `{found}`")
-            }
-            BackwardError::NonlinearGrade => {
-                write!(f, "a product of two symbolic grades arose; annotate with constants")
-            }
-            BackwardError::BranchTypeMismatch { left, right } => {
-                write!(f, "case branches have incompatible types `{left}` and `{right}`")
-            }
-            BackwardError::DeclaredMismatch { name, declared, inferred } => write!(
-                f,
-                "function `{name}`: inferred type `{inferred}` is not a subtype of declared `{declared}`"
-            ),
-            BackwardError::UnusedLinear { var } => {
-                write!(f, "linear variable `{var}` is never consumed")
-            }
-            BackwardError::DuplicatedUse { var } => {
-                write!(f, "linear variable `{var}` is consumed more than once")
-            }
-            BackwardError::Incompatible { construct } => {
-                write!(f, "{construct} has no backward-error interpretation")
-            }
-            BackwardError::NoCarrier { site } => write!(
-                f,
-                "rounding error at {site} has no linear variable to flow back to"
-            ),
-            BackwardError::BranchSupport { var } => {
-                write!(f, "`{var}` is consumed by only one case branch")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BackwardError {}
-
 /// Infers per-input backward error bounds for `root`, with `free` giving
 /// types for free variables.
 ///
 /// # Errors
 ///
-/// Any [`BackwardError`]; the pass is complete for the algorithmic system,
+/// Any [`CheckError`]; the pass is complete for the algorithmic system,
 /// so an error means the term lies outside Bean's backward-typable
 /// fragment (or is ill-shaped).
 pub fn infer_backward(
@@ -235,8 +111,8 @@ pub fn infer_backward(
     sig: &Signature,
     root: TermId,
     free: &[(VarId, Ty)],
-) -> Result<BackwardResult, BackwardError> {
-    infer_backward_pass(store, sig, root, free, None).map(|(result, _)| result)
+) -> Result<BackwardResult, CheckError> {
+    walk::<Bean>(store, sig, root, free, None).map(|(result, _)| result)
 }
 
 /// [`infer_backward`], with subterm-level judgment memoization against
@@ -256,79 +132,8 @@ pub fn infer_backward_memoized(
     free: &[(VarId, Ty)],
     cache: &mut JudgmentCache,
     config: u64,
-) -> Result<(BackwardResult, JudgmentCounts), BackwardError> {
-    infer_backward_pass(store, sig, root, free, Some((cache, config)))
-}
-
-fn infer_backward_pass(
-    store: &TermStore,
-    sig: &Signature,
-    root: TermId,
-    free: &[(VarId, Ty)],
-    memo_cfg: Option<(&mut JudgmentCache, u64)>,
-) -> Result<(BackwardResult, JudgmentCounts), BackwardError> {
-    // Fingerprint before taking the arena lock: fingerprinting resolves
-    // annotation types through the store's arena handle.
-    let (memo, seed) = match memo_cfg {
-        None => (None, 0),
-        Some((cache, config)) => {
-            let fps = node_fingerprints(store, root, free);
-            let mut seed = config;
-            for (v, t) in free {
-                let canon = fps.canon(*v).expect("free variable is canonicalized");
-                seed = scope_extend(seed, canon, hash_ty_tree(t));
-            }
-            let memo = Memo {
-                cache,
-                fps,
-                ty_fps: HashMap::new(),
-                fns_start: HashMap::new(),
-                fns_canon: Vec::new(),
-                recomputed: 0,
-            };
-            (Some(memo), seed)
-        }
-    };
-    let mut arena = store.tys().inner();
-    let rnd_grade_id = arena.intern_grade(sig.rnd_grade());
-    let zero_grade_id = arena.intern_grade(&Grade::zero());
-    let var_tys = free.iter().map(|(v, t)| (*v, arena.intern(t))).collect();
-    let mut ck = BackwardChecker {
-        store,
-        sig,
-        var_tys,
-        fn_sigs: HashMap::new(),
-        results: HashMap::new(),
-        remaining: count_parent_edges(store),
-        fns: Vec::new(),
-        ops: HashMap::new(),
-        rnd_grade_id,
-        zero_grade_id,
-        arena,
-        memo,
-    };
-    ck.run(root, seed)?;
-    let counts = match &ck.memo {
-        None => JudgmentCounts::default(),
-        Some(m) => {
-            let total = m.fps.reachable() as u64;
-            JudgmentCounts {
-                reused: total.saturating_sub(m.recomputed),
-                recomputed: m.recomputed,
-                total,
-            }
-        }
-    };
-    let root_res = ck.results.remove(&root).expect("root inferred");
-    let inputs =
-        root_res.env.iter().map(|(v, c)| (store.var_name(*v).to_string(), c.err.clone())).collect();
-    Ok((
-        BackwardResult {
-            root: BackwardInferred { inputs, ty: ck.arena.resolve(root_res.ty) },
-            fns: ck.fns,
-        },
-        counts,
-    ))
+) -> Result<(BackwardResult, JudgmentCounts), CheckError> {
+    walk::<Bean>(store, sig, root, free, Some((cache, config)))
 }
 
 /// One parameter of a function value: its binder, whether it carries data
@@ -356,93 +161,373 @@ struct BJudgment {
     fun: Option<BFun>,
 }
 
-struct BackwardChecker<'a> {
-    store: &'a TermStore,
-    sig: &'a Signature,
-    arena: MutexGuard<'a, ArenaInner>,
-    var_tys: HashMap<VarId, TyId>,
-    /// Function-bound variables (Bean's duplicable context): their
-    /// captured linear context and parameter demands, replayed at every
-    /// use site.
+/// A function report with its canonical mirror (memoized passes only).
+/// Parameter *names* are presentation — lambda binder names are not part
+/// of the content fingerprint — so the mirror is memoized instead of the
+/// rendered report. A `None` mirror in a memoized pass marks a report
+/// that could not be canonicalized, poisoning every window containing it.
+#[derive(Clone, Debug)]
+struct BReport {
+    shown: BackwardFnReport,
+    canon: Option<BackwardFnEntry>,
+}
+
+/// Bean's rule set, with its duplicable function context: the
+/// function-bound variables, with their captured linear context and
+/// parameter demands, replayed at every use site.
+#[derive(Default)]
+struct Bean {
     fn_sigs: HashMap<VarId, (BackwardEnv, Option<BFun>)>,
-    results: HashMap<TermId, BJudgment>,
-    remaining: Vec<u32>,
-    fns: Vec<BackwardFnReport>,
-    ops: HashMap<u32, (TyId, TyId)>,
-    rnd_grade_id: GradeId,
-    zero_grade_id: GradeId,
-    /// Judgment memoization state ([`infer_backward_memoized`] only).
-    memo: Option<Memo<'a>>,
 }
 
-/// Per-pass memoization state (the backward twin of the forward
-/// checker's). Function reports need one extra structure: their
-/// parameter *names* are presentation (lambda binder names are not part
-/// of the content fingerprint), so a canonical mirror of `fns` is kept
-/// and memoized instead of the rendered reports.
-struct Memo<'a> {
-    cache: &'a mut JudgmentCache,
-    fps: NodeFingerprints,
-    /// `hash_ty_tree` of resolved types, memoized by interned id.
-    ty_fps: HashMap<TyId, u128>,
-    /// Where each in-flight (cache-missed) node's window into `fns` (and
-    /// `fns_canon`, kept parallel) starts; presence gates memoization.
-    fns_start: HashMap<TermId, usize>,
-    /// Canonical mirror of `fns`; a `None` marks a report that could not
-    /// be canonicalized, poisoning every window that contains it.
-    fns_canon: Vec<Option<BackwardFnEntry>>,
-    /// Judgments computed by this pass (cache misses and leaves).
-    recomputed: u64,
-}
+impl Rules for Bean {
+    type Judgment = BJudgment;
+    type Report = BReport;
+    type Output = BackwardResult;
 
-#[derive(Clone, Copy)]
-struct Frame {
-    id: TermId,
-    stage: u8,
-    /// Scope-chain fingerprint the node is checked under (0 when not
-    /// memoizing).
-    scope: u64,
-}
-
-/// Translates a memoized backward judgment into the replaying store's
-/// variables; `None` on any canonical number the store cannot resolve
-/// (a defensive miss).
-fn translate_backward(
-    fps: &NodeFingerprints,
-    store: &TermStore,
-    j: &BackwardJudgment,
-) -> Option<(BackwardEnv, Option<BFun>, Vec<BackwardFnReport>)> {
-    let mut entries = Vec::with_capacity(j.env.len());
-    for (canon, c) in &j.env {
-        entries.push((fps.var(*canon)?, c.clone()));
+    fn ty(j: &BJudgment) -> TyId {
+        j.ty
     }
-    let fun = match &j.fun {
-        None => None,
-        Some(ps) => {
-            let mut params = Vec::with_capacity(ps.len());
-            for p in ps {
-                params.push(BParam {
-                    var: fps.var(p.var)?,
-                    named: p.named,
-                    demand: p.demand.clone(),
-                });
+
+    fn enter(node: Node) -> Result<(), CheckError> {
+        let construct = match node {
+            Node::Proj(..) => "projection from a cartesian pair",
+            Node::BoxIntro(..) => "box introduction",
+            Node::LetBox(..) => "box elimination",
+            Node::Err(..) => "the `err` value",
+            _ => return Ok(()),
+        };
+        Err(CheckError::Incompatible { construct })
+    }
+
+    fn rule(w: &mut Walker<'_, Self>, node: Node) -> Result<BJudgment, CheckError> {
+        let (env, ty, fun) = match node {
+            Node::Proj(..) | Node::BoxIntro(..) | Node::LetBox(..) | Node::Err(..) => {
+                unreachable!("rejected on entry")
             }
-            Some(BFun { params })
-        }
-    };
-    let mut reports = Vec::with_capacity(j.fns.len());
-    for e in &j.fns {
-        let mut inputs = Vec::with_capacity(e.inputs.len());
-        for (canon, g) in &e.inputs {
-            inputs.push((store.var_name(fps.var(*canon)?).to_string(), g.clone()));
-        }
-        reports.push(BackwardFnReport {
-            name: e.name.clone(),
-            assigned: e.assigned.clone(),
-            inputs,
-        });
+
+            // ----- leaves -----
+            Node::Var(v) => {
+                let ty = w.var_ty(v)?;
+                match w.rules.fn_sigs.get(&v) {
+                    Some((caps, fun)) => (caps.clone(), ty, fun.clone()),
+                    None => (BackwardEnv::consume(v), ty, None),
+                }
+            }
+            Node::UnitVal => (BackwardEnv::empty(), UNIT, None),
+            Node::Const(_) => (BackwardEnv::empty(), NUM, None),
+
+            // ----- single-child nodes -----
+            Node::Inl(v, rt) => {
+                let r = w.take(v);
+                (r.env, w.arena.mk(TyNode::Sum(r.ty, rt)), None)
+            }
+            Node::Inr(v, lt) => {
+                let r = w.take(v);
+                (r.env, w.arena.mk(TyNode::Sum(lt, r.ty)), None)
+            }
+            Node::Rnd(v) => {
+                let r = w.take(v);
+                if r.ty != NUM {
+                    return Err(w.expected("a numeric argument to rnd", r.ty));
+                }
+                if r.env.is_empty() {
+                    // The committed rounding error has nowhere to go:
+                    // constants cannot be perturbed.
+                    return Err(CheckError::NoCarrier { site: "rnd" });
+                }
+                let eps = w.sig.rnd_grade();
+                let env = r.env.try_update(|c| c.charge(eps)).ok_or(CheckError::NonlinearGrade)?;
+                (env, w.arena.mk(TyNode::Monad(w.rnd_grade_id, NUM)), None)
+            }
+            Node::Ret(v) => {
+                let r = w.take(v);
+                (r.env, w.arena.mk(TyNode::Monad(w.zero_grade_id, r.ty)), r.fun)
+            }
+            Node::Op(op_idx, v) => {
+                let r = w.take(v);
+                let (arg, ret) = w.op_sig(op_idx)?;
+                let env = if w.arena.subtype(r.ty, arg) {
+                    r.env
+                } else {
+                    match w.arena.node(arg) {
+                        // Implicit boxing (`sqrt x`): the backward demand
+                        // through the op amplifies by the inverse of the
+                        // declared sensitivity.
+                        TyNode::Bang(g, inner) if w.arena.subtype(r.ty, inner) => {
+                            let factor = inverse_amplification(w, g);
+                            r.env
+                                .try_update(|c| c.amplify(&factor))
+                                .ok_or(CheckError::NonlinearGrade)?
+                        }
+                        _ => {
+                            return Err(CheckError::OpArgMismatch {
+                                op: w.store.op_name(op_idx).to_string(),
+                                expected: w.show(arg),
+                                found: w.show(r.ty),
+                            })
+                        }
+                    }
+                };
+                (env, ret, None)
+            }
+
+            // ----- pairs and application -----
+            Node::PairW(a, b) => {
+                let (ra, rb) = (w.take(a), w.take(b));
+                // A Cartesian pair with exactly one rigid (constant)
+                // side: a demand on the pair cannot be split
+                // proportionally — in the RP instantiation this is
+                // `add (|x, c|)`, whose one-sided solve has unbounded
+                // relative amplification. Mark the open side `∞`.
+                let (ea, eb) = if ra.env.is_empty() != rb.env.is_empty() {
+                    let inf = Grade::infinite();
+                    let widen = |e: BackwardEnv| {
+                        e.try_update(|c| c.amplify(&inf)).expect("∞ product is total")
+                    };
+                    (widen(ra.env), widen(rb.env))
+                } else {
+                    (ra.env, rb.env)
+                };
+                let env = ea.merge_disjoint(eb).map_err(|v| dup(w, v))?;
+                (env, w.arena.mk(TyNode::With(ra.ty, rb.ty)), None)
+            }
+            Node::PairT(a, b) => {
+                let (ra, rb) = (w.take(a), w.take(b));
+                let env = ra.env.merge_disjoint(rb.env).map_err(|v| dup(w, v))?;
+                (env, w.arena.mk(TyNode::Tensor(ra.ty, rb.ty)), None)
+            }
+            Node::App(a, b) => {
+                let (ra, rb) = (w.take(a), w.take(b));
+                let TyNode::Lolli(dom, cod) = w.arena.node(ra.ty) else {
+                    return Err(w.expected("a function", ra.ty));
+                };
+                if !w.arena.subtype(rb.ty, dom) {
+                    return Err(CheckError::ArgMismatch {
+                        expected: w.show(dom),
+                        found: w.show(rb.ty),
+                    });
+                }
+                // Bean is first-order: only (possibly partially applied)
+                // top-level functions carry backward parameter demands.
+                let Some(BFun { mut params }) = ra.fun else {
+                    return Err(CheckError::Incompatible {
+                        construct: "first-class function application",
+                    });
+                };
+                let first = params.remove(0);
+                let shifted = compose(rb.env, &first.demand, "application")?;
+                let env = ra.env.merge_disjoint(shifted).map_err(|v| dup(w, v))?;
+                (env, cod, (!params.is_empty()).then_some(BFun { params }))
+            }
+
+            // ----- binders -----
+            Node::Lam(x, ty_id, body) => {
+                let mut r = w.take(body);
+                let demand = consume_binder(w, &mut r.env, x, ty_id)?;
+                let mut params = vec![BParam { var: x, named: ty_id != UNIT, demand }];
+                if let Some(bf) = r.fun {
+                    params.extend(bf.params);
+                }
+                (r.env, w.arena.mk(TyNode::Lolli(ty_id, r.ty)), Some(BFun { params }))
+            }
+            Node::LetTensor(x, y, v, e) => {
+                let (rv, mut re) = (w.take(v), w.take(e));
+                let TyNode::Tensor(a, b) = w.arena.node(rv.ty) else {
+                    unreachable!("checked when the binders were introduced")
+                };
+                let cx = consume_binder(w, &mut re.env, x, a)?;
+                let cy = consume_binder(w, &mut re.env, y, b)?;
+                // The scrutinee pair carries both components' demands
+                // (sum metric on ⊗).
+                let shifted = compose(rv.env, &cx.join_add(&cy), "let-tensor")?;
+                let env = re.env.merge_disjoint(shifted).map_err(|v| dup(w, v))?;
+                (env, re.ty, re.fun)
+            }
+            Node::Case(v, x, e1, y, e2) => {
+                let (rv, mut r1, mut r2) = (w.take(v), w.take(e1), w.take(e2));
+                let TyNode::Sum(a, b) = w.arena.node(rv.ty) else {
+                    unreachable!("checked when the binders were introduced")
+                };
+                let c1 = consume_binder(w, &mut r1.env, x, a)?;
+                let c2 = consume_binder(w, &mut r2.env, y, b)?;
+                let ty = w.arena.sup(r1.ty, r2.ty).ok_or_else(|| {
+                    CheckError::BranchTypeMismatch { left: w.show(r1.ty), right: w.show(r2.ty) }
+                })?;
+                // Bean's case: both branches must consume the same linear
+                // context (either may be taken at runtime).
+                let theta = r1
+                    .env
+                    .sup_same_support(r2.env)
+                    .map_err(|v| CheckError::BranchSupport { var: w.name(v) })?;
+                let shifted = compose(rv.env, &c1.sup(&c2), "case")?;
+                let env = theta.merge_disjoint(shifted).map_err(|v| dup(w, v))?;
+                (env, ty, None)
+            }
+            Node::LetBind(x, v, f) => {
+                let (rv, mut rf) = (w.take(v), w.take(f));
+                let TyNode::Monad(r, inner) = w.arena.node(rv.ty) else {
+                    unreachable!("checked when the binder was introduced")
+                };
+                let TyNode::Monad(q, tau) = w.arena.node(rf.ty) else {
+                    return Err(w.expected("a monadic body in let-bind", rf.ty));
+                };
+                let c = consume_binder(w, &mut rf.env, x, inner)?;
+                let shifted = compose(rv.env, &c, "let-bind")?;
+                let env = rf.env.merge_disjoint(shifted).map_err(|v| dup(w, v))?;
+                // Linear sequencing: the stage grades add (the forward
+                // grade is kept so both modes print the same types).
+                let grade = w.arena.grade(r).add(w.arena.grade(q));
+                let gid = w.arena.intern_grade(&grade);
+                (env, w.arena.mk(TyNode::Monad(gid, tau)), None)
+            }
+            Node::Let(x, e, f) => {
+                let (re, mut rf) = (w.take(e), w.take(f));
+                if re.fun.is_some() {
+                    // Alias composition happened at the use sites; an
+                    // unused alias simply drops (its captures are then
+                    // reported unused at their own binders).
+                    (rf.env, rf.ty, rf.fun)
+                } else {
+                    let c = consume_binder(w, &mut rf.env, x, re.ty)?;
+                    let shifted = compose(re.env, &c, "let")?;
+                    let env = rf.env.merge_disjoint(shifted).map_err(|v| dup(w, v))?;
+                    (env, rf.ty, rf.fun)
+                }
+            }
+            // The function's demands replay at its call sites (see
+            // `bind`); only the rest of the program contributes here.
+            Node::LetFun(_, _, body, rest) => {
+                w.take(body);
+                let rr = w.take(rest);
+                (rr.env, rr.ty, rr.fun)
+            }
+        };
+        Ok(BJudgment { env, ty, fun })
     }
-    Some((BackwardEnv::from_entries(entries), fun, reports))
+
+    fn bind(
+        w: &mut Walker<'_, Self>,
+        x: VarId,
+        bound: TermId,
+        assigned: TyId,
+        fun: bool,
+        scope: u64,
+    ) -> u64 {
+        let j = w.judged(bound);
+        if !fun && j.fun.is_none() {
+            return w.scope_child(scope, x, assigned);
+        }
+        // A function, or an alias of one: uses of `x` replay its captures
+        // and demands (Bean's duplicable context), so `x` itself is not a
+        // tracked resource — but the replayed content is part of what the
+        // body's judgments depend on, hence the richer scope hash.
+        let (caps, params) = (j.env.clone(), j.fun.clone());
+        if fun {
+            report(w, x, assigned, &params);
+        }
+        let inner = scope_child_fn(w, scope, x, assigned, &caps, &params);
+        w.rules.fn_sigs.insert(x, (caps, params));
+        inner
+    }
+
+    fn entry(
+        j: &BJudgment,
+        fps: &NodeFingerprints,
+        arena: &ArenaInner,
+        window: &[BReport],
+    ) -> Option<JudgmentEntry> {
+        let mut env = Vec::with_capacity(j.env.len());
+        for (v, c) in j.env.iter() {
+            env.push((fps.canon(*v)?, c.clone()));
+        }
+        env.sort_by_key(|(n, _)| *n);
+        let fun = match &j.fun {
+            None => None,
+            Some(bf) => {
+                let mut params = Vec::with_capacity(bf.params.len());
+                for p in &bf.params {
+                    let var = fps.canon(p.var)?;
+                    params.push(BackwardParamEntry {
+                        var,
+                        named: p.named,
+                        demand: p.demand.clone(),
+                    });
+                }
+                Some(params)
+            }
+        };
+        // A window containing a non-canonicalizable report is never
+        // memoized.
+        let fns = window.iter().map(|r| r.canon.clone()).collect::<Option<Vec<_>>>()?;
+        let ty = arena.resolve(j.ty);
+        Some(JudgmentEntry::Backward(BackwardJudgment { env, ty, fun, fns }))
+    }
+
+    fn replay(
+        entry: &JudgmentEntry,
+        fps: &NodeFingerprints,
+        store: &TermStore,
+        arena: &mut ArenaInner,
+        reports: &mut Vec<BReport>,
+    ) -> Option<BJudgment> {
+        let JudgmentEntry::Backward(j) = entry else { return None };
+        let mut env = Vec::with_capacity(j.env.len());
+        for (canon, c) in &j.env {
+            env.push((fps.var(*canon)?, c.clone()));
+        }
+        let fun = match &j.fun {
+            None => None,
+            Some(ps) => {
+                let mut params = Vec::with_capacity(ps.len());
+                for p in ps {
+                    params.push(BParam {
+                        var: fps.var(p.var)?,
+                        named: p.named,
+                        demand: p.demand.clone(),
+                    });
+                }
+                Some(BFun { params })
+            }
+        };
+        let mut replayed = Vec::with_capacity(j.fns.len());
+        for e in &j.fns {
+            let mut inputs = Vec::with_capacity(e.inputs.len());
+            for (canon, g) in &e.inputs {
+                inputs.push((store.var_name(fps.var(*canon)?).to_string(), g.clone()));
+            }
+            let shown =
+                BackwardFnReport { name: e.name.clone(), assigned: e.assigned.clone(), inputs };
+            replayed.push(BReport { shown, canon: Some(e.clone()) });
+        }
+        reports.extend(replayed);
+        Some(BJudgment { env: BackwardEnv::from_entries(env), ty: arena.intern(&j.ty), fun })
+    }
+
+    fn output(store: &TermStore, root: BJudgment, ty: Ty, fns: Vec<BReport>) -> BackwardResult {
+        let inputs =
+            root.env.iter().map(|(v, c)| (store.var_name(*v).to_string(), c.err.clone())).collect();
+        let fns = fns.into_iter().map(|r| r.shown).collect();
+        BackwardResult { root: BackwardInferred { inputs, ty }, fns }
+    }
+}
+
+/// Emits the report for the function `x : assigned` with parameters
+/// `params`, and its canonical mirror when memoizing (`None` if a
+/// parameter cannot be canonicalized).
+fn report(w: &mut Walker<'_, Bean>, x: VarId, assigned: TyId, params: &Option<BFun>) {
+    let named = || params.iter().flat_map(|bf| &bf.params).filter(|p| p.named);
+    let inputs = named().map(|p| (w.name(p.var), p.demand.err.clone())).collect();
+    let shown = BackwardFnReport { name: w.name(x), assigned: w.show(assigned), inputs };
+    let canon = w.memo.as_ref().and_then(|memo| {
+        let inputs = named().map(|p| Some((memo.fps.canon(p.var)?, p.demand.err.clone())));
+        Some(BackwardFnEntry {
+            name: shown.name.clone(),
+            assigned: shown.assigned.clone(),
+            inputs: inputs.collect::<Option<_>>()?,
+        })
+    });
+    w.reports.push(BReport { shown, canon });
 }
 
 /// Hashes a variable into a scope chain: by canonical number when
@@ -461,680 +546,84 @@ fn write_var(h: &mut StableHasher, fps: &NodeFingerprints, v: VarId) {
     }
 }
 
-impl<'a> BackwardChecker<'a> {
-    fn var_ty(&self, v: VarId) -> Result<TyId, BackwardError> {
-        self.var_tys
-            .get(&v)
-            .copied()
-            .ok_or_else(|| BackwardError::UnboundVar(self.store.var_name(v).to_string()))
+/// Scope extension for a binder entering the duplicable function
+/// context: uses of the binder replay the function's captured linear
+/// context and parameter demands, so downstream judgments depend on that
+/// content and it must be folded into the chain alongside the binder's
+/// type.
+fn scope_child_fn(
+    w: &mut Walker<'_, Bean>,
+    parent: u64,
+    x: VarId,
+    ty: TyId,
+    caps: &BackwardEnv,
+    fun: &Option<BFun>,
+) -> u64 {
+    let base = w.scope_child(parent, x, ty);
+    let Some(memo) = &w.memo else { return 0 };
+    let mut h = StableHasher::new();
+    h.write_u64(base);
+    for (v, c) in caps.iter() {
+        write_var(&mut h, &memo.fps, *v);
+        h.write_str(&c.err.to_string());
+        h.write_str(&c.absorb.to_string());
     }
-
-    fn take(&mut self, id: TermId) -> Option<BJudgment> {
-        let slot = &mut self.remaining[id.0 as usize];
-        if *slot > 1 {
-            *slot -= 1;
-            self.results.get(&id).cloned()
-        } else {
-            *slot = 0;
-            self.results.remove(&id)
-        }
-    }
-
-    fn done(&mut self, id: TermId, env: BackwardEnv, ty: TyId, fun: Option<BFun>, scope: u64) {
-        self.memoize(id, &env, ty, &fun, scope);
-        self.results.insert(id, BJudgment { env, ty, fun });
-    }
-
-    /// Memoizes a freshly computed judgment, if this node cache-missed at
-    /// stage 0 and every part of it canonicalizes.
-    fn memoize(&mut self, id: TermId, env: &BackwardEnv, ty: TyId, fun: &Option<BFun>, scope: u64) {
-        let Some(memo) = self.memo.as_mut() else { return };
-        let Some(start) = memo.fns_start.remove(&id) else { return };
-        let Some(node_fp) = memo.fps.node(id) else { return };
-        let mut canon_env = Vec::with_capacity(env.len());
-        for (v, c) in env.iter() {
-            match memo.fps.canon(*v) {
-                Some(n) => canon_env.push((n, c.clone())),
-                None => return,
+    match fun {
+        None => h.write_u8(0),
+        Some(bf) => {
+            h.write_u8(1);
+            for p in &bf.params {
+                write_var(&mut h, &memo.fps, p.var);
+                h.write_u8(p.named as u8);
+                h.write_str(&p.demand.err.to_string());
+                h.write_str(&p.demand.absorb.to_string());
             }
         }
-        canon_env.sort_by_key(|(n, _)| *n);
-        let fun = match fun {
-            None => None,
-            Some(bf) => {
-                let mut params = Vec::with_capacity(bf.params.len());
-                for p in &bf.params {
-                    match memo.fps.canon(p.var) {
-                        Some(n) => params.push(BackwardParamEntry {
-                            var: n,
-                            named: p.named,
-                            demand: p.demand.clone(),
-                        }),
-                        None => return,
-                    }
-                }
-                Some(params)
-            }
-        };
-        let mut fns = Vec::with_capacity(memo.fns_canon.len() - start);
-        for entry in &memo.fns_canon[start..] {
-            match entry {
-                Some(e) => fns.push(e.clone()),
-                // A window containing a non-canonicalizable report is
-                // never memoized.
-                None => return,
-            }
-        }
-        let resolved = self.arena.resolve(ty);
-        memo.cache.insert(
-            node_fp,
-            scope,
-            JudgmentEntry::Backward(BackwardJudgment { env: canon_env, ty: resolved, fun, fns }),
-        );
     }
+    h.finish64()
+}
 
-    /// Attempts to replay a memoized judgment for `id` under `scope`;
-    /// `true` on a hit. On a miss, registers the node's report window and
-    /// counts the upcoming computation.
-    fn try_replay(&mut self, id: TermId, scope: u64) -> bool {
-        let Some(memo) = self.memo.as_mut() else { return false };
-        if matches!(self.store.node(id), Node::Var(_) | Node::UnitVal | Node::Const(_)) {
-            memo.recomputed += 1;
-            return false;
-        }
-        let Some(node_fp) = memo.fps.node(id) else {
-            memo.recomputed += 1;
-            return false;
-        };
-        if let Some(JudgmentEntry::Backward(j)) = memo.cache.get(node_fp, scope) {
-            if let Some((env, fun, reports)) = translate_backward(&memo.fps, self.store, &j) {
-                let ty = self.arena.intern(&j.ty);
-                self.fns.extend(reports);
-                memo.fns_canon.extend(j.fns.iter().cloned().map(Some));
-                self.results.insert(id, BJudgment { env, ty, fun });
-                return true;
-            }
-        }
-        memo.fns_start.insert(id, self.fns.len());
-        memo.recomputed += 1;
-        false
+fn dup(w: &Walker<'_, Bean>, v: VarId) -> CheckError {
+    CheckError::DuplicatedUse { var: w.name(v) }
+}
+
+/// The backward amplification through an operation whose domain is boxed
+/// at `grade`: the inverse of the (finite, positive, constant) forward
+/// sensitivity; anything else — zero, `∞` (comparisons), or symbolic —
+/// admits no finite backward routing.
+fn inverse_amplification(w: &Walker<'_, Bean>, grade: GradeId) -> Grade {
+    match w.arena.grade(grade).as_constant() {
+        Some(c) if !c.is_zero() => Grade::constant(c.recip()),
+        _ => Grade::infinite(),
     }
+}
 
-    /// The scope-chain fingerprint for a child checked under one more
-    /// binder `x : ty` (0 when not memoizing).
-    fn scope_child(&mut self, parent: u64, x: VarId, ty: TyId) -> u64 {
-        let Some(memo) = self.memo.as_mut() else { return 0 };
-        let Some(canon) = memo.fps.canon(x) else { return parent };
-        let ty_fp = match memo.ty_fps.get(&ty) {
-            Some(&fp) => fp,
-            None => {
-                let fp = hash_ty_tree(&self.arena.resolve(ty));
-                memo.ty_fps.insert(ty, fp);
-                fp
-            }
-        };
-        scope_extend(parent, canon, ty_fp)
+/// Replays a binder's accumulated demand onto its producer's context: the
+/// (Let)/(⊸E)/(case) composition step. A demanded producer with an empty
+/// context means the demand lands on constants.
+fn compose(
+    producer: BackwardEnv,
+    binder: &Coeffect,
+    site: &'static str,
+) -> Result<BackwardEnv, CheckError> {
+    if producer.is_empty() && !binder.err.is_zero() {
+        return Err(CheckError::NoCarrier { site });
     }
+    producer.try_update(|c| c.seq(binder)).ok_or(CheckError::NonlinearGrade)
+}
 
-    /// Scope extension for a binder entering the duplicable function
-    /// context: uses of the binder replay the function's captured linear
-    /// context and parameter demands, so downstream judgments depend on
-    /// that content and it must be folded into the chain alongside the
-    /// binder's type.
-    fn scope_child_fn(
-        &mut self,
-        parent: u64,
-        x: VarId,
-        ty: TyId,
-        caps: &BackwardEnv,
-        fun: &Option<BFun>,
-    ) -> u64 {
-        let base = self.scope_child(parent, x, ty);
-        let Some(memo) = self.memo.as_mut() else { return 0 };
-        let mut h = StableHasher::new();
-        h.write_u64(base);
-        for (v, c) in caps.iter() {
-            write_var(&mut h, &memo.fps, *v);
-            h.write_str(&c.err.to_string());
-            h.write_str(&c.absorb.to_string());
-        }
-        match fun {
-            None => h.write_u8(0),
-            Some(bf) => {
-                h.write_u8(1);
-                for p in &bf.params {
-                    write_var(&mut h, &memo.fps, p.var);
-                    h.write_u8(p.named as u8);
-                    h.write_str(&p.demand.err.to_string());
-                    h.write_str(&p.demand.absorb.to_string());
-                }
-            }
-        }
-        h.finish64()
-    }
-
-    /// Mirrors a just-pushed function report into the canonical window
-    /// (`None` if a parameter cannot be canonicalized).
-    fn memo_fn_entry(&mut self, name_var: VarId, assigned: TyId, fun: &Option<BFun>) {
-        if self.memo.is_none() {
-            return;
-        }
-        let assigned = self.arena.resolve(assigned);
-        let memo = self.memo.as_mut().expect("checked above");
-        let mut inputs = Vec::new();
-        let mut canonical = true;
-        if let Some(bf) = fun {
-            for p in bf.params.iter().filter(|p| p.named) {
-                match memo.fps.canon(p.var) {
-                    Some(n) => inputs.push((n, p.demand.err.clone())),
-                    None => {
-                        canonical = false;
-                        break;
-                    }
-                }
-            }
-        }
-        let entry = canonical.then(|| BackwardFnEntry {
-            name: self.store.var_name(name_var).to_string(),
-            assigned,
-            inputs,
-        });
-        memo.fns_canon.push(entry);
-    }
-
-    fn show(&self, ty: TyId) -> Ty {
-        self.arena.resolve(ty)
-    }
-
-    fn name(&self, v: VarId) -> String {
-        self.store.var_name(v).to_string()
-    }
-
-    fn dup(&self, v: VarId) -> BackwardError {
-        BackwardError::DuplicatedUse { var: self.name(v) }
-    }
-
-    fn op_sig(&mut self, op_idx: u32) -> Result<(TyId, TyId), BackwardError> {
-        if let Some(&entry) = self.ops.get(&op_idx) {
-            return Ok(entry);
-        }
-        let name = self.store.op_name(op_idx);
-        let op = self.sig.op(name).ok_or_else(|| BackwardError::UnknownOp(name.to_string()))?;
-        let entry = (self.arena.intern(&op.arg), self.arena.intern(&op.ret));
-        self.ops.insert(op_idx, entry);
-        Ok(entry)
-    }
-
-    /// The backward amplification through an operation whose domain is
-    /// boxed at `grade`: the inverse of the (finite, positive, constant)
-    /// forward sensitivity; anything else — zero, `∞` (comparisons), or
-    /// symbolic — admits no finite backward routing.
-    fn inverse_amplification(&self, grade: GradeId) -> Grade {
-        match self.arena.grade(grade).as_constant() {
-            Some(c) if !c.is_zero() => Grade::constant(c.recip()),
-            _ => Grade::infinite(),
-        }
-    }
-
-    /// Replays a binder's accumulated demand onto its producer's context:
-    /// the (Let)/(⊸E)/(case) composition step. A demanded producer with an
-    /// empty context means the demand lands on constants.
-    fn compose(
-        &self,
-        producer: BackwardEnv,
-        binder: &Coeffect,
-        site: &'static str,
-    ) -> Result<BackwardEnv, BackwardError> {
-        if producer.is_empty() && !binder.err.is_zero() {
-            return Err(BackwardError::NoCarrier { site });
-        }
-        producer.try_update(|c| c.seq(binder)).ok_or(BackwardError::NonlinearGrade)
-    }
-
-    /// Removes a binder from a body context, enforcing consumption for
-    /// binders that carry data (`unit`-typed binders are vacuous).
-    fn consume_binder(
-        &self,
-        env: &mut BackwardEnv,
-        x: VarId,
-        ty: TyId,
-    ) -> Result<Coeffect, BackwardError> {
-        match env.remove(x) {
-            Some(c) => Ok(c),
-            None if ty == UNIT => Ok(Coeffect::vacuous()),
-            None => Err(BackwardError::UnusedLinear { var: self.name(x) }),
-        }
-    }
-
-    fn run(&mut self, root: TermId, seed: u64) -> Result<(), BackwardError> {
-        let eps = self.sig.rnd_grade().clone();
-        let mut stack = vec![Frame { id: root, stage: 0, scope: seed }];
-        while let Some(Frame { id, stage, scope }) = stack.pop() {
-            if stage == 0 && (self.results.contains_key(&id) || self.try_replay(id, scope)) {
-                continue;
-            }
-            match (*self.store.node(id), stage) {
-                // ----- constructs outside Bean's fragment -----
-                (Node::Proj(..), _) => {
-                    return Err(BackwardError::Incompatible {
-                        construct: "projection from a cartesian pair",
-                    })
-                }
-                (Node::BoxIntro(..), _) => {
-                    return Err(BackwardError::Incompatible { construct: "box introduction" })
-                }
-                (Node::LetBox(..), _) => {
-                    return Err(BackwardError::Incompatible { construct: "box elimination" })
-                }
-                (Node::Err(..), _) => {
-                    return Err(BackwardError::Incompatible { construct: "the `err` value" })
-                }
-
-                // ----- leaves -----
-                (Node::Var(v), _) => {
-                    let ty = self.var_ty(v)?;
-                    if let Some((caps, fun)) = self.fn_sigs.get(&v) {
-                        let (caps, fun) = (caps.clone(), fun.clone());
-                        self.done(id, caps, ty, fun, scope);
-                    } else {
-                        self.done(id, BackwardEnv::consume(v), ty, None, scope);
-                    }
-                }
-                (Node::UnitVal, _) => self.done(id, BackwardEnv::empty(), UNIT, None, scope),
-                (Node::Const(_), _) => self.done(id, BackwardEnv::empty(), NUM, None, scope),
-
-                // ----- single-child nodes -----
-                (Node::Inl(v, _), 0)
-                | (Node::Inr(v, _), 0)
-                | (Node::Rnd(v), 0)
-                | (Node::Ret(v), 0)
-                | (Node::Op(_, v), 0) => {
-                    stack.push(Frame { id, stage: 1, scope });
-                    stack.push(Frame { id: v, stage: 0, scope });
-                }
-                (Node::Inl(v, rt), 1) => {
-                    let r = self.take(v).expect("child done");
-                    let ty = self.arena.mk(TyNode::Sum(r.ty, rt));
-                    self.done(id, r.env, ty, None, scope);
-                }
-                (Node::Inr(v, lt), 1) => {
-                    let r = self.take(v).expect("child done");
-                    let ty = self.arena.mk(TyNode::Sum(lt, r.ty));
-                    self.done(id, r.env, ty, None, scope);
-                }
-                (Node::Rnd(v), 1) => {
-                    let r = self.take(v).expect("child done");
-                    if r.ty != NUM {
-                        return Err(BackwardError::Expected {
-                            what: "a numeric argument to rnd",
-                            found: self.show(r.ty),
-                        });
-                    }
-                    if r.env.is_empty() {
-                        // The committed rounding error has nowhere to go:
-                        // constants cannot be perturbed.
-                        return Err(BackwardError::NoCarrier { site: "rnd" });
-                    }
-                    let env = r
-                        .env
-                        .try_update(|c| c.charge(&eps))
-                        .ok_or(BackwardError::NonlinearGrade)?;
-                    let ty = self.arena.mk(TyNode::Monad(self.rnd_grade_id, NUM));
-                    self.done(id, env, ty, None, scope);
-                }
-                (Node::Ret(v), 1) => {
-                    let r = self.take(v).expect("child done");
-                    let ty = self.arena.mk(TyNode::Monad(self.zero_grade_id, r.ty));
-                    self.done(id, r.env, ty, r.fun, scope);
-                }
-                (Node::Op(op_idx, v), 1) => {
-                    let r = self.take(v).expect("child done");
-                    let (arg, ret) = self.op_sig(op_idx)?;
-                    let env = if self.arena.subtype(r.ty, arg) {
-                        r.env
-                    } else if let TyNode::Bang(g, inner) = self.arena.node(arg) {
-                        // Implicit boxing (`sqrt x`): the backward demand
-                        // through the op amplifies by the inverse of the
-                        // declared sensitivity.
-                        if self.arena.subtype(r.ty, inner) {
-                            let factor = self.inverse_amplification(g);
-                            r.env
-                                .try_update(|c| c.amplify(&factor))
-                                .ok_or(BackwardError::NonlinearGrade)?
-                        } else {
-                            return Err(BackwardError::OpArgMismatch {
-                                op: self.store.op_name(op_idx).to_string(),
-                                expected: self.show(arg),
-                                found: self.show(r.ty),
-                            });
-                        }
-                    } else {
-                        return Err(BackwardError::OpArgMismatch {
-                            op: self.store.op_name(op_idx).to_string(),
-                            expected: self.show(arg),
-                            found: self.show(r.ty),
-                        });
-                    };
-                    self.done(id, env, ret, None, scope);
-                }
-
-                // ----- pairs and application -----
-                (Node::PairW(a, b), 0) | (Node::PairT(a, b), 0) | (Node::App(a, b), 0) => {
-                    stack.push(Frame { id, stage: 1, scope });
-                    stack.push(Frame { id: a, stage: 0, scope });
-                    stack.push(Frame { id: b, stage: 0, scope });
-                }
-                (Node::PairW(a, b), 1) => {
-                    let ra = self.take(a).expect("child done");
-                    let rb = self.take(b).expect("child done");
-                    // A Cartesian pair with exactly one rigid (constant)
-                    // side: a demand on the pair cannot be split
-                    // proportionally — in the RP instantiation this is
-                    // `add (|x, c|)`, whose one-sided solve has unbounded
-                    // relative amplification. Mark the open side `∞`.
-                    let (ea, eb) = if ra.env.is_empty() != rb.env.is_empty() {
-                        let inf = Grade::infinite();
-                        let widen = |e: BackwardEnv| {
-                            e.try_update(|c| c.amplify(&inf)).expect("∞ product is total")
-                        };
-                        (widen(ra.env), widen(rb.env))
-                    } else {
-                        (ra.env, rb.env)
-                    };
-                    let env = ea.merge_disjoint(eb).map_err(|v| self.dup(v))?;
-                    let ty = self.arena.mk(TyNode::With(ra.ty, rb.ty));
-                    self.done(id, env, ty, None, scope);
-                }
-                (Node::PairT(a, b), 1) => {
-                    let ra = self.take(a).expect("child done");
-                    let rb = self.take(b).expect("child done");
-                    let env = ra.env.merge_disjoint(rb.env).map_err(|v| self.dup(v))?;
-                    let ty = self.arena.mk(TyNode::Tensor(ra.ty, rb.ty));
-                    self.done(id, env, ty, None, scope);
-                }
-                (Node::App(a, b), 1) => {
-                    let ra = self.take(a).expect("child done");
-                    let rb = self.take(b).expect("child done");
-                    let cod = match self.arena.node(ra.ty) {
-                        TyNode::Lolli(dom, cod) => {
-                            if !self.arena.subtype(rb.ty, dom) {
-                                return Err(BackwardError::ArgMismatch {
-                                    expected: self.show(dom),
-                                    found: self.show(rb.ty),
-                                });
-                            }
-                            cod
-                        }
-                        _ => {
-                            return Err(BackwardError::Expected {
-                                what: "a function",
-                                found: self.show(ra.ty),
-                            })
-                        }
-                    };
-                    // Bean is first-order: only (possibly partially
-                    // applied) top-level functions carry backward
-                    // parameter demands.
-                    let mut params = match ra.fun {
-                        Some(bf) => bf.params,
-                        None => {
-                            return Err(BackwardError::Incompatible {
-                                construct: "first-class function application",
-                            })
-                        }
-                    };
-                    let first = params.remove(0);
-                    let shifted = self.compose(rb.env, &first.demand, "application")?;
-                    let env = ra.env.merge_disjoint(shifted).map_err(|v| self.dup(v))?;
-                    let fun = if params.is_empty() { None } else { Some(BFun { params }) };
-                    self.done(id, env, cod, fun, scope);
-                }
-
-                // ----- λ -----
-                (Node::Lam(x, ty_id, body), 0) => {
-                    self.var_tys.insert(x, ty_id);
-                    let body_scope = self.scope_child(scope, x, ty_id);
-                    stack.push(Frame { id, stage: 1, scope });
-                    stack.push(Frame { id: body, stage: 0, scope: body_scope });
-                }
-                (Node::Lam(x, ty_id, body), 1) => {
-                    let mut r = self.take(body).expect("child done");
-                    let demand = self.consume_binder(&mut r.env, x, ty_id)?;
-                    let param = BParam { var: x, named: ty_id != UNIT, demand };
-                    let params = match r.fun {
-                        Some(bf) => {
-                            let mut ps = vec![param];
-                            ps.extend(bf.params);
-                            ps
-                        }
-                        None => vec![param],
-                    };
-                    let ty = self.arena.mk(TyNode::Lolli(ty_id, r.ty));
-                    self.done(id, r.env, ty, Some(BFun { params }), scope);
-                }
-
-                // ----- binders that need the scrutinee's type first -----
-                (Node::LetTensor(_, _, v, _), 0)
-                | (Node::Case(v, ..), 0)
-                | (Node::LetBind(_, v, _), 0) => {
-                    stack.push(Frame { id, stage: 1, scope });
-                    stack.push(Frame { id: v, stage: 0, scope });
-                }
-                (Node::Let(_, e, _), 0) | (Node::LetFun(_, _, e, _), 0) => {
-                    stack.push(Frame { id, stage: 1, scope });
-                    stack.push(Frame { id: e, stage: 0, scope });
-                }
-
-                (Node::LetTensor(x, y, v, e), 1) => {
-                    let rv = self.results.get(&v).expect("scrutinee done");
-                    match self.arena.node(rv.ty) {
-                        TyNode::Tensor(a, b) => {
-                            self.var_tys.insert(x, a);
-                            self.var_tys.insert(y, b);
-                            let inner = self.scope_child(scope, x, a);
-                            let inner = self.scope_child(inner, y, b);
-                            stack.push(Frame { id, stage: 2, scope });
-                            stack.push(Frame { id: e, stage: 0, scope: inner });
-                        }
-                        _ => {
-                            return Err(BackwardError::Expected {
-                                what: "a tensor pair",
-                                found: self.show(rv.ty),
-                            })
-                        }
-                    }
-                }
-                (Node::LetTensor(x, y, v, e), 2) => {
-                    let rv = self.take(v).expect("scrutinee done");
-                    let mut re = self.take(e).expect("body done");
-                    let (a, b) = match self.arena.node(rv.ty) {
-                        TyNode::Tensor(a, b) => (a, b),
-                        _ => unreachable!("checked at stage 1"),
-                    };
-                    let cx = self.consume_binder(&mut re.env, x, a)?;
-                    let cy = self.consume_binder(&mut re.env, y, b)?;
-                    // The scrutinee pair carries both components' demands
-                    // (sum metric on ⊗).
-                    let shifted = self.compose(rv.env, &cx.join_add(&cy), "let-tensor")?;
-                    let env = re.env.merge_disjoint(shifted).map_err(|v| self.dup(v))?;
-                    self.done(id, env, re.ty, re.fun, scope);
-                }
-
-                (Node::Case(v, x, e1, y, e2), 1) => {
-                    let rv = self.results.get(&v).expect("scrutinee done");
-                    match self.arena.node(rv.ty) {
-                        TyNode::Sum(a, b) => {
-                            self.var_tys.insert(x, a);
-                            self.var_tys.insert(y, b);
-                            let s1 = self.scope_child(scope, x, a);
-                            let s2 = self.scope_child(scope, y, b);
-                            stack.push(Frame { id, stage: 2, scope });
-                            stack.push(Frame { id: e1, stage: 0, scope: s1 });
-                            stack.push(Frame { id: e2, stage: 0, scope: s2 });
-                        }
-                        _ => {
-                            return Err(BackwardError::Expected {
-                                what: "a sum",
-                                found: self.show(rv.ty),
-                            })
-                        }
-                    }
-                }
-                (Node::Case(v, x, e1, y, e2), 2) => {
-                    let rv = self.take(v).expect("scrutinee done");
-                    let mut r1 = self.take(e1).expect("left branch done");
-                    let mut r2 = self.take(e2).expect("right branch done");
-                    let (a, b) = match self.arena.node(rv.ty) {
-                        TyNode::Sum(a, b) => (a, b),
-                        _ => unreachable!("checked at stage 1"),
-                    };
-                    let c1 = self.consume_binder(&mut r1.env, x, a)?;
-                    let c2 = self.consume_binder(&mut r2.env, y, b)?;
-                    let ty = self.arena.sup(r1.ty, r2.ty).ok_or_else(|| {
-                        BackwardError::BranchTypeMismatch {
-                            left: self.show(r1.ty),
-                            right: self.show(r2.ty),
-                        }
-                    })?;
-                    // Bean's case: both branches must consume the same
-                    // linear context (either may be taken at runtime).
-                    let theta = r1
-                        .env
-                        .sup_same_support(r2.env)
-                        .map_err(|v| BackwardError::BranchSupport { var: self.name(v) })?;
-                    let shifted = self.compose(rv.env, &c1.sup(&c2), "case")?;
-                    let env = theta.merge_disjoint(shifted).map_err(|v| self.dup(v))?;
-                    self.done(id, env, ty, None, scope);
-                }
-
-                (Node::LetBind(x, v, f), 1) => {
-                    let rv = self.results.get(&v).expect("scrutinee done");
-                    match self.arena.node(rv.ty) {
-                        TyNode::Monad(_, inner) => {
-                            self.var_tys.insert(x, inner);
-                            let body_scope = self.scope_child(scope, x, inner);
-                            stack.push(Frame { id, stage: 2, scope });
-                            stack.push(Frame { id: f, stage: 0, scope: body_scope });
-                        }
-                        _ => {
-                            return Err(BackwardError::Expected {
-                                what: "a monadic computation",
-                                found: self.show(rv.ty),
-                            })
-                        }
-                    }
-                }
-                (Node::LetBind(x, v, f), 2) => {
-                    let rv = self.take(v).expect("scrutinee done");
-                    let mut rf = self.take(f).expect("body done");
-                    let (r, inner) = match self.arena.node(rv.ty) {
-                        TyNode::Monad(r, inner) => (r, inner),
-                        _ => unreachable!("checked at stage 1"),
-                    };
-                    let (q, tau) = match self.arena.node(rf.ty) {
-                        TyNode::Monad(q, tau) => (q, tau),
-                        _ => {
-                            return Err(BackwardError::Expected {
-                                what: "a monadic body in let-bind",
-                                found: self.show(rf.ty),
-                            })
-                        }
-                    };
-                    let c = self.consume_binder(&mut rf.env, x, inner)?;
-                    let shifted = self.compose(rv.env, &c, "let-bind")?;
-                    let env = rf.env.merge_disjoint(shifted).map_err(|v| self.dup(v))?;
-                    // Linear sequencing: the stage grades add (the forward
-                    // grade is kept so both modes print the same types).
-                    let grade = self.arena.grade(r).add(self.arena.grade(q));
-                    let gid = self.arena.intern_grade(&grade);
-                    let ty = self.arena.mk(TyNode::Monad(gid, tau));
-                    self.done(id, env, ty, None, scope);
-                }
-
-                (Node::Let(x, e, f), 1) => {
-                    let re = self.results.get(&e).expect("bound term done");
-                    let re_ty = re.ty;
-                    // A function alias: uses of `x` replay the function's
-                    // captures and demands (Bean's duplicable context), so
-                    // `x` itself is not a tracked resource — but the
-                    // replayed content is part of what the body's
-                    // judgments depend on, hence the richer scope hash.
-                    let alias = re.fun.as_ref().map(|_| (re.env.clone(), re.fun.clone()));
-                    self.var_tys.insert(x, re_ty);
-                    let body_scope = match &alias {
-                        Some((caps, fun)) => self.scope_child_fn(scope, x, re_ty, caps, fun),
-                        None => self.scope_child(scope, x, re_ty),
-                    };
-                    if let Some(sig) = alias {
-                        self.fn_sigs.insert(x, sig);
-                    }
-                    stack.push(Frame { id, stage: 2, scope });
-                    stack.push(Frame { id: f, stage: 0, scope: body_scope });
-                }
-                (Node::Let(x, e, f), 2) => {
-                    let re = self.take(e).expect("bound term done");
-                    let mut rf = self.take(f).expect("body done");
-                    if re.fun.is_some() {
-                        // Alias composition happened at the use sites; an
-                        // unused alias simply drops (its captures are then
-                        // reported unused at their own binders).
-                        self.done(id, rf.env, rf.ty, rf.fun, scope);
-                        continue;
-                    }
-                    let c = self.consume_binder(&mut rf.env, x, re.ty)?;
-                    let shifted = self.compose(re.env, &c, "let")?;
-                    let env = rf.env.merge_disjoint(shifted).map_err(|v| self.dup(v))?;
-                    self.done(id, env, rf.ty, rf.fun, scope);
-                }
-
-                (Node::LetFun(x, decl, body, rest), 1) => {
-                    let rb = self.results.get(&body).expect("function body done");
-                    let inferred = rb.ty;
-                    let assigned = match decl {
-                        None => inferred,
-                        Some(declared) => {
-                            if !self.arena.subtype(inferred, declared) {
-                                return Err(BackwardError::DeclaredMismatch {
-                                    name: self.name(x),
-                                    declared: self.show(declared),
-                                    inferred: self.show(inferred),
-                                });
-                            }
-                            declared
-                        }
-                    };
-                    let (rb_env, rb_fun) = (rb.env.clone(), rb.fun.clone());
-                    let inputs = match &rb_fun {
-                        Some(bf) => bf
-                            .params
-                            .iter()
-                            .filter(|p| p.named)
-                            .map(|p| (self.name(p.var), p.demand.err.clone()))
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    self.fns.push(BackwardFnReport {
-                        name: self.name(x),
-                        assigned: self.show(assigned),
-                        inputs,
-                    });
-                    self.memo_fn_entry(x, assigned, &rb_fun);
-                    let rest_scope = self.scope_child_fn(scope, x, assigned, &rb_env, &rb_fun);
-                    self.fn_sigs.insert(x, (rb_env, rb_fun));
-                    self.var_tys.insert(x, assigned);
-                    stack.push(Frame { id, stage: 2, scope });
-                    stack.push(Frame { id: rest, stage: 0, scope: rest_scope });
-                }
-                (Node::LetFun(_, _, body, rest), 2) => {
-                    let _ = self.take(body);
-                    let rr = self.take(rest).expect("rest done");
-                    self.done(id, rr.env, rr.ty, rr.fun, scope);
-                }
-
-                (node, stage) => unreachable!("invalid backward state: {node:?} at stage {stage}"),
-            }
-        }
-        Ok(())
+/// Removes a binder from a body context, enforcing consumption for
+/// binders that carry data (`unit`-typed binders are vacuous).
+fn consume_binder(
+    w: &Walker<'_, Bean>,
+    env: &mut BackwardEnv,
+    x: VarId,
+    ty: TyId,
+) -> Result<Coeffect, CheckError> {
+    match env.remove(x) {
+        Some(c) => Ok(c),
+        None if ty == UNIT => Ok(Coeffect::vacuous()),
+        None => Err(CheckError::UnusedLinear { var: w.name(x) }),
     }
 }
 
@@ -1144,13 +633,13 @@ mod tests {
     use crate::lower::compile;
     use crate::sig::Signature;
 
-    fn rp(src: &str) -> Result<BackwardResult, BackwardError> {
+    fn rp(src: &str) -> Result<BackwardResult, CheckError> {
         let sig = Signature::relative_precision();
         let lowered = compile(src, &sig).expect("compiles");
         infer_backward(&lowered.store, &sig, lowered.root, &[])
     }
 
-    fn abs(src: &str) -> Result<BackwardResult, BackwardError> {
+    fn abs(src: &str) -> Result<BackwardResult, CheckError> {
         let sig = Signature::absolute_error();
         let lowered = compile(src, &sig).expect("compiles");
         infer_backward(&lowered.store, &sig, lowered.root, &[])
@@ -1242,7 +731,7 @@ mod tests {
     fn unused_binder_is_rejected() {
         assert_eq!(
             rp("function f (x: num) : num { 2 }").unwrap_err(),
-            BackwardError::UnusedLinear { var: "x".into() }
+            CheckError::UnusedLinear { var: "x".into() }
         );
     }
 
@@ -1250,13 +739,13 @@ mod tests {
     fn duplicated_use_is_rejected() {
         assert_eq!(
             rp("function f (x: num) : M[eps]num { rnd (mul (x, x)) }").unwrap_err(),
-            BackwardError::DuplicatedUse { var: "x".into() }
+            CheckError::DuplicatedUse { var: "x".into() }
         );
     }
 
     #[test]
     fn rounding_constants_has_no_carrier() {
-        assert_eq!(rp("rnd 1.5").unwrap_err(), BackwardError::NoCarrier { site: "rnd" });
+        assert_eq!(rp("rnd 1.5").unwrap_err(), CheckError::NoCarrier { site: "rnd" });
         // The same through a composition: a demanded producer with an
         // empty context.
         let err = rp(r#"
@@ -1264,22 +753,22 @@ mod tests {
             mulfp (2, 3)
         "#)
         .unwrap_err();
-        assert_eq!(err, BackwardError::NoCarrier { site: "application" });
+        assert_eq!(err, CheckError::NoCarrier { site: "application" });
     }
 
     #[test]
     fn boxes_and_projections_are_outside_the_fragment() {
         assert!(matches!(
             rp("function f (x: ![2]num) : M[eps]num { let [y] = x; rnd y }").unwrap_err(),
-            BackwardError::Incompatible { construct: "box elimination" }
+            CheckError::Incompatible { construct: "box elimination" }
         ));
         assert!(matches!(
             rp("fst (|1, 2|)").unwrap_err(),
-            BackwardError::Incompatible { construct: "projection from a cartesian pair" }
+            CheckError::Incompatible { construct: "projection from a cartesian pair" }
         ));
         assert!(matches!(
             rp("p = [3]{2}; ret p").unwrap_err(),
-            BackwardError::Incompatible { construct: "box introduction" }
+            CheckError::Incompatible { construct: "box introduction" }
         ));
     }
 
@@ -1292,7 +781,7 @@ mod tests {
             }
         "#)
         .unwrap_err();
-        assert_eq!(err, BackwardError::BranchSupport { var: "y".into() });
+        assert_eq!(err, CheckError::BranchSupport { var: "y".into() });
     }
 
     #[test]
@@ -1323,7 +812,7 @@ mod tests {
             }
         "#)
         .unwrap_err();
-        assert_eq!(err, BackwardError::DuplicatedUse { var: "w".into() });
+        assert_eq!(err, CheckError::DuplicatedUse { var: "w".into() });
     }
 
     #[test]
@@ -1338,10 +827,7 @@ mod tests {
         assert_eq!(bound(&res, "f", "x"), "eps");
         assert!(res.root.inputs.is_empty());
         // But a let-bound datum must be consumed.
-        assert_eq!(
-            rp("k = 3; ret 0").unwrap_err(),
-            BackwardError::UnusedLinear { var: "k".into() }
-        );
+        assert_eq!(rp("k = 3; ret 0").unwrap_err(), CheckError::UnusedLinear { var: "k".into() });
     }
 
     #[test]
@@ -1353,7 +839,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(
             err,
-            BackwardError::Incompatible { construct: "first-class function application" }
+            CheckError::Incompatible { construct: "first-class function application" }
         ));
     }
 

@@ -16,7 +16,10 @@
 //!   the paper's 4.2-million-operation benchmarks;
 //! * [`Signature`] — the primitive-operation signatures of the Section 5
 //!   instantiations (relative precision and absolute error);
-//! * [`infer`] — algorithmic sensitivity inference (Fig. 10);
+//! * [`infer`] and [`infer_backward`] — algorithmic sensitivity inference
+//!   (Fig. 10) and Bean's backward-error judgment: two rule sets over one
+//!   iterative walker, which owns the traversal, binder introduction and
+//!   subterm memoization, and one error enum, [`CheckError`];
 //! * [`parser`] / [`lower`] — the surface syntax of the paper's Figs. 7–9
 //!   and its elaboration (ANF + scope resolution) into the arena.
 //!
@@ -63,17 +66,17 @@ mod sig;
 mod term;
 mod ty;
 pub mod validate;
+mod walk;
 
 pub use arena::{CoreArena, GradeId, TyId, TyNode};
 pub use backward::{
-    infer_backward, infer_backward_memoized, BackwardError, BackwardFnReport, BackwardInferred,
-    BackwardResult,
+    infer_backward, infer_backward_memoized, BackwardFnReport, BackwardInferred, BackwardResult,
 };
 pub use cache::{
     AnalysisMode, CacheKey, CacheStats, CacheWeight, ConfigFingerprint, JudgmentCache,
     JudgmentCounts, ResultCache,
 };
-pub use check::{infer, infer_memoized, CheckError, CheckResult, FnReport, Inferred};
+pub use check::{infer, infer_memoized, CheckResult, FnReport, Inferred};
 pub use env::{BackwardEnv, Env};
 pub use grade::{Coeffect, Grade, LinExpr, Sym};
 pub use lexer::SyntaxError;
@@ -83,3 +86,4 @@ pub use pretty::pretty_term;
 pub use sig::{Instantiation, OpSig, Signature};
 pub use term::{Node, TermId, TermStore, VarId};
 pub use ty::Ty;
+pub use walk::CheckError;

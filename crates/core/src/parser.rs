@@ -29,6 +29,9 @@
 //! gterm   := gfactor ("*" gfactor)*
 //! gfactor := NUMBER ("/" NUMBER)? | ID | "inf"
 //! ```
+//!
+//! The descent is recursive, so nesting is limited to 256 levels
+//! (`MAX_NESTING`): deeper input is a syntax error, not a stack overflow.
 
 use crate::grade::Grade;
 use crate::lexer::{lex, SyntaxError, Tok, Token};
@@ -181,14 +184,45 @@ pub fn parse_ty(src: &str) -> Result<Ty, SyntaxError> {
     Ok(t)
 }
 
+/// The deepest nesting the parser accepts, counted one level per nested
+/// `unary` expression, atomic type and `-o` right-hand side (every
+/// recursive position of the grammar). Several passes below the parser
+/// recurse too, and this keeps all of them inside a 2 MiB worker-thread
+/// stack: generated programs nest at most 47 deep and the committed
+/// examples at most 4.
+const MAX_NESTING: u32 = 256;
+
+/// The three statement forms of a block.
+enum StmtKind {
+    Let,
+    LetBind,
+    LetBox,
+}
+
+/// Nests a block's statements around its final expression.
+fn fold_stmts(stmts: Vec<(StmtKind, String, SExpr)>, tail: SExpr) -> SExpr {
+    let mut acc = tail;
+    for (kind, x, e) in stmts.into_iter().rev() {
+        let (e, rest) = (Box::new(e), Box::new(acc));
+        acc = match kind {
+            StmtKind::Let => SExpr::Let(x, e, rest),
+            StmtKind::LetBind => SExpr::LetBind(x, e, rest),
+            StmtKind::LetBox => SExpr::LetBox(x, e, rest),
+        };
+    }
+    acc
+}
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl Parser {
     fn new(src: &str) -> Result<Self, SyntaxError> {
-        Ok(Parser { toks: lex(src)?, pos: 0 })
+        Ok(Parser { toks: lex(src)?, pos: 0, depth: 0 })
     }
 
     fn peek(&self) -> &Tok {
@@ -257,6 +291,25 @@ impl Parser {
         }
     }
 
+    fn expect_kw(&mut self, kw: &str) -> Result<(), SyntaxError> {
+        if self.eat_kw(kw) {
+            Ok(())
+        } else {
+            self.err(format!("expected `{kw}`, found {}", self.peek()))
+        }
+    }
+
+    /// Enters one more nesting level, rejecting input nested deeper than
+    /// [`MAX_NESTING`] at the token where it crosses the limit. The caller
+    /// leaves the level again on success; an error ends the parse.
+    fn descend(&mut self) -> Result<(), SyntaxError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     // ----- program -----
 
     fn program(&mut self) -> Result<SProgram, SyntaxError> {
@@ -294,58 +347,54 @@ impl Parser {
     /// nest is folded at the end, so blocks with tens of thousands of
     /// statements (Table 4 scale) parse without deep recursion.
     fn block(&mut self) -> Result<SExpr, SyntaxError> {
-        enum StmtKind {
-            Let,
-            LetBind,
-            LetBox,
+        let mut stmts = Vec::new();
+        while let Some(stmt) = self.stmt()? {
+            stmts.push(stmt);
         }
-        let mut stmts: Vec<(StmtKind, String, SExpr)> = Vec::new();
-        let tail = loop {
-            if self.is_kw("let") {
+        let tail = self.expr()?;
+        Ok(fold_stmts(stmts, tail))
+    }
+
+    /// One `x = e;`, `let x = e;` or `let [x] = e;` statement, or `None`
+    /// at the block's final expression.
+    fn stmt(&mut self) -> Result<Option<(StmtKind, String, SExpr)>, SyntaxError> {
+        let kind = if self.eat_kw("let") {
+            if self.peek() == &Tok::LBracket {
                 self.bump();
-                if self.peek() == &Tok::LBracket {
-                    self.bump();
-                    let x = self.ident()?;
-                    self.expect(Tok::RBracket)?;
-                    self.expect(Tok::Eq)?;
-                    let e = self.expr()?;
-                    self.expect(Tok::Semi)?;
-                    stmts.push((StmtKind::LetBox, x, e));
-                } else {
-                    let x = self.ident()?;
-                    self.expect(Tok::Eq)?;
-                    let e = self.expr()?;
-                    self.expect(Tok::Semi)?;
-                    stmts.push((StmtKind::LetBind, x, e));
-                }
-                continue;
+                StmtKind::LetBox
+            } else {
+                StmtKind::LetBind
             }
-            // x = e;  (plain let) — lookahead for `ident =`.
-            if let Tok::Ident(_) = self.peek() {
-                if self.peek2() == &Tok::Eq && !self.is_kw("true") && !self.is_kw("false") {
-                    let x = self.ident()?;
-                    self.expect(Tok::Eq)?;
-                    let e = self.expr()?;
-                    self.expect(Tok::Semi)?;
-                    stmts.push((StmtKind::Let, x, e));
-                    continue;
-                }
-            }
-            break self.expr()?;
+        } else if matches!(self.peek(), Tok::Ident(_))
+            && self.peek2() == &Tok::Eq
+            && !self.is_kw("true")
+            && !self.is_kw("false")
+        {
+            StmtKind::Let
+        } else {
+            return Ok(None);
         };
-        let mut acc = tail;
-        for (kind, x, e) in stmts.into_iter().rev() {
-            acc = match kind {
-                StmtKind::Let => SExpr::Let(x, Box::new(e), Box::new(acc)),
-                StmtKind::LetBind => SExpr::LetBind(x, Box::new(e), Box::new(acc)),
-                StmtKind::LetBox => SExpr::LetBox(x, Box::new(e), Box::new(acc)),
-            };
+        let x = self.ident()?;
+        if let StmtKind::LetBox = kind {
+            self.expect(Tok::RBracket)?;
         }
-        Ok(acc)
+        self.expect(Tok::Eq)?;
+        let e = self.expr()?;
+        self.expect(Tok::Semi)?;
+        Ok(Some((kind, x, e)))
     }
 
     fn expr(&mut self) -> Result<SExpr, SyntaxError> {
-        let mut head = self.unary()?;
+        let head = self.unary()?;
+        if self.starts_atom() {
+            self.application(head)
+        } else {
+            Ok(head)
+        }
+    }
+
+    /// `head a b …`, left-associative.
+    fn application(&mut self, mut head: SExpr) -> Result<SExpr, SyntaxError> {
         while self.starts_atom() {
             let arg = self.unary()?;
             head = SExpr::App(Box::new(head), Box::new(arg));
@@ -363,62 +412,67 @@ impl Parser {
         }
     }
 
+    /// One nesting level: a `rnd`/`ret`/`fst`/`snd`/`inl`/`inr` prefix,
+    /// `if`, `case`, or an atom. Each form has its own function, which
+    /// keeps the stack frames on the recursive path small.
     fn unary(&mut self) -> Result<SExpr, SyntaxError> {
-        if self.eat_kw("rnd") {
-            return Ok(SExpr::Rnd(Box::new(self.unary()?)));
-        }
-        if self.eat_kw("ret") {
-            return Ok(SExpr::Ret(Box::new(self.unary()?)));
-        }
-        if self.eat_kw("fst") {
-            return Ok(SExpr::Fst(Box::new(self.unary()?)));
-        }
-        if self.eat_kw("snd") {
-            return Ok(SExpr::Snd(Box::new(self.unary()?)));
-        }
-        if self.eat_kw("inl") {
-            let ann = self.injection_annotation()?;
-            return Ok(SExpr::Inl(ann, Box::new(self.unary()?)));
-        }
-        if self.eat_kw("inr") {
-            let ann = self.injection_annotation()?;
-            return Ok(SExpr::Inr(ann, Box::new(self.unary()?)));
-        }
-        if self.eat_kw("if") {
-            let c = self.expr()?;
-            if !self.eat_kw("then") {
-                return self.err(format!("expected `then`, found {}", self.peek()));
-            }
-            let e1 = self.arm()?;
-            if !self.eat_kw("else") {
-                return self.err(format!("expected `else`, found {}", self.peek()));
-            }
-            let e2 = self.arm()?;
-            return Ok(SExpr::If(Box::new(c), Box::new(e1), Box::new(e2)));
-        }
-        if self.eat_kw("case") {
-            let v = self.expr()?;
-            if !self.eat_kw("of") {
-                return self.err(format!("expected `of`, found {}", self.peek()));
-            }
-            self.expect(Tok::LParen)?;
-            if !self.eat_kw("inl") {
-                return self.err(format!("expected `inl`, found {}", self.peek()));
-            }
-            let x = self.ident()?;
-            self.expect(Tok::Dot)?;
-            let e1 = self.block()?;
-            self.expect(Tok::Pipe)?;
-            if !self.eat_kw("inr") {
-                return self.err(format!("expected `inr`, found {}", self.peek()));
-            }
-            let y = self.ident()?;
-            self.expect(Tok::Dot)?;
-            let e2 = self.block()?;
-            self.expect(Tok::RParen)?;
-            return Ok(SExpr::Case(Box::new(v), x, Box::new(e1), y, Box::new(e2)));
-        }
-        self.atom()
+        self.descend()?;
+        let e = if self.is_kw("if") {
+            self.conditional()
+        } else if self.is_kw("case") {
+            self.case()
+        } else if ["rnd", "ret", "fst", "snd", "inl", "inr"].iter().any(|kw| self.is_kw(kw)) {
+            self.prefixed()
+        } else {
+            self.atom()
+        };
+        self.depth -= 1;
+        e
+    }
+
+    fn prefixed(&mut self) -> Result<SExpr, SyntaxError> {
+        let Tok::Ident(kw) = self.bump() else { unreachable!("called at a prefix keyword") };
+        let annotation = match kw.as_str() {
+            "inl" | "inr" => self.injection_annotation()?,
+            _ => None,
+        };
+        let arg = Box::new(self.unary()?);
+        Ok(match kw.as_str() {
+            "rnd" => SExpr::Rnd(arg),
+            "ret" => SExpr::Ret(arg),
+            "fst" => SExpr::Fst(arg),
+            "snd" => SExpr::Snd(arg),
+            "inl" => SExpr::Inl(annotation, arg),
+            _ => SExpr::Inr(annotation, arg),
+        })
+    }
+
+    fn conditional(&mut self) -> Result<SExpr, SyntaxError> {
+        self.bump();
+        let c = Box::new(self.expr()?);
+        self.expect_kw("then")?;
+        let e1 = Box::new(self.arm()?);
+        self.expect_kw("else")?;
+        let e2 = Box::new(self.arm()?);
+        Ok(SExpr::If(c, e1, e2))
+    }
+
+    fn case(&mut self) -> Result<SExpr, SyntaxError> {
+        self.bump();
+        let v = self.expr()?;
+        self.expect_kw("of")?;
+        self.expect(Tok::LParen)?;
+        self.expect_kw("inl")?;
+        let x = self.ident()?;
+        self.expect(Tok::Dot)?;
+        let e1 = self.block()?;
+        self.expect(Tok::Pipe)?;
+        self.expect_kw("inr")?;
+        let y = self.ident()?;
+        self.expect(Tok::Dot)?;
+        let e2 = self.block()?;
+        self.expect(Tok::RParen)?;
+        Ok(SExpr::Case(Box::new(v), x, Box::new(e1), y, Box::new(e2)))
     }
 
     fn injection_annotation(&mut self) -> Result<Option<Ty>, SyntaxError> {
@@ -446,6 +500,45 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<SExpr, SyntaxError> {
+        match self.peek() {
+            Tok::LParen | Tok::LPairW => self.pair(),
+            Tok::LBracket => self.boxed(),
+            _ => self.leaf(),
+        }
+    }
+
+    /// `()`, `(e)`, `(a, b)` or `(|a, b|)`.
+    fn pair(&mut self) -> Result<SExpr, SyntaxError> {
+        let cartesian = self.bump() == Tok::LPairW;
+        if !cartesian && self.peek() == &Tok::RParen {
+            self.bump();
+            return Ok(SExpr::Unit);
+        }
+        let a = self.expr()?;
+        if !cartesian && self.peek() != &Tok::Comma {
+            self.expect(Tok::RParen)?;
+            return Ok(a);
+        }
+        self.expect(Tok::Comma)?;
+        let b = Box::new(self.expr()?);
+        self.expect(if cartesian { Tok::RPairW } else { Tok::RParen })?;
+        let a = Box::new(a);
+        Ok(if cartesian { SExpr::PairW(a, b) } else { SExpr::PairT(a, b) })
+    }
+
+    /// `[e]{s}`.
+    fn boxed(&mut self) -> Result<SExpr, SyntaxError> {
+        self.bump();
+        let e = self.expr()?;
+        self.expect(Tok::RBracket)?;
+        self.expect(Tok::LBrace)?;
+        let g = self.grade()?;
+        self.expect(Tok::RBrace)?;
+        Ok(SExpr::BoxI(g, Box::new(e)))
+    }
+
+    /// A number, `true`, `false` or a variable.
+    fn leaf(&mut self) -> Result<SExpr, SyntaxError> {
         match self.peek().clone() {
             Tok::Number(n) => {
                 self.bump();
@@ -453,53 +546,13 @@ impl Parser {
                     .map_err(|e| SyntaxError::new(e.to_string(), 0, 0))?;
                 Ok(SExpr::Num(q))
             }
-            Tok::Ident(s) => match s.as_str() {
-                "true" => {
-                    self.bump();
-                    Ok(SExpr::True)
-                }
-                "false" => {
-                    self.bump();
-                    Ok(SExpr::False)
-                }
-                _ => {
-                    self.bump();
-                    Ok(SExpr::Var(s))
-                }
-            },
-            Tok::LPairW => {
+            Tok::Ident(s) => {
                 self.bump();
-                let a = self.expr()?;
-                self.expect(Tok::Comma)?;
-                let b = self.expr()?;
-                self.expect(Tok::RPairW)?;
-                Ok(SExpr::PairW(Box::new(a), Box::new(b)))
-            }
-            Tok::LParen => {
-                self.bump();
-                if self.peek() == &Tok::RParen {
-                    self.bump();
-                    return Ok(SExpr::Unit);
-                }
-                let a = self.expr()?;
-                if self.peek() == &Tok::Comma {
-                    self.bump();
-                    let b = self.expr()?;
-                    self.expect(Tok::RParen)?;
-                    Ok(SExpr::PairT(Box::new(a), Box::new(b)))
-                } else {
-                    self.expect(Tok::RParen)?;
-                    Ok(a)
-                }
-            }
-            Tok::LBracket => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(Tok::RBracket)?;
-                self.expect(Tok::LBrace)?;
-                let g = self.grade()?;
-                self.expect(Tok::RBrace)?;
-                Ok(SExpr::BoxI(g, Box::new(e)))
+                Ok(match s.as_str() {
+                    "true" => SExpr::True,
+                    "false" => SExpr::False,
+                    _ => SExpr::Var(s),
+                })
             }
             other => self.err(format!("expected an expression, found {other}")),
         }
@@ -511,7 +564,10 @@ impl Parser {
         let lhs = self.sum_ty()?;
         if self.peek() == &Tok::Lolli {
             self.bump();
+            // The right-hand side nests: `-o` is right-associative.
+            self.descend()?;
             let rhs = self.ty()?;
+            self.depth -= 1;
             Ok(Ty::lolli(lhs, rhs))
         } else {
             Ok(lhs)
@@ -528,62 +584,60 @@ impl Parser {
         Ok(t)
     }
 
+    /// One nesting level of types.
     fn atom_ty(&mut self) -> Result<Ty, SyntaxError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => match s.as_str() {
-                "num" => {
-                    self.bump();
-                    Ok(Ty::Num)
-                }
-                "unit" => {
-                    self.bump();
-                    Ok(Ty::Unit)
-                }
-                "bool" => {
-                    self.bump();
-                    Ok(Ty::bool())
-                }
-                "M" => {
-                    self.bump();
-                    self.expect(Tok::LBracket)?;
-                    let g = self.grade()?;
-                    self.expect(Tok::RBracket)?;
-                    let t = self.atom_ty()?;
-                    Ok(Ty::monad(g, t))
-                }
-                _ => self.err(format!("expected a type, found identifier `{s}`")),
-            },
-            Tok::Bang => {
-                self.bump();
-                self.expect(Tok::LBracket)?;
-                let g = self.grade()?;
-                self.expect(Tok::RBracket)?;
-                let t = self.atom_ty()?;
-                Ok(Ty::bang(g, t))
-            }
-            Tok::Lt => {
-                self.bump();
-                let a = self.ty()?;
-                self.expect(Tok::Comma)?;
-                let b = self.ty()?;
-                self.expect(Tok::Gt)?;
-                Ok(Ty::with(a, b))
-            }
-            Tok::LParen => {
-                self.bump();
-                let a = self.ty()?;
-                if self.peek() == &Tok::Comma {
-                    self.bump();
-                    let b = self.ty()?;
-                    self.expect(Tok::RParen)?;
-                    Ok(Ty::tensor(a, b))
-                } else {
-                    self.expect(Tok::RParen)?;
-                    Ok(a)
-                }
-            }
-            other => self.err(format!("expected a type, found {other}")),
+        self.descend()?;
+        let t = match self.peek() {
+            Tok::Bang => self.graded_ty()?,
+            Tok::Ident(s) if s == "M" => self.graded_ty()?,
+            Tok::Lt | Tok::LParen => self.pair_ty()?,
+            _ => self.base_ty()?,
+        };
+        self.depth -= 1;
+        Ok(t)
+    }
+
+    /// `M[g] τ` or `![g] τ`.
+    fn graded_ty(&mut self) -> Result<Ty, SyntaxError> {
+        let bang = self.bump() == Tok::Bang;
+        self.expect(Tok::LBracket)?;
+        let g = self.grade()?;
+        self.expect(Tok::RBracket)?;
+        let t = self.atom_ty()?;
+        Ok(if bang { Ty::bang(g, t) } else { Ty::monad(g, t) })
+    }
+
+    /// `<σ, τ>`, `(σ, τ)` or `(τ)`.
+    fn pair_ty(&mut self) -> Result<Ty, SyntaxError> {
+        let cartesian = self.bump() == Tok::Lt;
+        let a = self.ty()?;
+        if cartesian {
+            self.expect(Tok::Comma)?;
+            let b = self.ty()?;
+            self.expect(Tok::Gt)?;
+            Ok(Ty::with(a, b))
+        } else if self.peek() == &Tok::Comma {
+            self.bump();
+            let b = self.ty()?;
+            self.expect(Tok::RParen)?;
+            Ok(Ty::tensor(a, b))
+        } else {
+            self.expect(Tok::RParen)?;
+            Ok(a)
         }
+    }
+
+    /// `num`, `unit` or `bool`.
+    fn base_ty(&mut self) -> Result<Ty, SyntaxError> {
+        let t = match self.peek() {
+            Tok::Ident(s) if s == "num" => Ty::Num,
+            Tok::Ident(s) if s == "unit" => Ty::Unit,
+            Tok::Ident(s) if s == "bool" => Ty::bool(),
+            Tok::Ident(s) => return self.err(format!("expected a type, found identifier `{s}`")),
+            other => return self.err(format!("expected a type, found {other}")),
+        };
+        self.bump();
+        Ok(t)
     }
 
     // ----- grades -----
@@ -760,6 +814,21 @@ mod tests {
         assert!(parse_expr("(a,").is_err());
         assert!(parse_ty("M[").is_err());
         assert!(parse_expr("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_at_the_crossing_token() {
+        let limit = MAX_NESTING as usize;
+        let parens = |n: usize| format!("{}2{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_expr(&parens(limit - 1)).is_ok());
+        let e = parse_expr(&parens(limit)).unwrap_err();
+        assert_eq!((e.line, e.col), (1, MAX_NESTING + 1), "{e}");
+        assert_eq!(e.msg, "nesting deeper than 256 levels");
+        // Types nest through atomic types and through `-o` chains.
+        assert!(parse_ty(&format!("{}num", "![1]".repeat(limit - 1))).is_ok());
+        assert!(parse_ty(&format!("{}num", "![1]".repeat(limit))).is_err());
+        assert!(parse_ty(&vec!["num"; limit].join(" -o ")).is_ok());
+        assert!(parse_ty(&vec!["num"; limit + 1].join(" -o ")).is_err());
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //! depth < 10⁴); the production checker has no such limit.
 
 use crate::arena::{CoreArena, TyId, TyNode};
-use crate::check::{CheckError, Inferred};
+use crate::check::Inferred;
 use crate::env::Env;
 use crate::grade::Grade;
 use crate::sig::Signature;
 use crate::term::{Node, TermId, TermStore, VarId};
 use crate::ty::Ty;
+use crate::walk::CheckError;
 use std::collections::HashMap;
 
 /// Reference (recursive) re-implementation of [`crate::infer`] for the

@@ -162,6 +162,23 @@ fn same_subterm_under_different_free_interface_does_not_replay() {
 }
 
 #[test]
+fn same_call_under_a_different_function_demand_does_not_replay() {
+    // `h`'s body `g y` fingerprints identically in both programs, and `g`
+    // has the same type in both, but its demand on `x` differs (`sqrt`
+    // doubles it). Backward judgments replay a function's demands at its
+    // call sites, so the scope chain must fold them in: a replay of the
+    // first `g y` into the second program would report `y <= eps`.
+    let sig = Signature::relative_precision();
+    let mut cache = JudgmentCache::new(BUDGET);
+    let h = "function h (y: num) : M[eps]num { g y }";
+    let p1 = format!("function g (x: num) : M[eps]num {{ rnd (mul (x, 2)) }}\n{h}");
+    let p2 = format!("function g (x: num) : M[eps]num {{ r = sqrt x; rnd r }}\n{h}");
+    backward_both(&p1, &sig, &mut cache);
+    // backward_both asserts byte-identity against the from-scratch pass.
+    backward_both(&p2, &sig, &mut cache);
+}
+
+#[test]
 fn forward_and_backward_share_a_cache_without_collisions() {
     let sig = Signature::relative_precision();
     let mut cache = JudgmentCache::new(BUDGET);

@@ -34,8 +34,8 @@ use numfuzz_core::cache::{
 };
 use numfuzz_core::{
     cache, infer, infer_backward, infer_backward_memoized, infer_memoized, BackwardFnReport,
-    BackwardInferred, CoreArena, FnReport, Grade, Inferred, Instantiation, JudgmentCache,
-    JudgmentCounts, Signature, Ty, VarId,
+    BackwardInferred, CheckError, CoreArena, FnReport, Grade, Inferred, Instantiation,
+    JudgmentCache, JudgmentCounts, Signature, Ty, VarId,
 };
 use numfuzz_exact::{RatInterval, Rational};
 use numfuzz_interp::{
@@ -253,7 +253,7 @@ impl Analyzer {
     fn judge(&self, program: &Program) -> Result<Typed, Diagnostic> {
         self.ensure_instantiation(program)?;
         let result = infer(program.store(), &self.sig, program.root(), program.free())
-            .map_err(|e| Diagnostic::from_check(&e, program.source(), program.name()))?;
+            .map_err(rejected(program))?;
         Ok(Typed { root: result.root, fns: result.fns })
     }
 
@@ -290,7 +290,7 @@ impl Analyzer {
             &mut cache,
             self.config_fp,
         )
-        .map_err(|e| Diagnostic::from_check(&e, program.source(), program.name()))?;
+        .map_err(rejected(program))?;
         Ok((Typed { root: result.root, fns: result.fns }, counts))
     }
 
@@ -322,7 +322,7 @@ impl Analyzer {
             &mut cache,
             self.config_fp_backward,
         )
-        .map_err(|e| Diagnostic::from_backward(&e, program.source(), program.name()))?;
+        .map_err(rejected(program))?;
         Ok((BackwardTyped { root: result.root, fns: result.fns }, counts))
     }
 
@@ -564,7 +564,7 @@ impl Analyzer {
     fn judge_backward(&self, program: &Program) -> Result<BackwardTyped, Diagnostic> {
         self.ensure_instantiation(program)?;
         let result = infer_backward(program.store(), &self.sig, program.root(), program.free())
-            .map_err(|e| Diagnostic::from_backward(&e, program.source(), program.name()))?;
+            .map_err(rejected(program))?;
         Ok(BackwardTyped { root: result.root, fns: result.fns })
     }
 
@@ -1147,6 +1147,11 @@ impl JudgmentMemo {
         // lock still guards a consistent table.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
+}
+
+/// The spanned diagnostic for either judgment's rejection of `program`.
+fn rejected(program: &Program) -> impl Fn(CheckError) -> Diagnostic + '_ {
+    |e| Diagnostic::from_check(&e, program.source(), program.name())
 }
 
 /// Re-attaches the presentation-only `file` field for `program` to a

@@ -8,7 +8,7 @@
 //! replaces the `SyntaxError` / `CheckError` / `Box<dyn Error>` soup the
 //! pre-0.2 free functions exposed.
 
-use numfuzz_core::{BackwardError, CheckError, SyntaxError};
+use numfuzz_core::{CheckError, SyntaxError};
 use numfuzz_interp::{EvalError, SoundnessError};
 use std::fmt;
 
@@ -533,38 +533,11 @@ impl Diagnostic {
             CheckError::DeclaredMismatch { name, .. } => {
                 (ErrorCode::GradeMismatch, Some(name.clone()))
             }
-        };
-        let mut d = Diagnostic::new(code, err.to_string());
-        if let Some(f) = file {
-            d = d.with_file(f);
-        }
-        match needle {
-            Some(n) => d.locate(src, &n),
-            None => d,
-        }
-    }
-
-    pub(crate) fn from_backward(
-        err: &BackwardError,
-        src: Option<&str>,
-        file: Option<&str>,
-    ) -> Self {
-        let (code, needle): (ErrorCode, Option<String>) = match err {
-            BackwardError::UnboundVar(x) => (ErrorCode::UnboundName, Some(x.clone())),
-            BackwardError::UnknownOp(op) => (ErrorCode::UnknownOp, Some(op.clone())),
-            BackwardError::Expected { .. } => (ErrorCode::Shape, None),
-            BackwardError::ArgMismatch { .. } => (ErrorCode::ArgMismatch, None),
-            BackwardError::OpArgMismatch { op, .. } => (ErrorCode::OpArgMismatch, Some(op.clone())),
-            BackwardError::NonlinearGrade => (ErrorCode::NonlinearGrade, None),
-            BackwardError::BranchTypeMismatch { .. } => (ErrorCode::BranchMismatch, None),
-            BackwardError::DeclaredMismatch { name, .. } => {
-                (ErrorCode::GradeMismatch, Some(name.clone()))
-            }
-            BackwardError::UnusedLinear { var } => (ErrorCode::UnusedLinear, Some(var.clone())),
-            BackwardError::DuplicatedUse { var } => (ErrorCode::DuplicatedUse, Some(var.clone())),
-            BackwardError::Incompatible { .. } => (ErrorCode::BackwardIncompatible, None),
-            BackwardError::NoCarrier { site } => (ErrorCode::NoCarrier, Some((*site).to_string())),
-            BackwardError::BranchSupport { var } => (ErrorCode::BranchSupport, Some(var.clone())),
+            CheckError::UnusedLinear { var } => (ErrorCode::UnusedLinear, Some(var.clone())),
+            CheckError::DuplicatedUse { var } => (ErrorCode::DuplicatedUse, Some(var.clone())),
+            CheckError::Incompatible { .. } => (ErrorCode::BackwardIncompatible, None),
+            CheckError::NoCarrier { site } => (ErrorCode::NoCarrier, Some((*site).to_string())),
+            CheckError::BranchSupport { var } => (ErrorCode::BranchSupport, Some(var.clone())),
         };
         let mut d = Diagnostic::new(code, err.to_string());
         if let Some(f) = file {

@@ -13,10 +13,16 @@
 //!
 //! The scenario table below is an exhaustive `match` over [`ErrorCode`],
 //! so adding a new code without a golden test fails to compile.
+//!
+//! `tests/golden/backward_mode.expected` pins the backward judgment's
+//! outcome on every golden input and on a fixed slice of generated
+//! programs, one line each.
 
 use numfuzz::benchsuite::{Expr, Kernel};
 use numfuzz::core::Signature;
+use numfuzz::fuzz::generate_case;
 use numfuzz::prelude::*;
+use numfuzz::serve::backward_check_report;
 use std::path::PathBuf;
 
 /// Every error code in the catalog, in `E0xxx` order.
@@ -176,15 +182,89 @@ fn every_error_code_has_a_golden_rendering() {
     );
 }
 
+/// One program's backward outcome on one line: the diagnostic's code,
+/// span and message, or the `numfuzz check --backward` report with its
+/// lines joined by ` | `.
+fn backward_line(name: &str, outcome: Result<BackwardTyped, Diagnostic>) -> String {
+    match outcome {
+        Ok(typed) => {
+            let report = backward_check_report(&typed);
+            format!("{name}: ok: {}\n", report.trim_end().replace('\n', " | "))
+        }
+        Err(d) => {
+            let span = d.span.map_or("-".to_string(), |s| format!("{}:{}", s.line, s.col));
+            format!("{name}: error[{}] at {span}: {}\n", d.code, d.message)
+        }
+    }
+}
+
+#[test]
+fn backward_mode_diagnostics_are_pinned() {
+    let dir = golden_dir();
+    let mut inputs: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("golden dir exists")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "nf"))
+        .collect();
+    inputs.sort();
+    let mut rendered = String::new();
+    for path in inputs {
+        let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8 name").to_string();
+        let src = std::fs::read_to_string(&path).expect("read golden input");
+        let analyzer = Analyzer::new();
+        // The parse and lowering scenarios never reach a judgment.
+        if let Ok(program) = analyzer.parse_named(&name, &src) {
+            rendered.push_str(&backward_line(&name, analyzer.check_backward(&program)));
+        }
+    }
+    for index in 0..200 {
+        let case = generate_case(42, index);
+        let plan = &case.plan;
+        let mut builder =
+            Analyzer::builder().signature(plan.instantiation).format(plan.format).mode(plan.mode);
+        if let Some(unit) = &plan.rnd_unit {
+            builder = builder.rounding_unit(unit.clone());
+        }
+        let analyzer = builder.build();
+        let name = format!("case-{index}");
+        let program = analyzer.parse_named(&name, &case.program.render()).expect("cases parse");
+        rendered.push_str(&backward_line(&name, analyzer.check_backward(&program)));
+    }
+
+    let expected_path = dir.join("backward_mode.expected");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&expected_path, &rendered)
+            .unwrap_or_else(|e| panic!("{}: {e}", expected_path.display()));
+        return;
+    }
+    let expected = std::fs::read_to_string(&expected_path)
+        .unwrap_or_else(|e| panic!("{}: {e}", expected_path.display()));
+    let drifted: Vec<String> = expected
+        .lines()
+        .zip(rendered.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("--- expected\n{want}\n--- got\n{got}"))
+        .collect();
+    assert!(
+        drifted.is_empty() && expected.lines().count() == rendered.lines().count(),
+        "backward outcomes drifted ({} vs {} lines):\n{}\n\
+         (if intentional: UPDATE_GOLDEN=1 cargo test --test diagnostics_golden)",
+        expected.lines().count(),
+        rendered.lines().count(),
+        drifted.join("\n")
+    );
+}
+
 #[test]
 fn golden_directory_has_no_orphans() {
     // Every golden file must correspond to a cataloged code — stale
     // files would silently stop being checked. The non-diagnostic
     // goldens are `table1` (the `numfuzz table1` report, pinned by
-    // tests/table1_golden.rs) and the `optimize_*` reports (pinned by
-    // tests/optimize_golden.rs).
+    // tests/table1_golden.rs), `backward_mode` (pinned above) and the
+    // `optimize_*` reports (pinned by tests/optimize_golden.rs).
     let mut known: Vec<String> = ALL_CODES.iter().map(|c| c.to_string()).collect();
     known.push("table1".to_string());
+    known.push("backward_mode".to_string());
     for entry in std::fs::read_dir(golden_dir()).expect("golden dir exists") {
         let path = entry.expect("dir entry").path();
         let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or_default().to_string();

@@ -1,6 +1,7 @@
 //! `numfuzz batch` on the worker pool: deterministically ordered output
-//! for every job count, and usage errors (including out-of-range format
-//! flags on every command that takes them) exiting 2.
+//! for every job count, usage errors (including out-of-range format
+//! flags on every command that takes them) exiting 2, and deeply nested
+//! input rejected as a syntax error on worker and main threads alike.
 
 use std::process::Command;
 
@@ -49,6 +50,46 @@ fn numfuzz_batch_orders_diagnostics_deterministically() {
         assert_eq!(code, Some(1));
         assert_eq!(out, first_out, "jobs={jobs}");
     }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `s = mul ((…2…), 3); rnd s` with `levels` nested parentheses.
+fn deeply_nested(levels: usize) -> String {
+    format!("s = mul ({}2{}, 3); rnd s\n", "(".repeat(levels), ")".repeat(levels))
+}
+
+#[test]
+fn deeply_nested_file_fails_its_batch_entry_without_aborting() {
+    // Pool workers run on 2 MiB stacks, which 2,000 nested parentheses
+    // used to overflow.
+    let dir = std::env::temp_dir().join(format!("numfuzz-batch-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("a_deep.nf"), deeply_nested(2000)).expect("write");
+    std::fs::write(dir.join("b_ok.nf"), "rnd 1.5\n").expect("write");
+
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let (serial, stderr, code) = numfuzz_bin(&["batch", dir_arg, "--jobs", "1"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(serial.contains("error[E0001]: nesting deeper than 256 levels"), "{serial}");
+    assert!(serial.contains("2 programs: 1 ok, 1 failed"), "{serial}");
+    let (parallel, stderr, code) = numfuzz_bin(&["batch", dir_arg, "--jobs", "2"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert_eq!(parallel, serial);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_file_is_a_syntax_error_on_the_cli() {
+    let dir = std::env::temp_dir().join(format!("numfuzz-check-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let file = dir.join("deep.nf");
+    std::fs::write(&file, deeply_nested(20_000)).expect("write");
+
+    let (_, stderr, code) = numfuzz_bin(&["check", file.to_str().expect("utf-8")]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("error[E0001]: nesting deeper than 256 levels"), "{stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -368,6 +368,27 @@ fn tcp_connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
 }
 
 #[test]
+fn deeply_nested_request_gets_an_error_reply() {
+    // 2,000 nested parentheses (a 4 KB request) used to overflow a worker
+    // thread's stack and abort the whole server; the parser's nesting
+    // limit turns them into an ordinary syntax error.
+    let (mut child, addr) = spawn_tcp_server(&[]);
+    let (mut writer, mut reader) = tcp_connect(&addr);
+    let deep = format!("s = mul ({}2{}, 3); rnd s", "(".repeat(2000), ")".repeat(2000));
+    let request = format!(r#"{{"id":1,"op":"check","src":"{deep}"}}"#);
+    let v = tcp_request(&mut writer, &mut reader, &request);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(v.get("error").unwrap().get("code").and_then(Json::as_str), Some("E0001"));
+    // The same connection keeps serving.
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":2,"op":"check","src":"rnd 1.5"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":3,"op":"shutdown"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let status = wait_timeout(&mut child, Duration::from_secs(10));
+    assert!(status.success());
+}
+
+#[test]
 fn pipelined_requests_answer_in_request_order() {
     let (mut child, addr) = spawn_tcp_server(&["--jobs", "2"]);
     let (mut writer, mut reader) = tcp_connect(&addr);

@@ -1,101 +1,83 @@
 //! Lexer for the Λnum surface syntax (the notation of the paper's Figs.
 //! 7–9: `function` definitions, `(|a, b|)` cartesian pairs, `M[2*eps]num`
 //! types, and so on).
+//!
+//! Tokens borrow the source and are produced on demand, one at a time, so
+//! reading a program builds no token vector.
 
 use std::fmt;
 
 /// A token with its source position (1-based line/column).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Token {
-    /// The token kind and payload.
-    pub kind: Tok,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Token<'a> {
+    pub(crate) kind: Tok<'a>,
+    pub(crate) line: u32,
+    pub(crate) col: u32,
 }
 
-/// Token kinds.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
-    /// Identifier (primes allowed: `x'`).
-    Ident(String),
+/// Token kinds; identifiers and numbers are slices of the source.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Tok<'a> {
+    /// Identifier (primes allowed: `x'`); keywords are identifiers too.
+    Ident(&'a str),
     /// Numeric literal (decimal, optional fraction/exponent).
-    Number(String),
-    /// `(`
+    Number(&'a str),
     LParen,
-    /// `)`
     RParen,
     /// `(|`
     LPairW,
     /// `|)`
     RPairW,
-    /// `[`
     LBracket,
-    /// `]`
     RBracket,
-    /// `{`
     LBrace,
-    /// `}`
     RBrace,
-    /// `<`
     Lt,
-    /// `>`
     Gt,
-    /// `,`
     Comma,
-    /// `;`
     Semi,
-    /// `:`
     Colon,
-    /// `=`
     Eq,
-    /// `.`
     Dot,
-    /// `+`
     Plus,
-    /// `*`
     Star,
-    /// `/`
     Slash,
     /// `-o`
     Lolli,
-    /// `|`
     Pipe,
-    /// `!`
     Bang,
-    /// End of input.
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Ident(s) => write!(f, "identifier `{s}`"),
-            Tok::Number(s) => write!(f, "number `{s}`"),
-            Tok::LParen => write!(f, "`(`"),
-            Tok::RParen => write!(f, "`)`"),
-            Tok::LPairW => write!(f, "`(|`"),
-            Tok::RPairW => write!(f, "`|)`"),
-            Tok::LBracket => write!(f, "`[`"),
-            Tok::RBracket => write!(f, "`]`"),
-            Tok::LBrace => write!(f, "`{{`"),
-            Tok::RBrace => write!(f, "`}}`"),
-            Tok::Lt => write!(f, "`<`"),
-            Tok::Gt => write!(f, "`>`"),
-            Tok::Comma => write!(f, "`,`"),
-            Tok::Semi => write!(f, "`;`"),
-            Tok::Colon => write!(f, "`:`"),
-            Tok::Eq => write!(f, "`=`"),
-            Tok::Dot => write!(f, "`.`"),
-            Tok::Plus => write!(f, "`+`"),
-            Tok::Star => write!(f, "`*`"),
-            Tok::Slash => write!(f, "`/`"),
-            Tok::Lolli => write!(f, "`-o`"),
-            Tok::Pipe => write!(f, "`|`"),
-            Tok::Bang => write!(f, "`!`"),
-            Tok::Eof => write!(f, "end of input"),
-        }
+        let glyph = match self {
+            Tok::Ident(s) => return write!(f, "identifier `{s}`"),
+            Tok::Number(s) => return write!(f, "number `{s}`"),
+            Tok::Eof => return write!(f, "end of input"),
+            Tok::LParen => "(",
+            Tok::RParen => ")",
+            Tok::LPairW => "(|",
+            Tok::RPairW => "|)",
+            Tok::LBracket => "[",
+            Tok::RBracket => "]",
+            Tok::LBrace => "{",
+            Tok::RBrace => "}",
+            Tok::Lt => "<",
+            Tok::Gt => ">",
+            Tok::Comma => ",",
+            Tok::Semi => ";",
+            Tok::Colon => ":",
+            Tok::Eq => "=",
+            Tok::Dot => ".",
+            Tok::Plus => "+",
+            Tok::Star => "*",
+            Tok::Slash => "/",
+            Tok::Lolli => "-o",
+            Tok::Pipe => "|",
+            Tok::Bang => "!",
+        };
+        write!(f, "`{glyph}`")
     }
 }
 
@@ -128,135 +110,153 @@ impl fmt::Display for SyntaxError {
 
 impl std::error::Error for SyntaxError {}
 
-/// Tokenizes a source string. `//` comments run to end of line.
-///
-/// # Errors
-///
-/// Returns a [`SyntaxError`] on any character that cannot begin a token.
-pub fn lex(src: &str) -> Result<Vec<Token>, SyntaxError> {
-    let mut out = Vec::new();
-    let bytes = src.as_bytes();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut col = 1u32;
-    macro_rules! push {
-        ($kind:expr, $len:expr) => {{
-            out.push(Token { kind: $kind, line, col });
-            i += $len;
-            col += $len as u32;
-        }};
+/// An on-demand tokenizer. `//` comments run to end of line.
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
+    at: usize,
+    line: u32,
+    col: u32,
+}
+
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Lexer { src, at: 0, line: 1, col: 1 }
     }
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '\n' => {
-                i += 1;
-                line += 1;
-                col = 1;
-            }
-            ' ' | '\t' | '\r' => {
-                i += 1;
-                col += 1;
-            }
-            '/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+
+    /// The next token; [`Tok::Eof`] (repeatedly) once the input is read.
+    ///
+    /// # Errors
+    ///
+    /// A [`SyntaxError`] on a byte that cannot begin a token.
+    pub(crate) fn next_token(&mut self) -> Result<Token<'a>, SyntaxError> {
+        let bytes = self.src.as_bytes();
+        let at = |i: usize| bytes.get(i).copied().unwrap_or(0);
+        loop {
+            let i = self.at;
+            let (line, col) = (self.line, self.col);
+            let Some(&c) = bytes.get(i) else {
+                return Ok(Token { kind: Tok::Eof, line, col });
+            };
+            let (kind, len) = match c {
+                b'\n' => {
+                    self.at += 1;
+                    self.line += 1;
+                    self.col = 1;
+                    continue;
                 }
-            }
-            '(' if bytes.get(i + 1) == Some(&b'|') => push!(Tok::LPairW, 2),
-            '|' if bytes.get(i + 1) == Some(&b')') => push!(Tok::RPairW, 2),
-            '-' if bytes.get(i + 1) == Some(&b'o') => push!(Tok::Lolli, 2),
-            '-' if bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit() || *b == b'.') => {
-                // Negative numeric literal.
-                let start = i;
-                i += 1;
-                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-                    i += 1;
+                b' ' | b'\t' | b'\r' => {
+                    self.at += 1;
+                    self.col += 1;
+                    continue;
                 }
-                if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                    let mut j = i + 1;
-                    if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                        j += 1;
+                b'/' if at(i + 1) == b'/' => {
+                    while self.at < bytes.len() && bytes[self.at] != b'\n' {
+                        self.at += 1;
                     }
-                    if j < bytes.len() && bytes[j].is_ascii_digit() {
-                        i = j;
-                        while i < bytes.len() && bytes[i].is_ascii_digit() {
-                            i += 1;
-                        }
+                    continue;
+                }
+                b'(' if at(i + 1) == b'|' => (Tok::LPairW, 2),
+                b'|' if at(i + 1) == b')' => (Tok::RPairW, 2),
+                b'-' if at(i + 1) == b'o' => (Tok::Lolli, 2),
+                // A negative literal: the sign belongs to the number.
+                b'-' if at(i + 1).is_ascii_digit() || at(i + 1) == b'.' => {
+                    let end = number_end(bytes, i + 1);
+                    (Tok::Number(&self.src[i..end]), end - i)
+                }
+                b'(' => (Tok::LParen, 1),
+                b')' => (Tok::RParen, 1),
+                b'[' => (Tok::LBracket, 1),
+                b']' => (Tok::RBracket, 1),
+                b'{' => (Tok::LBrace, 1),
+                b'}' => (Tok::RBrace, 1),
+                b'<' => (Tok::Lt, 1),
+                b'>' => (Tok::Gt, 1),
+                b',' => (Tok::Comma, 1),
+                b';' => (Tok::Semi, 1),
+                b':' => (Tok::Colon, 1),
+                b'=' => (Tok::Eq, 1),
+                b'.' if !at(i + 1).is_ascii_digit() => (Tok::Dot, 1),
+                b'+' => (Tok::Plus, 1),
+                b'*' => (Tok::Star, 1),
+                b'/' => (Tok::Slash, 1),
+                b'|' => (Tok::Pipe, 1),
+                b'!' => (Tok::Bang, 1),
+                _ if c.is_ascii_digit() || c == b'.' => {
+                    let end = number_end(bytes, i);
+                    (Tok::Number(&self.src[i..end]), end - i)
+                }
+                _ if c.is_ascii_alphabetic() || c == b'_' => {
+                    let mut end = i + 1;
+                    while end < bytes.len()
+                        && (bytes[end].is_ascii_alphanumeric()
+                            || bytes[end] == b'_'
+                            || bytes[end] == b'\'')
+                    {
+                        end += 1;
                     }
+                    (Tok::Ident(&self.src[i..end]), end - i)
                 }
-                let text = &src[start..i];
-                out.push(Token { kind: Tok::Number(text.to_string()), line, col });
-                col += (i - start) as u32;
-            }
-            '(' => push!(Tok::LParen, 1),
-            ')' => push!(Tok::RParen, 1),
-            '[' => push!(Tok::LBracket, 1),
-            ']' => push!(Tok::RBracket, 1),
-            '{' => push!(Tok::LBrace, 1),
-            '}' => push!(Tok::RBrace, 1),
-            '<' => push!(Tok::Lt, 1),
-            '>' => push!(Tok::Gt, 1),
-            ',' => push!(Tok::Comma, 1),
-            ';' => push!(Tok::Semi, 1),
-            ':' => push!(Tok::Colon, 1),
-            '=' => push!(Tok::Eq, 1),
-            '.' if !bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit()) => push!(Tok::Dot, 1),
-            '+' => push!(Tok::Plus, 1),
-            '*' => push!(Tok::Star, 1),
-            '/' => push!(Tok::Slash, 1),
-            '|' => push!(Tok::Pipe, 1),
-            '!' => push!(Tok::Bang, 1),
-            _ if c.is_ascii_digit() || c == '.' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-                    i += 1;
+                _ => {
+                    let msg = format!("unexpected character `{}`", c as char);
+                    return Err(SyntaxError::new(msg, line, col));
                 }
-                // Exponent part: e or E followed by optional sign.
-                if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                    let mut j = i + 1;
-                    if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                        j += 1;
-                    }
-                    if j < bytes.len() && bytes[j].is_ascii_digit() {
-                        i = j;
-                        while i < bytes.len() && bytes[i].is_ascii_digit() {
-                            i += 1;
-                        }
-                    }
-                }
-                let text = &src[start..i];
-                out.push(Token { kind: Tok::Number(text.to_string()), line, col });
-                col += (i - start) as u32;
-            }
-            _ if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric()
-                        || bytes[i] == b'_'
-                        || bytes[i] == b'\'')
-                {
-                    i += 1;
-                }
-                let text = &src[start..i];
-                out.push(Token { kind: Tok::Ident(text.to_string()), line, col });
-                col += (i - start) as u32;
-            }
-            _ => {
-                return Err(SyntaxError::new(format!("unexpected character `{c}`"), line, col));
+            };
+            self.at += len;
+            self.col += len as u32;
+            return Ok(Token { kind, line, col });
+        }
+    }
+
+    /// The first lexical error in the rest of the input, if any: lexing
+    /// is context-free, so a bad character anywhere in a program wins
+    /// over a syntax error before it.
+    pub(crate) fn rest_error(&mut self) -> Option<SyntaxError> {
+        loop {
+            match self.next_token() {
+                Err(e) => return Some(e),
+                Ok(Token { kind: Tok::Eof, .. }) => return None,
+                Ok(_) => {}
             }
         }
     }
-    out.push(Token { kind: Tok::Eof, line, col });
-    Ok(out)
+}
+
+/// The end of a numeric literal whose digits start at `i`: digits and
+/// dots, then an exponent (`e`/`E`, optional sign, digits) if one
+/// follows.
+fn number_end(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
+        i += 1;
+    }
+    if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
+        let mut j = i + 1;
+        if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
+            j += 1;
+        }
+        if j < bytes.len() && bytes[j].is_ascii_digit() {
+            i = j;
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
+                i += 1;
+            }
+        }
+    }
+    i
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
+        let mut lexer = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            let t = lexer.next_token().unwrap();
+            out.push(t.kind);
+            if t.kind == Tok::Eof {
+                return out;
+            }
+        }
     }
 
     #[test]
@@ -264,22 +264,22 @@ mod tests {
         assert_eq!(
             kinds("function f (x: num) : M[eps]num { rnd x }"),
             vec![
-                Tok::Ident("function".into()),
-                Tok::Ident("f".into()),
+                Tok::Ident("function"),
+                Tok::Ident("f"),
                 Tok::LParen,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Colon,
-                Tok::Ident("num".into()),
+                Tok::Ident("num"),
                 Tok::RParen,
                 Tok::Colon,
-                Tok::Ident("M".into()),
+                Tok::Ident("M"),
                 Tok::LBracket,
-                Tok::Ident("eps".into()),
+                Tok::Ident("eps"),
                 Tok::RBracket,
-                Tok::Ident("num".into()),
+                Tok::Ident("num"),
                 Tok::LBrace,
-                Tok::Ident("rnd".into()),
-                Tok::Ident("x".into()),
+                Tok::Ident("rnd"),
+                Tok::Ident("x"),
                 Tok::RBrace,
                 Tok::Eof,
             ]
@@ -292,14 +292,14 @@ mod tests {
             kinds("(|a,z|) (x,y) -o"),
             vec![
                 Tok::LPairW,
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Comma,
-                Tok::Ident("z".into()),
+                Tok::Ident("z"),
                 Tok::RPairW,
                 Tok::LParen,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Comma,
-                Tok::Ident("y".into()),
+                Tok::Ident("y"),
                 Tok::RParen,
                 Tok::Lolli,
                 Tok::Eof,
@@ -310,15 +310,18 @@ mod tests {
     #[test]
     fn numbers_and_primes() {
         assert_eq!(
-            kinds("2*eps x' 0.5 1e-5 2.5E+3"),
+            kinds("2*eps x' 0.5 1e-5 2.5E+3 -.5 1e"),
             vec![
-                Tok::Number("2".into()),
+                Tok::Number("2"),
                 Tok::Star,
-                Tok::Ident("eps".into()),
-                Tok::Ident("x'".into()),
-                Tok::Number("0.5".into()),
-                Tok::Number("1e-5".into()),
-                Tok::Number("2.5E+3".into()),
+                Tok::Ident("eps"),
+                Tok::Ident("x'"),
+                Tok::Number("0.5"),
+                Tok::Number("1e-5"),
+                Tok::Number("2.5E+3"),
+                Tok::Number("-.5"),
+                Tok::Number("1"),
+                Tok::Ident("e"),
                 Tok::Eof,
             ]
         );
@@ -326,16 +329,23 @@ mod tests {
 
     #[test]
     fn comments_and_positions() {
-        let toks = lex("x // comment\ny").unwrap();
-        assert_eq!(toks[0].kind, Tok::Ident("x".into()));
-        assert_eq!((toks[0].line, toks[0].col), (1, 1));
-        assert_eq!(toks[1].kind, Tok::Ident("y".into()));
-        assert_eq!((toks[1].line, toks[1].col), (2, 1));
+        let mut lexer = Lexer::new("x // comment\ny // trailing");
+        let x = lexer.next_token().unwrap();
+        assert_eq!((x.kind, x.line, x.col), (Tok::Ident("x"), 1, 1));
+        let y = lexer.next_token().unwrap();
+        assert_eq!((y.kind, y.line, y.col), (Tok::Ident("y"), 2, 1));
+        // A trailing comment leaves the end of input where it began.
+        let eof = lexer.next_token().unwrap();
+        assert_eq!((eof.kind, eof.line, eof.col), (Tok::Eof, 2, 3));
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(lex("x # y").is_err());
+    fn rejects_garbage_anywhere_in_the_rest() {
+        let mut lexer = Lexer::new("x ) # y");
+        assert_eq!(lexer.next_token().unwrap().kind, Tok::Ident("x"));
+        let e = lexer.rest_error().expect("a bad character follows");
+        assert_eq!((e.msg.as_str(), e.line, e.col), ("unexpected character `#`", 1, 5));
+        assert_eq!(Lexer::new("x y").rest_error(), None);
     }
 
     #[test]
@@ -343,13 +353,7 @@ mod tests {
         // `.` before a digit is part of a number; standalone `.` is Dot.
         assert_eq!(
             kinds("inl x . e"),
-            vec![
-                Tok::Ident("inl".into()),
-                Tok::Ident("x".into()),
-                Tok::Dot,
-                Tok::Ident("e".into()),
-                Tok::Eof
-            ]
+            vec![Tok::Ident("inl"), Tok::Ident("x"), Tok::Dot, Tok::Ident("e"), Tok::Eof]
         );
     }
 }

@@ -20,8 +20,10 @@
 //!   (Fig. 10) and Bean's backward-error judgment: two rule sets over one
 //!   iterative walker, which owns the traversal, binder introduction and
 //!   subterm memoization, and one error enum, [`CheckError`];
-//! * [`parser`] / [`lower`] — the surface syntax of the paper's Figs. 7–9
-//!   and its elaboration (ANF + scope resolution) into the arena.
+//! * [`compile`] — the surface syntax of the paper's Figs. 7–9, read in
+//!   one pass that elaborates as it parses (ANF + scope resolution) and
+//!   emits hash-consed terms straight into the arena: tokens borrow the
+//!   source, and no surface tree is built.
 //!
 //! ## Example: the paper's `pow2'` (Section 2.3)
 //!
@@ -56,9 +58,9 @@ pub mod cache;
 mod check;
 mod env;
 mod grade;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
+mod lexer;
+mod lower;
+mod parser;
 pub mod pool;
 mod pretty;
 pub mod rewrite;
@@ -80,8 +82,8 @@ pub use check::{infer, infer_memoized, CheckResult, FnReport, Inferred};
 pub use env::{BackwardEnv, Env};
 pub use grade::{Coeffect, Grade, LinExpr, Sym};
 pub use lexer::SyntaxError;
-pub use lower::{compile, compile_in, lower_program, lower_program_in, Lowered};
-pub use parser::{parse_expr, parse_program, parse_ty, SExpr, SFnDef, SProgram};
+pub use lower::{compile, compile_expr_with, compile_in, Lowered};
+pub use parser::parse_ty;
 pub use pretty::pretty_term;
 pub use sig::{Instantiation, OpSig, Signature};
 pub use term::{Node, TermId, TermStore, VarId};

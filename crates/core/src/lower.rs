@@ -1,6 +1,5 @@
-//! Lowering from the surface syntax to arena terms.
-//!
-//! Two things happen here:
+//! Elaboration of the surface syntax into arena terms, done by the parser
+//! as it reads (one pass, no surface tree):
 //!
 //! 1. **ANF-ization.** Fig. 1 restricts constructors and eliminators to
 //!    *value* operands; the surface syntax is free-form, so non-value
@@ -9,18 +8,25 @@
 //!    sequencing style of the paper's examples).
 //! 2. **Scope resolution.** Names are resolved to fresh [`VarId`]s
 //!    (alpha-renaming); unbound names that match signature operations
-//!    become [`Node::Op`](crate::Node::Op) applications, with automatic boxing of the
-//!    argument when the operation's domain is a `!`-type (so `sqrt x`
-//!    elaborates to `sqrt ([x]{1/2})`).
+//!    become [`Node::Op`](crate::Node::Op) applications. (Implicit boxing
+//!    of `!`-typed operation domains, `sqrt x` as `sqrt ([x]{1/2})`,
+//!    happens in the checker, which knows the argument's type.)
+//!
+//! The parser hands each expression over as an [`Item`] and converts it
+//! once its context is known: a *value* operand, or a *term* in
+//! statement, arm or body position. A bare identifier stays unresolved
+//! until then, because an operation name is elaborated where it is
+//! applied, parentheses included (`(add) (|1, 2|)` is an operation).
+//! Terms, variables and temps are created in the order of a
+//! left-to-right, innermost-first lowering of the whole expression.
 
-use crate::grade::Grade;
+use crate::arena::TermId;
 use crate::lexer::SyntaxError;
-use crate::parser::{SExpr, SProgram};
 use crate::sig::Signature;
-use crate::term::{TermId, TermStore, VarId};
+use crate::term::{NameIdx, TermStore, VarId};
 use crate::ty::Ty;
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 
 /// A lowered program: the arena plus the root term.
 #[derive(Clone, Debug)]
@@ -32,88 +38,96 @@ pub struct Lowered {
     pub root: TermId,
 }
 
-/// Lowers a parsed program against a signature.
+/// Parses and lowers a program in one pass.
 ///
 /// # Errors
 ///
-/// [`SyntaxError`] (without position) for unbound names or misused
-/// operations.
-pub fn lower_program(prog: &SProgram, sig: &Signature) -> Result<Lowered, SyntaxError> {
-    lower_program_in(crate::arena::CoreArena::new(), prog, sig)
+/// A [`SyntaxError`] with source position on malformed input; one
+/// without position for unbound names or misused operations.
+pub fn compile(src: &str, sig: &Signature) -> Result<Lowered, SyntaxError> {
+    compile_in(crate::arena::CoreArena::new(), src, sig)
 }
 
-/// [`lower_program`] into a store sharing an existing type/grade arena,
-/// so a session's programs interchange annotation ids and reuse the
-/// memoized lattice caches.
+/// [`compile`] into a store sharing an existing type/grade arena, so a
+/// session's programs interchange annotation ids and reuse the memoized
+/// lattice caches.
 ///
 /// # Errors
 ///
-/// See [`lower_program`].
-pub fn lower_program_in(
+/// See [`compile`].
+pub fn compile_in(
     arena: crate::arena::CoreArena,
-    prog: &SProgram,
+    src: &str,
     sig: &Signature,
 ) -> Result<Lowered, SyntaxError> {
-    let mut taken_temps = HashSet::new();
-    for def in &prog.defs {
-        note_templike(&def.name, &mut taken_temps);
-        for (p, _) in &def.params {
-            note_templike(p, &mut taken_temps);
-        }
-        collect_templike_binders(&def.body, &mut taken_temps);
-    }
-    if let Some(main) = &prog.main {
-        collect_templike_binders(main, &mut taken_temps);
-    }
-    let mut cx = Lowerer {
-        store: TermStore::with_arena(arena),
-        sig,
-        scope: HashMap::new(),
-        taken_temps,
-        next_temp: 0,
-    };
-    let root = cx.program(prog)?;
-    Ok(Lowered { store: cx.store, root })
+    crate::parser::read(Lowerer::new(TermStore::with_arena(arena), sig), src, true)
 }
 
-/// Lowers a single expression with the given free variables in scope.
+/// Parses and lowers a single expression (block form: statements
+/// allowed) with the given free variables in scope, returned with their
+/// variables in order.
 ///
 /// # Errors
 ///
-/// [`SyntaxError`] for unbound names or misused operations.
-pub fn lower_expr_with(
-    expr: &SExpr,
+/// See [`compile`].
+pub fn compile_expr_with(
+    src: &str,
     sig: &Signature,
     free: &[(String, Ty)],
 ) -> Result<(Lowered, Vec<(VarId, Ty)>), SyntaxError> {
-    let mut taken_temps = HashSet::new();
-    collect_templike_binders(expr, &mut taken_temps);
-    for (name, _) in free {
-        note_templike(name, &mut taken_temps);
-    }
-    let mut cx =
-        Lowerer { store: TermStore::new(), sig, scope: HashMap::new(), taken_temps, next_temp: 0 };
-    let mut frees = Vec::new();
-    for (name, ty) in free {
-        let v = cx.store.fresh_var(name);
-        cx.scope.insert(name.clone(), vec![v]);
-        frees.push((v, ty.clone()));
-    }
-    let root = cx.expr(expr)?;
-    Ok((Lowered { store: cx.store, root }, frees))
+    let mut cx = Lowerer::new(TermStore::new(), sig);
+    let frees = free.iter().map(|(name, ty)| (cx.bind(name), ty.clone())).collect();
+    Ok((crate::parser::read(cx, src, false)?, frees))
 }
 
-struct Lowerer<'a> {
-    store: TermStore,
+/// What a parsed expression lowers to before its context is known.
+#[derive(Clone, Copy)]
+pub(crate) enum Item<'a> {
+    /// A value (Fig. 1) whose operands' let-bindings wait on the bind
+    /// stack for the enclosing term.
+    Value(TermId),
+    /// A term that is not a value, its own let-bindings wrapped inside.
+    Term(TermId),
+    /// A bare identifier: a variable or, when applied, an operation.
+    Name(&'a str),
+}
+
+/// One spelling's scope entry.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// The innermost binding in force.
+    var: Option<VarId>,
+    /// The spelling as interned in the term store, once a variable has it.
+    name: Option<NameIdx>,
+}
+
+/// A term id handed out after the first lowering error, when the parser
+/// keeps reading only to find a later syntax error.
+const POISONED: TermId = TermId(u32::MAX);
+
+/// The name of a temp until [`Lowerer::finish`] names it.
+const UNNAMED: NameIdx = NameIdx::MAX;
+
+/// The lowering state the parser carries.
+pub(crate) struct Lowerer<'a> {
+    pub(crate) store: TermStore,
     sig: &'a Signature,
-    /// Name -> stack of bindings (innermost last), for shadowing.
-    scope: HashMap<String, Vec<VarId>>,
-    /// Source binder names shaped like generated temps (`_t<digits>`),
-    /// which [`Lowerer::fresh_temp`] must avoid so pretty-printed
-    /// programs re-parse without accidental capture.
-    taken_temps: HashSet<String>,
-    /// Next candidate index for a generated temp name.
-    next_temp: usize,
+    /// Spelling → index into `slots`.
+    syms: HashMap<&'a str, u32>,
+    slots: Vec<Slot>,
+    /// Bindings shadowed by later ones, restored by [`Lowerer::unbind_to`].
+    shadowed: Vec<(u32, Option<VarId>)>,
+    /// Pending ANF let-bindings, innermost last; each term wraps those
+    /// above the height it started at.
+    binds: Vec<(VarId, TermId)>,
+    /// ANF temporaries in creation order, named once the program is read.
+    temps: Vec<VarId>,
+    /// Source binders shaped like generated temps (`_t<digits>`), which
+    /// temps must avoid so pretty-printed programs re-parse without
+    /// accidental capture.
+    taken: HashSet<&'a str>,
+    /// The first lowering error; reported only if the parse succeeds.
+    error: Option<SyntaxError>,
 }
 
 /// Whether a source identifier is shaped like a generated temp name.
@@ -122,348 +136,151 @@ fn is_templike(name: &str) -> bool {
         .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
 }
 
-fn note_templike(name: &str, out: &mut HashSet<String>) {
-    if is_templike(name) {
-        out.insert(name.to_string());
-    }
-}
-
-/// Collects every binder name shaped like a generated temp, iteratively
-/// (statement chains are tens of thousands of nodes deep).
-fn collect_templike_binders(root: &SExpr, out: &mut HashSet<String>) {
-    let mut stack = vec![root];
-    while let Some(e) = stack.pop() {
-        match e {
-            SExpr::Num(_) | SExpr::Var(_) | SExpr::True | SExpr::False | SExpr::Unit => {}
-            SExpr::PairT(a, b) | SExpr::PairW(a, b) | SExpr::App(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            SExpr::Inl(_, v)
-            | SExpr::Inr(_, v)
-            | SExpr::Rnd(v)
-            | SExpr::Ret(v)
-            | SExpr::BoxI(_, v)
-            | SExpr::Fst(v)
-            | SExpr::Snd(v) => stack.push(v),
-            SExpr::If(c, a, b) => {
-                stack.push(c);
-                stack.push(a);
-                stack.push(b);
-            }
-            SExpr::Case(v, x, e1, y, e2) => {
-                note_templike(x, out);
-                note_templike(y, out);
-                stack.push(v);
-                stack.push(e1);
-                stack.push(e2);
-            }
-            SExpr::Let(x, a, b) | SExpr::LetBind(x, a, b) | SExpr::LetBox(x, a, b) => {
-                note_templike(x, out);
-                stack.push(a);
-                stack.push(b);
-            }
+impl<'a> Lowerer<'a> {
+    pub(crate) fn new(store: TermStore, sig: &'a Signature) -> Self {
+        Lowerer {
+            store,
+            sig,
+            syms: HashMap::new(),
+            slots: Vec::new(),
+            shadowed: Vec::new(),
+            binds: Vec::new(),
+            temps: Vec::new(),
+            taken: HashSet::new(),
+            error: None,
         }
     }
-}
 
-impl<'a> Lowerer<'a> {
-    fn err<T>(msg: impl Into<String>) -> Result<T, SyntaxError> {
-        Err(SyntaxError::new(msg, 0, 0))
+    /// Records a lowering error (the first one wins).
+    pub(crate) fn fail(&mut self, msg: String) -> TermId {
+        self.error.get_or_insert_with(|| SyntaxError::new(msg, 0, 0));
+        POISONED
     }
 
-    fn bind(&mut self, name: &str) -> VarId {
-        let v = self.store.fresh_var(name);
-        self.scope.entry(name.to_string()).or_default().push(v);
+    fn slot(&mut self, name: &'a str) -> u32 {
+        let next = self.slots.len() as u32;
+        let sym = *self.syms.entry(name).or_insert(next);
+        if sym == next {
+            self.slots.push(Slot::default());
+        }
+        sym
+    }
+
+    /// A fresh variable named `name`, with the spelling's slot.
+    pub(crate) fn fresh(&mut self, name: &'a str) -> (u32, VarId) {
+        let sym = self.slot(name);
+        let slot = &mut self.slots[sym as usize];
+        let stored = match slot.name {
+            Some(n) => n,
+            None => *slot.name.insert(self.store.intern_name(name)),
+        };
+        (sym, self.store.fresh_var_named(stored))
+    }
+
+    /// Binds a fresh variable for a source binder.
+    pub(crate) fn bind(&mut self, name: &'a str) -> VarId {
+        let (sym, v) = self.fresh(name);
+        let shadowed = self.slots[sym as usize].var.replace(v);
+        self.shadowed.push((sym, shadowed));
+        if is_templike(name) {
+            self.taken.insert(name);
+        }
         v
     }
 
-    fn unbind(&mut self, name: &str) {
-        if let Some(stack) = self.scope.get_mut(name) {
-            stack.pop();
+    /// The scope height, for [`Lowerer::unbind_to`].
+    pub(crate) fn scope_height(&self) -> usize {
+        self.shadowed.len()
+    }
+
+    /// Ends every binding made since `height`.
+    pub(crate) fn unbind_to(&mut self, height: usize) {
+        while self.shadowed.len() > height {
+            let (sym, prev) = self.shadowed.pop().expect("above height");
+            self.slots[sym as usize].var = prev;
         }
     }
 
     fn lookup(&self, name: &str) -> Option<VarId> {
-        self.scope.get(name).and_then(|s| s.last().copied())
+        self.syms.get(name).and_then(|&sym| self.slots[sym as usize].var)
     }
 
-    fn program(&mut self, prog: &SProgram) -> Result<TermId, SyntaxError> {
-        self.defs_then(&prog.defs, prog.main.as_ref())
+    /// The operation an applied name elaborates to: an unbound name the
+    /// signature defines.
+    pub(crate) fn applied_op(&self, name: &str) -> bool {
+        self.lookup(name).is_none() && self.sig.op(name).is_some()
     }
 
-    fn defs_then(
-        &mut self,
-        defs: &[crate::parser::SFnDef],
-        main: Option<&SExpr>,
-    ) -> Result<TermId, SyntaxError> {
-        match defs.split_first() {
-            None => match main {
-                Some(e) => self.expr(e),
-                None => Self::err("program has no definitions or main expression"),
-            },
-            Some((def, rest)) => {
-                // Body: curried lambdas over the params.
-                let mut param_vars = Vec::new();
-                for (p, t) in &def.params {
-                    param_vars.push((self.bind(p), t.clone()));
-                }
-                let mut body = self.expr(&def.body)?;
-                for (v, t) in param_vars.iter().rev() {
-                    body = self.store.lam(*v, t.clone(), body);
-                }
-                for (p, _) in &def.params {
-                    self.unbind(p);
-                }
-                // Declared type: params chained onto the result type.
-                let mut declared = def.ret.clone();
-                for (_, t) in def.params.iter().rev() {
-                    declared = Ty::lolli(t.clone(), declared);
-                }
-                let fvar = self.bind(&def.name);
-                let rest_term = if rest.is_empty() && main.is_none() {
-                    // No main: the program's value is the last function.
-                    self.store.var(fvar)
-                } else {
-                    self.defs_then(rest, main)?
-                };
-                self.unbind(&def.name);
-                Ok(self.store.let_fun(fvar, Some(declared), body, rest_term))
-            }
-        }
+    /// The bind-stack height a term starts at.
+    pub(crate) fn mark(&self) -> usize {
+        self.binds.len()
     }
 
-    /// Lowers to a term (any shape). Statement chains are handled in a
-    /// loop (not recursion): Table 4-scale blocks have hundreds of
-    /// thousands of sequential statements.
-    fn expr(&mut self, e: &SExpr) -> Result<TermId, SyntaxError> {
-        match e {
-            SExpr::Let(..) | SExpr::LetBind(..) | SExpr::LetBox(..) => {
-                enum Kind {
-                    Let,
-                    Bind,
-                    Boxed,
-                }
-                type Frame = (Kind, String, VarId, TermId, Vec<(VarId, TermId)>);
-                let mut frames: Vec<Frame> = Vec::new();
-                let mut cur = e;
-                loop {
-                    match cur {
-                        SExpr::Let(x, v, rest) => {
-                            let tv = self.expr(v)?;
-                            let xv = self.bind(x);
-                            frames.push((Kind::Let, x.clone(), xv, tv, Vec::new()));
-                            cur = rest;
-                        }
-                        SExpr::LetBind(x, v, rest) => {
-                            let mut binds = Vec::new();
-                            let tv = self.value(v, &mut binds)?;
-                            let xv = self.bind(x);
-                            frames.push((Kind::Bind, x.clone(), xv, tv, binds));
-                            cur = rest;
-                        }
-                        SExpr::LetBox(x, v, rest) => {
-                            let mut binds = Vec::new();
-                            let tv = self.value(v, &mut binds)?;
-                            let xv = self.bind(x);
-                            frames.push((Kind::Boxed, x.clone(), xv, tv, binds));
-                            cur = rest;
-                        }
-                        _ => break,
-                    }
-                }
-                let mut acc = self.expr(cur)?;
-                for (kind, name, xv, tv, binds) in frames.into_iter().rev() {
-                    self.unbind(&name);
-                    acc = match kind {
-                        Kind::Let => self.store.let_in(xv, tv, acc),
-                        Kind::Bind => self.store.let_bind(xv, tv, acc),
-                        Kind::Boxed => self.store.let_box(xv, tv, acc),
-                    };
-                    acc = self.wrap(binds, acc);
-                }
-                Ok(acc)
+    /// An item in operand position: values as they are, other terms
+    /// let-bound to a fresh temp, names resolved as variables.
+    pub(crate) fn value(&mut self, item: Item<'a>) -> TermId {
+        match item {
+            Item::Value(t) => t,
+            Item::Term(t) => {
+                let v = self.store.fresh_var_named(UNNAMED);
+                self.temps.push(v);
+                self.binds.push((v, t));
+                self.store.var(v)
             }
-            SExpr::If(c, e1, e2) => {
-                let mut binds = Vec::new();
-                let tc = self.value(c, &mut binds)?;
-                let x = self.store.fresh_var("_tt");
-                let y = self.store.fresh_var("_ff");
-                let t1 = self.expr(e1)?;
-                let t2 = self.expr(e2)?;
-                let node = self.store.case(tc, x, t1, y, t2);
-                Ok(self.wrap(binds, node))
-            }
-            SExpr::Case(v, x, e1, y, e2) => {
-                let mut binds = Vec::new();
-                let tv = self.value(v, &mut binds)?;
-                let xv = self.bind(x);
-                let t1 = self.expr(e1)?;
-                self.unbind(x);
-                let yv = self.bind(y);
-                let t2 = self.expr(e2)?;
-                self.unbind(y);
-                let node = self.store.case(tv, xv, t1, yv, t2);
-                Ok(self.wrap(binds, node))
-            }
-            SExpr::App(f, a) => {
-                // Operation application: unbound head that names an op.
-                // (Implicit boxing of `!`-typed operation domains happens in
-                // the checker, which knows the argument's type.)
-                if let SExpr::Var(name) = &**f {
-                    if self.lookup(name).is_none() {
-                        if let Some(op) = self.sig.op(name) {
-                            let op_name = op.name.clone();
-                            let mut binds = Vec::new();
-                            let ta = self.value(a, &mut binds)?;
-                            let node = self.store.op(&op_name, ta);
-                            return Ok(self.wrap(binds, node));
-                        }
-                    }
-                }
-                let mut binds = Vec::new();
-                let tf = self.value(f, &mut binds)?;
-                let ta = self.value(a, &mut binds)?;
-                let node = self.store.app(tf, ta);
-                Ok(self.wrap(binds, node))
-            }
-            SExpr::Fst(v) | SExpr::Snd(v) => {
-                let mut binds = Vec::new();
-                let tv = self.value(v, &mut binds)?;
-                let node = self.store.proj(matches!(e, SExpr::Fst(_)), tv);
-                Ok(self.wrap(binds, node))
-            }
-            // Value shapes: lower through `value` (which may emit lets).
-            _ => {
-                let mut binds = Vec::new();
-                let v = self.value(e, &mut binds)?;
-                Ok(self.wrap(binds, v))
-            }
-        }
-    }
-
-    /// Lowers to a *value* term, pushing any needed let-bindings.
-    fn value(
-        &mut self,
-        e: &SExpr,
-        binds: &mut Vec<(VarId, TermId)>,
-    ) -> Result<TermId, SyntaxError> {
-        let t = match e {
-            SExpr::Num(q) => self.store.num(q.clone()),
-            SExpr::Var(name) => match self.lookup(name) {
+            Item::Name(name) => match self.lookup(name) {
                 Some(v) => self.store.var(v),
-                None => {
-                    if self.sig.op(name).is_some() {
-                        return Self::err(format!(
-                            "operation `{name}` must be applied to an argument"
-                        ));
-                    }
-                    return Self::err(format!("unbound name `{name}`"));
+                None if self.sig.op(name).is_some() => {
+                    self.fail(format!("operation `{name}` must be applied to an argument"))
                 }
+                None => self.fail(format!("unbound name `{name}`")),
             },
-            SExpr::True => self.store.bool_true(),
-            SExpr::False => self.store.bool_false(),
-            SExpr::Unit => self.store.unit(),
-            SExpr::PairT(a, b) => {
-                let ta = self.value(a, binds)?;
-                let tb = self.value(b, binds)?;
-                self.store.pair_tensor(ta, tb)
-            }
-            SExpr::PairW(a, b) => {
-                let ta = self.value(a, binds)?;
-                let tb = self.value(b, binds)?;
-                self.store.pair_with(ta, tb)
-            }
-            SExpr::Inl(ann, v) => {
-                let tv = self.value(v, binds)?;
-                let other = ann.clone().ok_or_else(|| {
-                    SyntaxError::new("`inl` needs a type annotation: inl {T} v", 0, 0)
-                })?;
-                self.store.inl(tv, other)
-            }
-            SExpr::Inr(ann, v) => {
-                let tv = self.value(v, binds)?;
-                let other = ann.clone().ok_or_else(|| {
-                    SyntaxError::new("`inr` needs a type annotation: inr {T} v", 0, 0)
-                })?;
-                self.store.inr(tv, other)
-            }
-            SExpr::Rnd(v) => {
-                let tv = self.value(v, binds)?;
-                self.store.rnd(tv)
-            }
-            SExpr::Ret(v) => {
-                let tv = self.value(v, binds)?;
-                self.store.ret(tv)
-            }
-            SExpr::BoxI(g, v) => {
-                let tv = self.value(v, binds)?;
-                self.store.box_intro(g.clone(), tv)
-            }
-            // Not value-shaped: lower as a term and let-bind it. Temps
-            // get unique *names* (not just unique ids), distinct from
-            // every source binder shaped like `_t<digits>`, so
-            // pretty-printed programs re-parse without accidental
-            // shadowing.
-            _ => {
-                let t = self.expr(e)?;
-                let v = self.fresh_temp();
-                binds.push((v, t));
-                return Ok(self.store.var(v));
-            }
-        };
-        Ok(t)
+        }
     }
 
-    /// A fresh ANF temporary whose display name collides with neither
-    /// earlier temps nor any `_t<digits>`-shaped source binder.
-    fn fresh_temp(&mut self) -> VarId {
-        loop {
-            let name = format!("_t{}", self.next_temp);
-            self.next_temp += 1;
-            if !self.taken_temps.contains(&name) {
-                return self.store.fresh_var(&name);
+    /// An item as a whole term begun at bind height `mark`: a value gets
+    /// its pending let-bindings wrapped around it.
+    pub(crate) fn term(&mut self, item: Item<'a>, mark: usize) -> TermId {
+        match item {
+            Item::Term(t) => t,
+            _ => {
+                let t = self.value(item);
+                self.wrap(mark, t)
             }
         }
     }
 
-    /// Wraps pending bindings (innermost last) around a node.
-    fn wrap(&mut self, binds: Vec<(VarId, TermId)>, node: TermId) -> TermId {
+    /// Wraps the pending let-bindings above `mark` (innermost last)
+    /// around `node`.
+    pub(crate) fn wrap(&mut self, mark: usize, node: TermId) -> TermId {
         let mut acc = node;
-        for (v, t) in binds.into_iter().rev() {
+        while self.binds.len() > mark {
+            let (v, t) = self.binds.pop().expect("above mark");
             acc = self.store.let_in(v, t, acc);
         }
         acc
     }
-}
 
-/// Convenience: parse and lower a program in one call.
-///
-/// # Errors
-///
-/// [`SyntaxError`] from parsing or lowering.
-pub fn compile(src: &str, sig: &Signature) -> Result<Lowered, SyntaxError> {
-    let prog = crate::parser::parse_program(src)?;
-    lower_program(&prog, sig)
-}
-
-/// [`compile`] into a shared arena (see [`lower_program_in`]).
-///
-/// # Errors
-///
-/// [`SyntaxError`] from parsing or lowering.
-pub fn compile_in(
-    arena: crate::arena::CoreArena,
-    src: &str,
-    sig: &Signature,
-) -> Result<Lowered, SyntaxError> {
-    let prog = crate::parser::parse_program(src)?;
-    lower_program_in(arena, &prog, sig)
-}
-
-/// The `eps` grade helper used throughout examples.
-pub fn eps() -> Grade {
-    Grade::symbol("eps")
+    /// Finishes a program: names the temps `_t0`, `_t1`, … in creation
+    /// order, skipping every `_t<digits>` source binder.
+    pub(crate) fn finish(mut self, root: TermId) -> Result<Lowered, SyntaxError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let (mut next, mut name) = (0usize, String::new());
+        for v in std::mem::take(&mut self.temps) {
+            loop {
+                name.clear();
+                write!(name, "_t{next}").expect("writing to a String");
+                next += 1;
+                if !self.taken.contains(name.as_str()) {
+                    break;
+                }
+            }
+            let stored = self.store.intern_name(&name);
+            self.store.rename_var(v, stored);
+        }
+        Ok(Lowered { store: self.store, root })
+    }
 }
 
 #[cfg(test)]
@@ -521,10 +338,11 @@ mod tests {
             Node::LetBox(_, _, e) => *e,
             other => panic!("{other:?}"),
         };
-        let (bound, rest) = match store.node(id) {
-            Node::Let(_, e, f) => (*e, *f),
+        let (temp, bound, rest) = match store.node(id) {
+            Node::Let(t, e, f) => (*t, *e, *f),
             other => panic!("expected ANF let, got {other:?}"),
         };
+        assert_eq!(store.var_name(temp), "_t0");
         assert!(matches!(store.node(bound), Node::Op(..)));
         match store.node(rest) {
             Node::Rnd(v) => assert!(matches!(store.node(*v), Node::Var(_))),
@@ -536,12 +354,7 @@ mod tests {
     fn sqrt_lowers_to_op_on_bare_var() {
         // Implicit boxing of the `![1/2]` domain happens in the checker,
         // not here: the lowered term applies the op to the raw variable.
-        let src = r#"
-            function f (x: num) : num {
-                sqrt x
-            }
-        "#;
-        let lowered = compile(src, &rp()).unwrap();
+        let lowered = compile("function f (x: num) : num { sqrt x }", &rp()).unwrap();
         let store = &lowered.store;
         let body = match store.node(lowered.root) {
             Node::LetFun(_, _, b, _) => *b,
@@ -561,10 +374,38 @@ mod tests {
     }
 
     #[test]
+    fn operation_names_elaborate_where_applied() {
+        // Through parentheses, and not once the name is bound.
+        let lowered = compile("s = (add) (|1, 2|); rnd s", &rp()).unwrap();
+        match lowered.store.node(lowered.root) {
+            Node::Let(_, bound, _) => assert!(matches!(lowered.store.node(*bound), Node::Op(..))),
+            other => panic!("{other:?}"),
+        }
+        let lowered = compile("function add (x: num) : num { x }\nadd 2", &rp()).unwrap();
+        match lowered.store.node(lowered.root) {
+            Node::LetFun(_, _, _, rest) => {
+                assert!(matches!(lowered.store.node(*rest), Node::App(..)))
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn unbound_names_error() {
-        assert!(compile("function f (x: num) : num { y }", &rp()).is_err());
+        let e = compile("function f (x: num) : num { y }", &rp()).unwrap_err();
+        assert_eq!((e.msg.as_str(), e.line), ("unbound name `y`", 0));
         // `mul` alone (unapplied) is an error.
-        assert!(compile("function f (x: num) : num { mul }", &rp()).is_err());
+        let e = compile("function f (x: num) : num { mul }", &rp()).unwrap_err();
+        assert_eq!(e.msg, "operation `mul` must be applied to an argument");
+        // The first lowering error wins, and a later syntax error wins
+        // over both.
+        let e = compile("x = y; z = inl 1; z", &rp()).unwrap_err();
+        assert_eq!(e.msg, "unbound name `y`");
+        let e = compile("x = y; z = inl 1; (", &rp()).unwrap_err();
+        assert_eq!(
+            (e.msg.as_str(), e.line, e.col),
+            ("expected an expression, found end of input", 1, 20)
+        );
     }
 
     #[test]
@@ -598,9 +439,20 @@ mod tests {
     }
 
     #[test]
+    fn temps_skip_templike_binders_anywhere_in_the_program() {
+        // `_t0` is bound after the first temp is made, and still skipped;
+        // the grade symbol `_t1` is not a binder.
+        let src =
+            "s = mul (add (|1, 2|), 3);\n_t0 = rnd s;\nt = mul (add (|[_t0]{_t1}, 2|), 3);\nt";
+        let lowered = compile(src, &rp()).unwrap();
+        let printed = crate::pretty_term(&lowered.store, lowered.root, u32::MAX);
+        assert!(printed.contains("_t1 = add") && printed.contains("_t2 = add"), "{printed}");
+        assert!(!printed.contains("_t0 = add"), "{printed}");
+    }
+
+    #[test]
     fn booleans_lower_to_injections() {
-        let (lowered, _) =
-            lower_expr_with(&crate::parser::parse_expr("true").unwrap(), &rp(), &[]).unwrap();
+        let (lowered, _) = compile_expr_with("true", &rp(), &[]).unwrap();
         assert!(matches!(lowered.store.node(lowered.root), Node::Inl(..)));
     }
 }

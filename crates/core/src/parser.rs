@@ -1,4 +1,5 @@
-//! Parser for the Λnum surface syntax.
+//! Parser for the Λnum surface syntax. It reads a program in one pass,
+//! lowering as it goes ([`crate::lower`]): no surface tree is built.
 //!
 //! The grammar follows the paper's implementation notation (Section 5):
 //!
@@ -30,147 +31,23 @@
 //! gfactor := NUMBER ("/" NUMBER)? | ID | "inf"
 //! ```
 //!
-//! The descent is recursive, so nesting is limited to 256 levels
-//! (`MAX_NESTING`): deeper input is a syntax error, not a stack overflow.
+//! Two limits keep hostile input cheap. The descent is recursive, so
+//! nesting is limited to 256 levels ([`MAX_NESTING`]): deeper input is a
+//! syntax error, not a stack overflow. A numeric literal may write a
+//! decimal exponent of at most ±100,000
+//! ([`Rational::MAX_DECIMAL_EXPONENT`]), so `1e10000000` is a syntax error
+//! at the literal, not a ten-million-digit power of ten.
+//!
+//! Definitions and statements are read in loops and their `let` chains
+//! folded from the end, so neither thousands of definitions nor Table 4
+//! scale blocks recurse.
 
+use crate::arena::TermId;
 use crate::grade::Grade;
-use crate::lexer::{lex, SyntaxError, Tok, Token};
+use crate::lexer::{Lexer, SyntaxError, Tok, Token};
+use crate::lower::{Item, Lowered, Lowerer};
 use crate::ty::Ty;
 use numfuzz_exact::Rational;
-
-/// Surface expression tree (pre-lowering).
-#[derive(Clone, Debug, PartialEq)]
-pub enum SExpr {
-    /// Numeric literal.
-    Num(Rational),
-    /// Variable or function reference.
-    Var(String),
-    /// `true`.
-    True,
-    /// `false`.
-    False,
-    /// `()`.
-    Unit,
-    /// Tensor pair `(a, b)`.
-    PairT(Box<SExpr>, Box<SExpr>),
-    /// Cartesian pair `(|a, b|)`.
-    PairW(Box<SExpr>, Box<SExpr>),
-    /// `inl {τ}? v` (annotation = the absent right type).
-    Inl(Option<Ty>, Box<SExpr>),
-    /// `inr {σ}? v` (annotation = the absent left type).
-    Inr(Option<Ty>, Box<SExpr>),
-    /// Application `f a`.
-    App(Box<SExpr>, Box<SExpr>),
-    /// `rnd e`.
-    Rnd(Box<SExpr>),
-    /// `ret e`.
-    Ret(Box<SExpr>),
-    /// `[e]{s}`.
-    BoxI(Grade, Box<SExpr>),
-    /// `fst e`.
-    Fst(Box<SExpr>),
-    /// `snd e`.
-    Snd(Box<SExpr>),
-    /// `if c then e1 else e2`.
-    If(Box<SExpr>, Box<SExpr>, Box<SExpr>),
-    /// `case v of (inl x. e | inr y. f)`.
-    Case(Box<SExpr>, String, Box<SExpr>, String, Box<SExpr>),
-    /// `x = e; rest`.
-    Let(String, Box<SExpr>, Box<SExpr>),
-    /// `let x = e; rest` (monadic bind).
-    LetBind(String, Box<SExpr>, Box<SExpr>),
-    /// `let [x] = e; rest`.
-    LetBox(String, Box<SExpr>, Box<SExpr>),
-}
-
-impl Drop for SExpr {
-    /// Iterative drop: statement chains can be tens of thousands of nodes
-    /// deep, and the default recursive drop glue would overflow the stack.
-    fn drop(&mut self) {
-        fn take_children(e: &mut SExpr, work: &mut Vec<SExpr>) {
-            let mut grab = |b: &mut Box<SExpr>| work.push(std::mem::replace(&mut **b, SExpr::Unit));
-            match e {
-                SExpr::Num(_) | SExpr::Var(_) | SExpr::True | SExpr::False | SExpr::Unit => {}
-                SExpr::PairT(a, b) | SExpr::PairW(a, b) | SExpr::App(a, b) => {
-                    grab(a);
-                    grab(b);
-                }
-                SExpr::Inl(_, v)
-                | SExpr::Inr(_, v)
-                | SExpr::Rnd(v)
-                | SExpr::Ret(v)
-                | SExpr::BoxI(_, v)
-                | SExpr::Fst(v)
-                | SExpr::Snd(v) => grab(v),
-                SExpr::If(a, b, c) => {
-                    grab(a);
-                    grab(b);
-                    grab(c);
-                }
-                SExpr::Case(v, _, a, _, b) => {
-                    grab(v);
-                    grab(a);
-                    grab(b);
-                }
-                SExpr::Let(_, a, b) | SExpr::LetBind(_, a, b) | SExpr::LetBox(_, a, b) => {
-                    grab(a);
-                    grab(b);
-                }
-            }
-        }
-        let mut work = Vec::new();
-        take_children(self, &mut work);
-        while let Some(mut e) = work.pop() {
-            take_children(&mut e, &mut work);
-        }
-    }
-}
-
-/// A surface `function` definition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SFnDef {
-    /// Function name.
-    pub name: String,
-    /// Curried parameters.
-    pub params: Vec<(String, Ty)>,
-    /// Declared result type (of the body, after all parameters).
-    pub ret: Ty,
-    /// The body block.
-    pub body: SExpr,
-}
-
-/// A parsed program: definitions plus an optional main expression.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SProgram {
-    /// `function` definitions, in source order.
-    pub defs: Vec<SFnDef>,
-    /// The trailing expression, if any.
-    pub main: Option<SExpr>,
-}
-
-/// Parses a full program.
-///
-/// # Errors
-///
-/// Returns a [`SyntaxError`] with source position on malformed input.
-pub fn parse_program(src: &str) -> Result<SProgram, SyntaxError> {
-    let mut p = Parser::new(src)?;
-    let prog = p.program()?;
-    p.expect_eof()?;
-    Ok(prog)
-}
-
-/// Parses a single expression (block form: statements allowed).
-///
-/// # Errors
-///
-/// Returns a [`SyntaxError`] with source position on malformed input.
-pub fn parse_expr(src: &str) -> Result<SExpr, SyntaxError> {
-    let mut p = Parser::new(src)?;
-    let e = p.block()?;
-    p.expect_eof()?;
-    Ok(e)
-}
 
 /// Parses a type (useful for tests and tools).
 ///
@@ -178,10 +55,26 @@ pub fn parse_expr(src: &str) -> Result<SExpr, SyntaxError> {
 ///
 /// Returns a [`SyntaxError`] with source position on malformed input.
 pub fn parse_ty(src: &str) -> Result<Ty, SyntaxError> {
-    let mut p = Parser::new(src)?;
-    let t = p.ty()?;
-    p.expect_eof()?;
-    Ok(t)
+    let sig = crate::sig::Signature::relative_precision();
+    let mut p = Parser::new(src, Lowerer::new(crate::term::TermStore::new(), &sig))?;
+    let t = p.ty().and_then(|t| p.expect_eof().map(|()| t));
+    t.map_err(|e| p.lexer.rest_error().unwrap_or(e))
+}
+
+/// Reads a whole program (`program` true) or a single block into the
+/// lowerer's store.
+pub(crate) fn read<'a>(
+    lower: Lowerer<'a>,
+    src: &'a str,
+    program: bool,
+) -> Result<Lowered, SyntaxError> {
+    let mut p = Parser::new(src, lower)?;
+    let root = if program { p.program() } else { p.block() };
+    match root.and_then(|root| p.expect_eof().map(|()| root)) {
+        Ok(root) => p.lower.finish(root),
+        // Lexing is context-free: a bad character anywhere wins.
+        Err(e) => Err(p.lexer.rest_error().unwrap_or(e)),
+    }
 }
 
 /// The deepest nesting the parser accepts, counted one level per nested
@@ -189,61 +82,72 @@ pub fn parse_ty(src: &str) -> Result<Ty, SyntaxError> {
 /// recursive position of the grammar). Several passes below the parser
 /// recurse too, and this keeps all of them inside a 2 MiB worker-thread
 /// stack: generated programs nest at most 47 deep and the committed
-/// examples at most 4.
+/// examples at most 4. (The other limit, on written exponents, is
+/// checked by every caller of [`Rational::from_decimal_str`].)
 const MAX_NESTING: u32 = 256;
 
 /// The three statement forms of a block.
+#[derive(Clone, Copy)]
 enum StmtKind {
     Let,
     LetBind,
     LetBox,
 }
 
-/// Nests a block's statements around its final expression.
-fn fold_stmts(stmts: Vec<(StmtKind, String, SExpr)>, tail: SExpr) -> SExpr {
-    let mut acc = tail;
-    for (kind, x, e) in stmts.into_iter().rev() {
-        let (e, rest) = (Box::new(e), Box::new(acc));
-        acc = match kind {
-            StmtKind::Let => SExpr::Let(x, e, rest),
-            StmtKind::LetBind => SExpr::LetBind(x, e, rest),
-            StmtKind::LetBox => SExpr::LetBox(x, e, rest),
-        };
-    }
-    acc
+/// A read statement waiting for the rest of its block: its binder, the
+/// bound term, and the bind-stack height its value's let-bindings start
+/// at (they wrap the statement's `let`).
+struct Stmt {
+    kind: StmtKind,
+    var: crate::term::VarId,
+    bound: TermId,
+    binds: usize,
 }
 
-struct Parser {
-    toks: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    tok: Token<'a>,
+    /// The token after `tok`, once something looked at it.
+    next: Option<Token<'a>>,
     /// Current nesting depth (see [`MAX_NESTING`]).
     depth: u32,
+    lower: Lowerer<'a>,
+    /// Statements of the blocks being read, innermost block last.
+    stmts: Vec<Stmt>,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Self, SyntaxError> {
-        Ok(Parser { toks: lex(src)?, pos: 0, depth: 0 })
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, lower: Lowerer<'a>) -> Result<Self, SyntaxError> {
+        let mut lexer = Lexer::new(src);
+        let tok = lexer.next_token()?;
+        Ok(Parser { lexer, tok, next: None, depth: 0, lower, stmts: Vec::new() })
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].kind
+    fn peek(&self) -> Tok<'a> {
+        self.tok.kind
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].kind
+    fn peek2(&mut self) -> Result<Tok<'a>, SyntaxError> {
+        if self.next.is_none() {
+            self.next = Some(self.lexer.next_token()?);
+        }
+        Ok(self.next.map_or(Tok::Eof, |t| t.kind))
     }
 
     fn here(&self) -> (u32, u32) {
-        let t = &self.toks[self.pos];
-        (t.line, t.col)
+        (self.tok.line, self.tok.col)
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].kind.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+    /// Moves past the current token, returning it.
+    fn bump(&mut self) -> Result<Tok<'a>, SyntaxError> {
+        let kind = self.tok.kind;
+        if kind != Tok::Eof {
+            self.tok = match self.next.take() {
+                Some(t) => t,
+                None => self.lexer.next_token()?,
+            };
         }
-        t
+        Ok(kind)
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, SyntaxError> {
@@ -251,9 +155,9 @@ impl Parser {
         Err(SyntaxError::new(msg, line, col))
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<(), SyntaxError> {
-        if self.peek() == &tok {
-            self.bump();
+    fn expect(&mut self, tok: Tok<'a>) -> Result<(), SyntaxError> {
+        if self.peek() == tok {
+            self.bump()?;
             Ok(())
         } else {
             self.err(format!("expected {tok}, found {}", self.peek()))
@@ -261,17 +165,17 @@ impl Parser {
     }
 
     fn expect_eof(&mut self) -> Result<(), SyntaxError> {
-        if self.peek() == &Tok::Eof {
+        if self.peek() == Tok::Eof {
             Ok(())
         } else {
             self.err(format!("expected end of input, found {}", self.peek()))
         }
     }
 
-    fn ident(&mut self) -> Result<String, SyntaxError> {
-        match self.peek().clone() {
+    fn ident(&mut self) -> Result<&'a str, SyntaxError> {
+        match self.peek() {
             Tok::Ident(s) => {
-                self.bump();
+                self.bump()?;
                 Ok(s)
             }
             other => self.err(format!("expected an identifier, found {other}")),
@@ -279,20 +183,19 @@ impl Parser {
     }
 
     fn is_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+        self.peek() == Tok::Ident(kw)
     }
 
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.is_kw(kw) {
-            self.bump();
-            true
-        } else {
-            false
+    fn eat_kw(&mut self, kw: &str) -> Result<bool, SyntaxError> {
+        let found = self.is_kw(kw);
+        if found {
+            self.bump()?;
         }
+        Ok(found)
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), SyntaxError> {
-        if self.eat_kw(kw) {
+        if self.eat_kw(kw)? {
             Ok(())
         } else {
             self.err(format!("expected `{kw}`, found {}", self.peek()))
@@ -310,94 +213,156 @@ impl Parser {
         Ok(())
     }
 
+    /// A numeric literal at the current token, located there on error.
+    fn literal(&mut self, text: &str) -> Result<Rational, SyntaxError> {
+        let (line, col) = self.here();
+        self.bump()?;
+        Rational::from_decimal_str(text).map_err(|e| SyntaxError::new(e.to_string(), line, col))
+    }
+
     // ----- program -----
 
-    fn program(&mut self) -> Result<SProgram, SyntaxError> {
+    /// Definitions are read in a loop and their `LetFun` chain folded
+    /// from the end, so thousands of them do not recurse.
+    fn program(&mut self) -> Result<TermId, SyntaxError> {
         let mut defs = Vec::new();
         while self.is_kw("function") {
             defs.push(self.fndef()?);
         }
-        let main = if self.peek() == &Tok::Eof { None } else { Some(self.block()?) };
-        Ok(SProgram { defs, main })
+        let mut root = match (self.peek(), defs.last()) {
+            (Tok::Eof, None) => {
+                self.lower.fail("program has no definitions or main expression".into())
+            }
+            // No main: the program's value is the last function.
+            (Tok::Eof, Some(&(last, _, _))) => self.lower.store.var(last),
+            _ => self.block()?,
+        };
+        for (var, declared, body) in defs.into_iter().rev() {
+            root = self.lower.store.let_fun(var, Some(declared), body, root);
+        }
+        Ok(root)
     }
 
-    fn fndef(&mut self) -> Result<SFnDef, SyntaxError> {
-        assert!(self.eat_kw("function"));
+    /// One definition: its variable (bound for the rest of the program),
+    /// its declared type, and its body as curried lambdas.
+    fn fndef(&mut self) -> Result<(crate::term::VarId, Ty, TermId), SyntaxError> {
+        self.bump()?;
         let name = self.ident()?;
+        let scope = self.lower.scope_height();
         let mut params = Vec::new();
-        while self.peek() == &Tok::LParen {
-            self.bump();
+        while self.peek() == Tok::LParen {
+            self.bump()?;
             let p = self.ident()?;
             self.expect(Tok::Colon)?;
             let t = self.ty()?;
             self.expect(Tok::RParen)?;
-            params.push((p, t));
+            params.push((self.lower.bind(p), t));
         }
         self.expect(Tok::Colon)?;
-        let ret = self.ty()?;
+        let mut declared = self.ty()?;
         self.expect(Tok::LBrace)?;
-        let body = self.block()?;
+        let mut body = self.block()?;
         self.expect(Tok::RBrace)?;
-        Ok(SFnDef { name, params, ret, body })
+        for (v, t) in params.iter().rev() {
+            body = self.lower.store.lam(*v, t.clone(), body);
+        }
+        self.lower.unbind_to(scope);
+        for (_, t) in params.into_iter().rev() {
+            declared = Ty::lolli(t, declared);
+        }
+        Ok((self.lower.bind(name), declared, body))
     }
 
     // ----- expressions -----
 
-    /// `stmt* expr`. Iterative: statements are collected in a loop and the
-    /// nest is folded at the end, so blocks with tens of thousands of
-    /// statements (Table 4 scale) parse without deep recursion.
-    fn block(&mut self) -> Result<SExpr, SyntaxError> {
-        let mut stmts = Vec::new();
-        while let Some(stmt) = self.stmt()? {
-            stmts.push(stmt);
-        }
+    /// `stmt* expr`, as a term. Statements are read in a loop and their
+    /// `let` chain folded from the end, so blocks with tens of thousands
+    /// of statements (Table 4 scale) do not recurse.
+    fn block(&mut self) -> Result<TermId, SyntaxError> {
+        let (scope, first) = (self.lower.scope_height(), self.stmts.len());
+        while self.stmt()? {}
+        let mark = self.lower.mark();
         let tail = self.expr()?;
-        Ok(fold_stmts(stmts, tail))
+        let mut acc = self.lower.term(tail, mark);
+        self.lower.unbind_to(scope);
+        while self.stmts.len() > first {
+            let s = self.stmts.pop().expect("above first");
+            let store = &mut self.lower.store;
+            acc = match s.kind {
+                StmtKind::Let => store.let_in(s.var, s.bound, acc),
+                StmtKind::LetBind => store.let_bind(s.var, s.bound, acc),
+                StmtKind::LetBox => store.let_box(s.var, s.bound, acc),
+            };
+            acc = self.lower.wrap(s.binds, acc);
+        }
+        Ok(acc)
     }
 
-    /// One `x = e;`, `let x = e;` or `let [x] = e;` statement, or `None`
-    /// at the block's final expression.
-    fn stmt(&mut self) -> Result<Option<(StmtKind, String, SExpr)>, SyntaxError> {
-        let kind = if self.eat_kw("let") {
-            if self.peek() == &Tok::LBracket {
-                self.bump();
+    /// One `x = e;`, `let x = e;` or `let [x] = e;` statement, pushed
+    /// onto `stmts` with its binder in scope; `false` at the block's
+    /// final expression.
+    fn stmt(&mut self) -> Result<bool, SyntaxError> {
+        let kind = if self.eat_kw("let")? {
+            if self.peek() == Tok::LBracket {
+                self.bump()?;
                 StmtKind::LetBox
             } else {
                 StmtKind::LetBind
             }
-        } else if matches!(self.peek(), Tok::Ident(_))
-            && self.peek2() == &Tok::Eq
-            && !self.is_kw("true")
-            && !self.is_kw("false")
+        } else if matches!(self.peek(), Tok::Ident(s) if s != "true" && s != "false")
+            && self.peek2()? == Tok::Eq
         {
             StmtKind::Let
         } else {
-            return Ok(None);
+            return Ok(false);
         };
         let x = self.ident()?;
         if let StmtKind::LetBox = kind {
             self.expect(Tok::RBracket)?;
         }
         self.expect(Tok::Eq)?;
+        let binds = self.lower.mark();
         let e = self.expr()?;
+        // `x = e` binds a term; the other forms bind a value, whose
+        // let-bindings wrap the statement.
+        let bound = match kind {
+            StmtKind::Let => self.lower.term(e, binds),
+            StmtKind::LetBind | StmtKind::LetBox => self.lower.value(e),
+        };
         self.expect(Tok::Semi)?;
-        Ok(Some((kind, x, e)))
+        let var = self.lower.bind(x);
+        self.stmts.push(Stmt { kind, var, bound, binds });
+        Ok(true)
     }
 
-    fn expr(&mut self) -> Result<SExpr, SyntaxError> {
+    fn expr(&mut self) -> Result<Item<'a>, SyntaxError> {
+        let mark = self.lower.mark();
         let head = self.unary()?;
         if self.starts_atom() {
-            self.application(head)
+            self.application(head, mark)
         } else {
             Ok(head)
         }
     }
 
-    /// `head a b …`, left-associative.
-    fn application(&mut self, mut head: SExpr) -> Result<SExpr, SyntaxError> {
+    /// `head a b …`, left-associative; each application is a term that
+    /// wraps the let-bindings made since `mark`.
+    fn application(&mut self, mut head: Item<'a>, mark: usize) -> Result<Item<'a>, SyntaxError> {
         while self.starts_atom() {
-            let arg = self.unary()?;
-            head = SExpr::App(Box::new(head), Box::new(arg));
+            let node = match head {
+                Item::Name(op) if self.lower.applied_op(op) => {
+                    let arg = self.unary()?;
+                    let arg = self.lower.value(arg);
+                    self.lower.store.op(op, arg)
+                }
+                _ => {
+                    let f = self.lower.value(head);
+                    let arg = self.unary()?;
+                    let arg = self.lower.value(arg);
+                    self.lower.store.app(f, arg)
+                }
+            };
+            head = Item::Term(self.lower.wrap(mark, node));
         }
         Ok(head)
     }
@@ -405,9 +370,7 @@ impl Parser {
     fn starts_atom(&self) -> bool {
         match self.peek() {
             Tok::Number(_) | Tok::LParen | Tok::LPairW | Tok::LBracket => true,
-            Tok::Ident(s) => {
-                !matches!(s.as_str(), "then" | "else" | "of" | "function" | "let" | "in")
-            }
+            Tok::Ident(s) => !matches!(s, "then" | "else" | "of" | "function" | "let" | "in"),
             _ => false,
         }
     }
@@ -415,69 +378,89 @@ impl Parser {
     /// One nesting level: a `rnd`/`ret`/`fst`/`snd`/`inl`/`inr` prefix,
     /// `if`, `case`, or an atom. Each form has its own function, which
     /// keeps the stack frames on the recursive path small.
-    fn unary(&mut self) -> Result<SExpr, SyntaxError> {
+    fn unary(&mut self) -> Result<Item<'a>, SyntaxError> {
         self.descend()?;
-        let e = if self.is_kw("if") {
-            self.conditional()
-        } else if self.is_kw("case") {
-            self.case()
-        } else if ["rnd", "ret", "fst", "snd", "inl", "inr"].iter().any(|kw| self.is_kw(kw)) {
-            self.prefixed()
-        } else {
-            self.atom()
+        let e = match self.peek() {
+            Tok::Ident("if") => self.conditional(),
+            Tok::Ident("case") => self.case(),
+            Tok::Ident("rnd" | "ret" | "fst" | "snd" | "inl" | "inr") => self.prefixed(),
+            _ => self.atom(),
         };
         self.depth -= 1;
         e
     }
 
-    fn prefixed(&mut self) -> Result<SExpr, SyntaxError> {
-        let Tok::Ident(kw) = self.bump() else { unreachable!("called at a prefix keyword") };
-        let annotation = match kw.as_str() {
+    fn prefixed(&mut self) -> Result<Item<'a>, SyntaxError> {
+        let mark = self.lower.mark();
+        let Tok::Ident(kw) = self.bump()? else { unreachable!("called at a prefix keyword") };
+        let annotation = match kw {
             "inl" | "inr" => self.injection_annotation()?,
             _ => None,
         };
-        let arg = Box::new(self.unary()?);
-        Ok(match kw.as_str() {
-            "rnd" => SExpr::Rnd(arg),
-            "ret" => SExpr::Ret(arg),
-            "fst" => SExpr::Fst(arg),
-            "snd" => SExpr::Snd(arg),
-            "inl" => SExpr::Inl(annotation, arg),
-            _ => SExpr::Inr(annotation, arg),
+        let arg = self.unary()?;
+        let arg = self.lower.value(arg);
+        let store = &mut self.lower.store;
+        Ok(match kw {
+            "rnd" => Item::Value(store.rnd(arg)),
+            "ret" => Item::Value(store.ret(arg)),
+            "fst" | "snd" => {
+                let node = store.proj(kw == "fst", arg);
+                Item::Term(self.lower.wrap(mark, node))
+            }
+            _ => Item::Value(match annotation {
+                Some(t) if kw == "inl" => store.inl(arg, t),
+                Some(t) => store.inr(arg, t),
+                None => self.lower.fail(format!("`{kw}` needs a type annotation: {kw} {{T}} v")),
+            }),
         })
     }
 
-    fn conditional(&mut self) -> Result<SExpr, SyntaxError> {
-        self.bump();
-        let c = Box::new(self.expr()?);
+    fn conditional(&mut self) -> Result<Item<'a>, SyntaxError> {
+        let mark = self.lower.mark();
+        self.bump()?;
+        let c = self.expr()?;
+        let c = self.lower.value(c);
+        let (_, x) = self.lower.fresh("_tt");
+        let (_, y) = self.lower.fresh("_ff");
         self.expect_kw("then")?;
-        let e1 = Box::new(self.arm()?);
+        let e1 = self.arm()?;
         self.expect_kw("else")?;
-        let e2 = Box::new(self.arm()?);
-        Ok(SExpr::If(c, e1, e2))
+        let e2 = self.arm()?;
+        let node = self.lower.store.case(c, x, e1, y, e2);
+        Ok(Item::Term(self.lower.wrap(mark, node)))
     }
 
-    fn case(&mut self) -> Result<SExpr, SyntaxError> {
-        self.bump();
+    fn case(&mut self) -> Result<Item<'a>, SyntaxError> {
+        let mark = self.lower.mark();
+        self.bump()?;
         let v = self.expr()?;
+        let v = self.lower.value(v);
         self.expect_kw("of")?;
         self.expect(Tok::LParen)?;
-        self.expect_kw("inl")?;
+        let e1 = self.case_arm("inl")?;
+        self.expect(Tok::Pipe)?;
+        let e2 = self.case_arm("inr")?;
+        self.expect(Tok::RParen)?;
+        let node = self.lower.store.case(v, e1.0, e1.1, e2.0, e2.1);
+        Ok(Item::Term(self.lower.wrap(mark, node)))
+    }
+
+    /// `inl x . block` or `inr y . block`, with the binder in scope for
+    /// the block only.
+    fn case_arm(&mut self, kw: &str) -> Result<(crate::term::VarId, TermId), SyntaxError> {
+        self.expect_kw(kw)?;
         let x = self.ident()?;
         self.expect(Tok::Dot)?;
-        let e1 = self.block()?;
-        self.expect(Tok::Pipe)?;
-        self.expect_kw("inr")?;
-        let y = self.ident()?;
-        self.expect(Tok::Dot)?;
-        let e2 = self.block()?;
-        self.expect(Tok::RParen)?;
-        Ok(SExpr::Case(Box::new(v), x, Box::new(e1), y, Box::new(e2)))
+        let scope = self.lower.scope_height();
+        let xv = self.lower.bind(x);
+        let e = self.block()?;
+        self.lower.unbind_to(scope);
+        Ok((xv, e))
     }
 
     fn injection_annotation(&mut self) -> Result<Option<Ty>, SyntaxError> {
-        if self.peek() == &Tok::LBrace {
-            self.bump();
+        if self.peek() == Tok::LBrace {
+            self.bump()?;
             let t = self.ty()?;
             self.expect(Tok::RBrace)?;
             Ok(Some(t))
@@ -486,20 +469,22 @@ impl Parser {
         }
     }
 
-    fn arm(&mut self) -> Result<SExpr, SyntaxError> {
-        if self.peek() == &Tok::LBrace {
-            self.bump();
+    fn arm(&mut self) -> Result<TermId, SyntaxError> {
+        if self.peek() == Tok::LBrace {
+            self.bump()?;
             let e = self.block()?;
             self.expect(Tok::RBrace)?;
             Ok(e)
         } else {
             // Unbraced arms span a full application; `else` terminates the
             // `then` arm because keywords never start an atom.
-            self.expr()
+            let mark = self.lower.mark();
+            let e = self.expr()?;
+            Ok(self.lower.term(e, mark))
         }
     }
 
-    fn atom(&mut self) -> Result<SExpr, SyntaxError> {
+    fn atom(&mut self) -> Result<Item<'a>, SyntaxError> {
         match self.peek() {
             Tok::LParen | Tok::LPairW => self.pair(),
             Tok::LBracket => self.boxed(),
@@ -507,63 +492,70 @@ impl Parser {
         }
     }
 
-    /// `()`, `(e)`, `(a, b)` or `(|a, b|)`.
-    fn pair(&mut self) -> Result<SExpr, SyntaxError> {
-        let cartesian = self.bump() == Tok::LPairW;
-        if !cartesian && self.peek() == &Tok::RParen {
-            self.bump();
-            return Ok(SExpr::Unit);
+    /// `()`, `(e)`, `(a, b)` or `(|a, b|)`. A parenthesized expression
+    /// keeps its item, so `(add) (|1, 2|)` still applies an operation.
+    fn pair(&mut self) -> Result<Item<'a>, SyntaxError> {
+        let cartesian = self.bump()? == Tok::LPairW;
+        if !cartesian && self.peek() == Tok::RParen {
+            self.bump()?;
+            return Ok(Item::Value(self.lower.store.unit()));
         }
         let a = self.expr()?;
-        if !cartesian && self.peek() != &Tok::Comma {
+        if !cartesian && self.peek() != Tok::Comma {
             self.expect(Tok::RParen)?;
             return Ok(a);
         }
         self.expect(Tok::Comma)?;
-        let b = Box::new(self.expr()?);
+        let a = self.lower.value(a);
+        let b = self.expr()?;
+        let b = self.lower.value(b);
         self.expect(if cartesian { Tok::RPairW } else { Tok::RParen })?;
-        let a = Box::new(a);
-        Ok(if cartesian { SExpr::PairW(a, b) } else { SExpr::PairT(a, b) })
+        let store = &mut self.lower.store;
+        Ok(Item::Value(if cartesian { store.pair_with(a, b) } else { store.pair_tensor(a, b) }))
     }
 
     /// `[e]{s}`.
-    fn boxed(&mut self) -> Result<SExpr, SyntaxError> {
-        self.bump();
+    fn boxed(&mut self) -> Result<Item<'a>, SyntaxError> {
+        self.bump()?;
         let e = self.expr()?;
         self.expect(Tok::RBracket)?;
         self.expect(Tok::LBrace)?;
         let g = self.grade()?;
         self.expect(Tok::RBrace)?;
-        Ok(SExpr::BoxI(g, Box::new(e)))
+        let e = self.lower.value(e);
+        Ok(Item::Value(self.lower.store.box_intro(g, e)))
     }
 
-    /// A number, `true`, `false` or a variable.
-    fn leaf(&mut self) -> Result<SExpr, SyntaxError> {
-        match self.peek().clone() {
+    /// A number, `true`, `false` or a name.
+    fn leaf(&mut self) -> Result<Item<'a>, SyntaxError> {
+        let store_value = match self.peek() {
             Tok::Number(n) => {
-                self.bump();
-                let q = Rational::from_decimal_str(&n)
-                    .map_err(|e| SyntaxError::new(e.to_string(), 0, 0))?;
-                Ok(SExpr::Num(q))
+                let q = self.literal(n)?;
+                self.lower.store.num(q)
+            }
+            Tok::Ident("true") => {
+                self.bump()?;
+                self.lower.store.bool_true()
+            }
+            Tok::Ident("false") => {
+                self.bump()?;
+                self.lower.store.bool_false()
             }
             Tok::Ident(s) => {
-                self.bump();
-                Ok(match s.as_str() {
-                    "true" => SExpr::True,
-                    "false" => SExpr::False,
-                    _ => SExpr::Var(s),
-                })
+                self.bump()?;
+                return Ok(Item::Name(s));
             }
-            other => self.err(format!("expected an expression, found {other}")),
-        }
+            other => return self.err(format!("expected an expression, found {other}")),
+        };
+        Ok(Item::Value(store_value))
     }
 
     // ----- types -----
 
     fn ty(&mut self) -> Result<Ty, SyntaxError> {
         let lhs = self.sum_ty()?;
-        if self.peek() == &Tok::Lolli {
-            self.bump();
+        if self.peek() == Tok::Lolli {
+            self.bump()?;
             // The right-hand side nests: `-o` is right-associative.
             self.descend()?;
             let rhs = self.ty()?;
@@ -576,8 +568,8 @@ impl Parser {
 
     fn sum_ty(&mut self) -> Result<Ty, SyntaxError> {
         let mut t = self.atom_ty()?;
-        while self.peek() == &Tok::Plus {
-            self.bump();
+        while self.peek() == Tok::Plus {
+            self.bump()?;
             let r = self.atom_ty()?;
             t = Ty::sum(t, r);
         }
@@ -588,8 +580,7 @@ impl Parser {
     fn atom_ty(&mut self) -> Result<Ty, SyntaxError> {
         self.descend()?;
         let t = match self.peek() {
-            Tok::Bang => self.graded_ty()?,
-            Tok::Ident(s) if s == "M" => self.graded_ty()?,
+            Tok::Bang | Tok::Ident("M") => self.graded_ty()?,
             Tok::Lt | Tok::LParen => self.pair_ty()?,
             _ => self.base_ty()?,
         };
@@ -599,7 +590,7 @@ impl Parser {
 
     /// `M[g] τ` or `![g] τ`.
     fn graded_ty(&mut self) -> Result<Ty, SyntaxError> {
-        let bang = self.bump() == Tok::Bang;
+        let bang = self.bump()? == Tok::Bang;
         self.expect(Tok::LBracket)?;
         let g = self.grade()?;
         self.expect(Tok::RBracket)?;
@@ -609,15 +600,15 @@ impl Parser {
 
     /// `<σ, τ>`, `(σ, τ)` or `(τ)`.
     fn pair_ty(&mut self) -> Result<Ty, SyntaxError> {
-        let cartesian = self.bump() == Tok::Lt;
+        let cartesian = self.bump()? == Tok::Lt;
         let a = self.ty()?;
         if cartesian {
             self.expect(Tok::Comma)?;
             let b = self.ty()?;
             self.expect(Tok::Gt)?;
             Ok(Ty::with(a, b))
-        } else if self.peek() == &Tok::Comma {
-            self.bump();
+        } else if self.peek() == Tok::Comma {
+            self.bump()?;
             let b = self.ty()?;
             self.expect(Tok::RParen)?;
             Ok(Ty::tensor(a, b))
@@ -630,13 +621,13 @@ impl Parser {
     /// `num`, `unit` or `bool`.
     fn base_ty(&mut self) -> Result<Ty, SyntaxError> {
         let t = match self.peek() {
-            Tok::Ident(s) if s == "num" => Ty::Num,
-            Tok::Ident(s) if s == "unit" => Ty::Unit,
-            Tok::Ident(s) if s == "bool" => Ty::bool(),
+            Tok::Ident("num") => Ty::Num,
+            Tok::Ident("unit") => Ty::Unit,
+            Tok::Ident("bool") => Ty::bool(),
             Tok::Ident(s) => return self.err(format!("expected a type, found identifier `{s}`")),
             other => return self.err(format!("expected a type, found {other}")),
         };
-        self.bump();
+        self.bump()?;
         Ok(t)
     }
 
@@ -644,8 +635,8 @@ impl Parser {
 
     fn grade(&mut self) -> Result<Grade, SyntaxError> {
         let mut g = self.grade_term()?;
-        while self.peek() == &Tok::Plus {
-            self.bump();
+        while self.peek() == Tok::Plus {
+            self.bump()?;
             let t = self.grade_term()?;
             g = g.add(&t);
         }
@@ -654,8 +645,8 @@ impl Parser {
 
     fn grade_term(&mut self) -> Result<Grade, SyntaxError> {
         let mut g = self.grade_factor()?;
-        while self.peek() == &Tok::Star {
-            self.bump();
+        while self.peek() == Tok::Star {
+            self.bump()?;
             let f = self.grade_factor()?;
             g = match g.checked_mul(&f) {
                 Some(p) => p,
@@ -666,19 +657,15 @@ impl Parser {
     }
 
     fn grade_factor(&mut self) -> Result<Grade, SyntaxError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Number(n) => {
-                self.bump();
-                let mut q = Rational::from_decimal_str(&n)
-                    .map_err(|e| SyntaxError::new(e.to_string(), 0, 0))?;
+                let mut q = self.literal(n)?;
                 // Optional exact fraction: `1/2`.
-                if self.peek() == &Tok::Slash {
-                    self.bump();
-                    match self.peek().clone() {
+                if self.peek() == Tok::Slash {
+                    self.bump()?;
+                    match self.peek() {
                         Tok::Number(d) => {
-                            self.bump();
-                            let den = Rational::from_decimal_str(&d)
-                                .map_err(|e| SyntaxError::new(e.to_string(), 0, 0))?;
+                            let den = self.literal(d)?;
                             if den.is_zero() {
                                 return self.err("zero denominator in grade");
                             }
@@ -692,13 +679,9 @@ impl Parser {
                 }
                 Ok(Grade::constant(q))
             }
-            Tok::Ident(s) if s == "inf" => {
-                self.bump();
-                Ok(Grade::infinite())
-            }
             Tok::Ident(s) => {
-                self.bump();
-                Ok(Grade::symbol(&s))
+                self.bump()?;
+                Ok(if s == "inf" { Grade::infinite() } else { Grade::symbol(s) })
             }
             other => self.err(format!("expected a grade, found {other}")),
         }
@@ -708,6 +691,23 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::{compile, compile_expr_with};
+    use crate::sig::Signature;
+    use crate::term::Node;
+
+    fn parse(src: &str) -> Result<Lowered, SyntaxError> {
+        compile(src, &Signature::relative_precision())
+    }
+
+    fn expr(src: &str) -> Result<Lowered, SyntaxError> {
+        let free: Vec<(String, Ty)> =
+            ["c", "x", "y", "f", "a", "b"].iter().map(|n| (n.to_string(), Ty::Num)).collect();
+        compile_expr_with(src, &Signature::relative_precision(), &free).map(|(l, _)| l)
+    }
+
+    fn root(l: &Lowered) -> Node {
+        *l.store.node(l.root)
+    }
 
     #[test]
     fn parses_types() {
@@ -738,59 +738,53 @@ mod tests {
                 addfp (|a,z|)
             }
         "#;
-        let prog = parse_program(src).unwrap();
-        assert_eq!(prog.defs.len(), 1);
-        let ma = &prog.defs[0];
-        assert_eq!(ma.name, "MA");
-        assert_eq!(ma.params.len(), 3);
-        assert_eq!(ma.ret.to_string(), "M[2*eps]num");
-        match &ma.body {
-            SExpr::Let(s, v, rest) => {
-                assert_eq!(s, "s");
-                assert!(matches!(**v, SExpr::App(..)));
-                match &**rest {
-                    SExpr::LetBind(a, _, rest2) => {
-                        assert_eq!(a, "a");
-                        assert!(matches!(**rest2, SExpr::App(..)));
-                    }
-                    other => panic!("expected let-bind, got {other:?}"),
-                }
-            }
-            other => panic!("expected let, got {other:?}"),
+        let sig = Signature::relative_precision()
+            .with_op("mulfp", Ty::tensor(Ty::Num, Ty::Num), Ty::Num)
+            .with_op("addfp", Ty::with(Ty::Num, Ty::Num), Ty::Num);
+        let l = compile(src, &sig).unwrap();
+        let Node::LetFun(_, declared, body, _) = root(&l) else { panic!("expected a LetFun") };
+        assert_eq!(
+            l.store.ty(declared.expect("declared")).to_string(),
+            "num -o num -o num -o M[2*eps]num"
+        );
+        let mut body = body;
+        for _ in 0..3 {
+            let Node::Lam(_, _, b) = *l.store.node(body) else { panic!("expected a lambda") };
+            body = b;
         }
+        let Node::Let(_, v, rest) = *l.store.node(body) else { panic!("expected a let") };
+        assert!(matches!(l.store.node(v), Node::Op(..)));
+        let Node::LetBind(_, _, rest) = *l.store.node(rest) else { panic!("expected a bind") };
+        assert!(matches!(l.store.node(rest), Node::Op(..)));
     }
 
     #[test]
     fn parses_case_and_if() {
-        let e = parse_expr("case c of (inl x . ret 0.5 | inr y . ret 1)").unwrap();
-        assert!(matches!(e, SExpr::Case(..)));
-        let e = parse_expr("if c then ret x else ret y").unwrap();
-        assert!(matches!(e, SExpr::If(..)));
-        let e = parse_expr("if c then { a = mul (x, x); rnd a } else ret y").unwrap();
-        assert!(matches!(e, SExpr::If(..)));
+        assert!(matches!(
+            root(&expr("case c of (inl x . ret 0.5 | inr y . ret 1)").unwrap()),
+            Node::Case(..)
+        ));
+        assert!(matches!(root(&expr("if c then ret x else ret y").unwrap()), Node::Case(..)));
+        let l = expr("if c then { a = mul (x, x); rnd a } else ret y").unwrap();
+        assert!(matches!(root(&l), Node::Case(..)));
     }
 
     #[test]
     fn parses_box_and_letbox() {
-        let e = parse_expr("let [x1] = x; mul (x1, x1)").unwrap();
-        assert!(matches!(e, SExpr::LetBox(..)));
-        let e = parse_expr("[x]{2.0}").unwrap();
-        match &e {
-            SExpr::BoxI(g, _) => assert_eq!(g.to_string(), "2"),
-            other => panic!("expected box, got {other:?}"),
-        }
+        assert!(matches!(root(&expr("let [x1] = x; mul (x1, x1)").unwrap()), Node::LetBox(..)));
+        let l = expr("[x]{2.0}").unwrap();
+        let Node::BoxIntro(g, _) = root(&l) else { panic!("expected a box") };
+        assert_eq!(l.store.grade(g).to_string(), "2");
     }
 
     #[test]
     fn application_is_left_associative() {
-        let e = parse_expr("f a b").unwrap();
-        match &e {
-            SExpr::App(fa, b) => {
-                assert!(matches!(**fa, SExpr::App(..)));
-                assert_eq!(**b, SExpr::Var("b".into()));
-            }
-            other => panic!("expected application, got {other:?}"),
-        }
+        // `f a b` applies `f a` (let-bound to a temp) to `b`.
+        let l = expr("f a b").unwrap();
+        let Node::Let(t, fa, outer) = root(&l) else { panic!("expected an ANF let") };
+        assert!(matches!(l.store.node(fa), Node::App(..)));
+        let Node::App(head, _) = *l.store.node(outer) else { panic!("expected an application") };
+        assert_eq!(*l.store.node(head), Node::Var(t));
     }
 
     #[test]
@@ -802,26 +796,34 @@ mod tests {
             }
             pow2 [3]{2.0}
         "#;
-        let prog = parse_program(src).unwrap();
-        assert_eq!(prog.defs.len(), 1);
-        assert!(prog.main.is_some());
+        let l = parse(src).unwrap();
+        let Node::LetFun(_, _, _, main) = root(&l) else { panic!("expected a LetFun") };
+        assert!(matches!(l.store.node(main), Node::App(..)));
     }
 
     #[test]
     fn error_positions() {
-        let e = parse_program("function f (x: num) : num { ) }").unwrap_err();
+        let e = parse("function f (x: num) : num { ) }").unwrap_err();
         assert!(e.line >= 1 && e.col > 1, "error has a position: {e}");
-        assert!(parse_expr("(a,").is_err());
+        assert!(expr("(a,").is_err());
         assert!(parse_ty("M[").is_err());
-        assert!(parse_expr("").is_err());
+        assert!(expr("").is_err());
+        // A bad character anywhere wins over an earlier syntax error.
+        let e = parse("x = ); y = 1 # 2; y").unwrap_err();
+        assert_eq!((e.msg.as_str(), e.col), ("unexpected character `#`", 14));
+        // Malformed literals are located at the literal.
+        let e = parse("x = 1.2.3; x").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 5), "{e}");
+        let e = parse_ty("![1..2]num").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 3), "{e}");
     }
 
     #[test]
     fn nesting_is_limited_at_the_crossing_token() {
         let limit = MAX_NESTING as usize;
         let parens = |n: usize| format!("{}2{}", "(".repeat(n), ")".repeat(n));
-        assert!(parse_expr(&parens(limit - 1)).is_ok());
-        let e = parse_expr(&parens(limit)).unwrap_err();
+        assert!(expr(&parens(limit - 1)).is_ok());
+        let e = expr(&parens(limit)).unwrap_err();
         assert_eq!((e.line, e.col), (1, MAX_NESTING + 1), "{e}");
         assert_eq!(e.msg, "nesting deeper than 256 levels");
         // Types nest through atomic types and through `-o` chains.
@@ -829,6 +831,14 @@ mod tests {
         assert!(parse_ty(&format!("{}num", "![1]".repeat(limit))).is_err());
         assert!(parse_ty(&vec!["num"; limit].join(" -o ")).is_ok());
         assert!(parse_ty(&vec!["num"; limit + 1].join(" -o ")).is_err());
+    }
+
+    #[test]
+    fn written_exponents_are_bounded() {
+        assert!(expr("x = 1e100000; x").is_ok());
+        let e = expr("x = 1e100001; x").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 5), "{e}");
+        assert!(e.msg.contains("exponent"), "{e}");
     }
 
     #[test]

@@ -23,10 +23,14 @@ pub use crate::arena::{TermId, VarId};
 use crate::grade::Grade;
 use crate::ty::Ty;
 use numfuzz_exact::Rational;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 /// Interned index of a constant or operation name.
 type Idx = u32;
+
+/// Index of a stored variable display name.
+pub(crate) type NameIdx = u32;
 
 /// A term node. Constructors and eliminators take *value* operands
 /// (Fig. 1's refinement of Fuzz); the surface-syntax lowering inserts lets
@@ -92,7 +96,11 @@ pub struct TermStore {
     const_dedup: HashMap<Rational, Idx>,
     tys: CoreArena,
     ops: Vec<String>,
-    var_names: Vec<String>,
+    /// Distinct variable display names, each spelling stored once.
+    names: Vec<Arc<str>>,
+    name_dedup: HashMap<Arc<str>, NameIdx>,
+    /// Each variable's index into `names`.
+    var_names: Vec<NameIdx>,
 }
 
 impl Default for TermStore {
@@ -118,6 +126,8 @@ impl TermStore {
             const_dedup: HashMap::new(),
             tys,
             ops: Vec::new(),
+            names: Vec::new(),
+            name_dedup: HashMap::new(),
             var_names: Vec::new(),
         }
     }
@@ -170,26 +180,51 @@ impl TermStore {
 
     /// The display name of a variable.
     pub fn var_name(&self, v: VarId) -> &str {
-        &self.var_names[v.0 as usize]
+        &self.names[self.var_names[v.0 as usize] as usize]
     }
 
     /// Allocates a fresh variable with a display name.
     pub fn fresh_var(&mut self, name: &str) -> VarId {
+        let name = self.intern_name(name);
+        self.fresh_var_named(name)
+    }
+
+    /// Interns a display name for [`TermStore::fresh_var_named`].
+    pub(crate) fn intern_name(&mut self, name: &str) -> NameIdx {
+        if let Some(&idx) = self.name_dedup.get(name) {
+            return idx;
+        }
+        let idx = self.names.len() as NameIdx;
+        let name: Arc<str> = name.into();
+        self.names.push(name.clone());
+        self.name_dedup.insert(name, idx);
+        idx
+    }
+
+    /// Allocates a fresh variable under an interned name.
+    pub(crate) fn fresh_var_named(&mut self, name: NameIdx) -> VarId {
         let id = VarId(self.var_names.len() as u32);
-        self.var_names.push(name.to_string());
+        self.var_names.push(name);
         id
+    }
+
+    /// Renames a variable (the front end names ANF temporaries once the
+    /// whole program is read).
+    pub(crate) fn rename_var(&mut self, v: VarId, name: NameIdx) {
+        self.var_names[v.0 as usize] = name;
     }
 
     /// Interns a node (hash-consing: structurally identical nodes share
     /// one id).
     fn push(&mut self, node: Node) -> TermId {
-        if let Some(&id) = self.dedup.get(&node) {
-            return id;
+        match self.dedup.entry(node) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = TermId(self.nodes.len() as u32);
+                self.nodes.push(node);
+                *e.insert(id)
+            }
         }
-        let id = TermId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        self.dedup.insert(node, id);
-        id
     }
 
     /// Interns a type annotation.
@@ -225,13 +260,11 @@ impl TermStore {
 
     /// Numeric constant.
     pub fn num(&mut self, k: Rational) -> TermId {
-        let idx = match self.const_dedup.get(&k) {
-            Some(&i) => i,
-            None => {
-                let i = self.consts.len() as Idx;
-                self.const_dedup.insert(k.clone(), i);
-                self.consts.push(k);
-                i
+        let idx = match self.const_dedup.entry(k) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.consts.push(e.key().clone());
+                *e.insert((self.consts.len() - 1) as Idx)
             }
         };
         self.push(Node::Const(idx))
@@ -556,5 +589,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(s.var_name(a), "x");
         assert_eq!(s.var_name(b), "x");
+        assert_eq!(s.names.len(), 1, "a spelling is stored once");
     }
 }

@@ -4,7 +4,7 @@
 //! (weakening: the minimal environment Fig. 10 infers gives a variable
 //! the program never reads sensitivity zero).
 
-use numfuzz_core::{compile, infer, lower, parse_program, pretty_term, Signature, Ty};
+use numfuzz_core::{compile, compile_expr_with, infer, parse_ty, pretty_term, Signature, Ty};
 use proptest::prelude::*;
 
 const CORPUS: &[&str] = &[
@@ -48,9 +48,9 @@ fn checking_ignores_unused_free_variables() {
     // (they simply stay at sensitivity 0): the practical content of
     // weakening for the inference algorithm.
     let sig = Signature::relative_precision();
-    let expr = numfuzz_core::parse_expr("s = mul (x, x); rnd s").expect("parses");
+    let expr = "s = mul (x, x); rnd s";
     let (lowered1, free1) =
-        lower::lower_expr_with(&expr, &sig, &[("x".into(), Ty::Num)]).expect("lowers");
+        compile_expr_with(expr, &sig, &[("x".into(), Ty::Num)]).expect("lowers");
     let r1 = infer(&lowered1.store, &sig, lowered1.root, &free1).expect("checks");
 
     let extra = vec![
@@ -58,7 +58,7 @@ fn checking_ignores_unused_free_variables() {
         ("unused1".to_string(), Ty::Num),
         ("unused2".to_string(), Ty::bool()),
     ];
-    let (lowered2, free2) = lower::lower_expr_with(&expr, &sig, &extra).expect("lowers");
+    let (lowered2, free2) = compile_expr_with(expr, &sig, &extra).expect("lowers");
     let r2 = infer(&lowered2.store, &sig, lowered2.root, &free2).expect("checks");
 
     assert_eq!(r1.root.ty, r2.root.ty);
@@ -72,9 +72,10 @@ proptest! {
     /// The parser returns `Err` (never panics) on arbitrary token soup.
     #[test]
     fn parser_never_panics(s in "[a-zA-Z0-9(){}\\[\\]<>,;:=.+*/|! \n-]{0,200}") {
-        let _ = parse_program(&s);
-        let _ = numfuzz_core::parse_expr(&s);
-        let _ = numfuzz_core::parse_ty(&s);
+        let sig = Signature::relative_precision();
+        let _ = compile(&s, &sig);
+        let _ = compile_expr_with(&s, &sig, &[]);
+        let _ = parse_ty(&s);
     }
 
     /// Compiling arbitrary near-miss programs either succeeds or errors

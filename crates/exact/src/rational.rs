@@ -480,24 +480,36 @@ impl Rational {
         }
     }
 
+    /// The largest decimal exponent [`Rational::from_decimal_str`]
+    /// accepts in either direction. binary256 at its widest exponent
+    /// range spans about 10^±79,000, so no meaningful literal needs more,
+    /// and a literal at the bound is still cheap to represent exactly.
+    pub const MAX_DECIMAL_EXPONENT: u64 = 100_000;
+
     /// Parses decimal notation: `"3"`, `"-0.25"`, `"1e-5"`, `"2.5e3"`, or an
-    /// exact fraction `"3/4"`.
+    /// exact fraction `"3/4"`. A written exponent beyond
+    /// ±[`Rational::MAX_DECIMAL_EXPONENT`] is rejected. Literals whose
+    /// digits and power of ten fit machine words never touch the heap.
     pub fn from_decimal_str(s: &str) -> Result<Self, ParseRationalError> {
         let s = s.trim();
+        let invalid = || ParseRationalError { literal: s.to_string(), exponent: false };
         if s.is_empty() {
-            return Err(ParseRationalError(s.to_string()));
+            return Err(invalid());
         }
         if let Some((n, d)) = s.split_once('/') {
-            let num: BigInt = n.trim().parse().map_err(|_| ParseRationalError(s.to_string()))?;
-            let den: BigInt = d.trim().parse().map_err(|_| ParseRationalError(s.to_string()))?;
+            let num: BigInt = n.trim().parse().map_err(|_| invalid())?;
+            let den: BigInt = d.trim().parse().map_err(|_| invalid())?;
             if den.is_zero() {
-                return Err(ParseRationalError(s.to_string()));
+                return Err(invalid());
             }
             return Ok(Rational::new(num, den));
         }
         let (mantissa, exp10) = match s.split_once(['e', 'E']) {
             Some((m, e)) => {
-                let exp: i64 = e.parse().map_err(|_| ParseRationalError(s.to_string()))?;
+                let exp: i64 = e.parse().map_err(|_| invalid())?;
+                if exp.unsigned_abs() > Self::MAX_DECIMAL_EXPONENT {
+                    return Err(ParseRationalError { literal: s.to_string(), exponent: true });
+                }
                 (m, exp)
             }
             None => (s, 0),
@@ -511,19 +523,55 @@ impl Rational {
             None => (digits, ""),
         };
         if int_part.is_empty() && frac_part.is_empty() {
-            return Err(ParseRationalError(s.to_string()));
+            return Err(invalid());
+        }
+        let exp = exp10 - frac_part.len() as i64;
+        if let Some(q) = Rational::small_decimal(sign, int_part, frac_part, exp) {
+            return Ok(q);
         }
         let joined = format!("{int_part}{frac_part}");
         let mag = BigUint::from_decimal_str(if joined.is_empty() { "0" } else { &joined })
-            .map_err(|_| ParseRationalError(s.to_string()))?;
+            .map_err(|_| invalid())?;
         let num = if mag.is_zero() { BigInt::zero() } else { BigInt::from_sign_mag(sign, mag) };
-        let exp = exp10 - frac_part.len() as i64;
         let ten = BigUint::from(10u32);
         Ok(if exp >= 0 {
             Rational::new_unsigned(num.mul(&BigInt::from(ten.pow(exp as u64))), BigUint::one())
         } else {
             Rational::new_unsigned(num, ten.pow((-exp) as u64))
         })
+    }
+
+    /// `±digits · 10^exp` in machine words, reduced by the 2s and 5s it
+    /// shares with the power of ten; `None` when a part overflows or a
+    /// digit is malformed (the big path decides).
+    fn small_decimal(sign: Sign, int_part: &str, frac_part: &str, exp: i64) -> Option<Self> {
+        let mut m: u64 = 0;
+        for &c in int_part.as_bytes().iter().chain(frac_part.as_bytes()) {
+            if !c.is_ascii_digit() {
+                return None;
+            }
+            m = m.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+        }
+        if m == 0 {
+            return Some(Rational::zero());
+        }
+        let mut den = 1u64;
+        if exp >= 0 {
+            m = m.checked_mul(10u64.checked_pow(u32::try_from(exp).ok()?)?)?;
+        } else {
+            let k = u32::try_from(-exp).ok().filter(|&k| k <= 19)?;
+            let twos = m.trailing_zeros().min(k);
+            m >>= twos;
+            let mut fives = 0;
+            while fives < k && m.is_multiple_of(5) {
+                m /= 5;
+                fives += 1;
+            }
+            den = 2u64.checked_pow(k - twos)?.checked_mul(5u64.checked_pow(k - fives)?)?;
+        }
+        let num = i64::try_from(m).ok()?;
+        let num = if sign == Sign::Minus { -num } else { num };
+        Some(Rational { repr: Repr::Small { num, den } })
     }
 
     /// Formats in scientific notation with `sig` significant digits,
@@ -597,11 +645,20 @@ fn ldexp(x: f64, e: i64) -> f64 {
 
 /// Error returned when parsing a [`Rational`] from an invalid string.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseRationalError(String);
+pub struct ParseRationalError {
+    literal: String,
+    /// The literal is well formed but writes an exponent beyond
+    /// ±[`Rational::MAX_DECIMAL_EXPONENT`].
+    exponent: bool,
+}
 
 impl fmt::Display for ParseRationalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid rational literal: {:?}", self.0)
+        write!(f, "invalid rational literal: {:?}", self.literal)?;
+        if self.exponent {
+            write!(f, " (exponent beyond ±{})", Rational::MAX_DECIMAL_EXPONENT)?;
+        }
+        Ok(())
     }
 }
 
@@ -789,6 +846,44 @@ mod tests {
         assert!(Rational::from_decimal_str("").is_err());
         assert!(Rational::from_decimal_str("1/0").is_err());
         assert!(Rational::from_decimal_str("abc").is_err());
+        assert!(Rational::from_decimal_str("1.2.3").is_err());
+    }
+
+    #[test]
+    fn word_sized_literals_agree_with_exact_arithmetic() {
+        // Both sides of every machine-word boundary the fast path tests;
+        // derived equality also checks the representation is canonical.
+        let cases = [
+            ("0.000125", "125", -6),
+            ("-1.5e2", "-15", 1),
+            ("2.50", "250", -2),
+            ("0e5", "0", 5),
+            ("-0.0", "0", 0),
+            ("9223372036854775807", "9223372036854775807", 0),
+            ("9223372036854775808", "9223372036854775808", 0),
+            ("-9223372036854775808", "-9223372036854775808", 0),
+            ("18446744073709551616", "18446744073709551616", 0),
+            ("1e18", "1", 18),
+            ("1e19", "1", 19),
+            ("1e-19", "1", -19),
+            ("3e-20", "3", -20),
+            ("6.4e-19", "64", -20),
+        ];
+        for (literal, digits, exp) in cases {
+            let digits: BigInt = digits.parse().expect("valid digits");
+            let want = Rational::from(digits).mul(&Rational::from_int(10).pow(exp));
+            assert_eq!(rat(literal), want, "{literal}");
+        }
+    }
+
+    #[test]
+    fn written_exponents_are_bounded() {
+        assert_eq!(rat("0e100000"), Rational::zero());
+        assert_eq!(rat("0e-100000"), Rational::zero());
+        for literal in ["1e100001", "1e-100001", "1e10000000", "0e100001"] {
+            let e = Rational::from_decimal_str(literal).expect_err("exponent beyond the bound");
+            assert!(e.to_string().ends_with("(exponent beyond ±100000)"), "{e}");
+        }
     }
 
     #[test]

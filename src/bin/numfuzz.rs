@@ -54,8 +54,9 @@
 //!                    (a rational like 1/100000; default: the original
 //!                    program's bound at the session format)
 //!     --out FILE     write the rewritten .nf program to FILE
-//! numfuzz bench [bench options]      measure check+bound throughput over
-//!                                    the benchsuite corpus, emit JSON
+//! numfuzz bench [bench options]      measure check+bound and parse
+//!                                    throughput over the benchsuite
+//!                                    corpus, emit JSON
 //!     --prec P       precision bits, 2..=237 (default 53)
 //!     --emax E       maximum exponent, 1..=262143 (default 1023)
 //!     --mode M       ru | rd | rz | rn (default ru)
@@ -97,8 +98,9 @@
 //!                    current directory, and the resolved path is printed)
 //!     --baseline F   a previous report; its nodes_per_sec is embedded and
 //!                    a speedup factor computed
-//!     --gate F       compare cold check+bound throughput against report F
-//!                    and exit 1 on regression beyond the tolerance
+//!     --gate F       compare cold check+bound throughput and parse MB/s
+//!                    against report F and exit 1 on regression beyond the
+//!                    tolerance
 //!     --tolerance P  allowed regression percentage for --gate (default 40)
 //!     --gate-incremental R  exit 1 unless this run's single-leaf-edit
 //!                    recheck replayed at least ratio R of its judgments
@@ -1079,7 +1081,8 @@ fn table1_row(
     })
 }
 
-/// `numfuzz bench`: check+bound throughput over the benchsuite corpus.
+/// `numfuzz bench`: check+bound throughput over the benchsuite corpus,
+/// and parse throughput over its renderings.
 ///
 /// The corpus mixes the paper's Table 3 kernels (via the IR translation),
 /// the Table 5 conditional programs (via the parser), and scaled-down
@@ -1158,6 +1161,25 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     corpus.push(Program::from_generated(numfuzz::benchsuite::poly_naive_in(tys(), 80)));
 
     let total_nodes: usize = corpus.iter().map(|p| p.store().len()).sum();
+
+    // The parse measurement: the front end alone, over the
+    // `Program::pretty` renderings of the corpus programs that re-parse
+    // (open programs print their inputs unbound), the 300 KB
+    // `serial_sum(5000)` among them. Rendering happens before the clock
+    // starts, and a session of its own parses, so no other section's
+    // counts move.
+    let parse_analyzer = Analyzer::new();
+    let parse_corpus: Vec<String> = corpus
+        .iter()
+        .map(|p| p.pretty(u32::MAX))
+        .filter(|src| parse_analyzer.parse(src).is_ok())
+        .collect();
+    let parse_bytes: usize = parse_corpus.iter().map(String::len).sum();
+    let parsed = timed_passes(iters, || {
+        parse_corpus.iter().map(|src| parse_analyzer.parse_named("bench", src)).collect()
+    });
+    let parse_best = parsed.best_seconds;
+
     // One untimed pass warms the session arena exactly like a session
     // reusing it would; timed passes then measure steady-state throughput.
     // Rendering for the byte-identical comparison happens after the clock
@@ -1415,6 +1437,21 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
         json.push_str(&format!(",\n  \"baseline_best_pass_seconds\": {base:.6}"));
         json.push_str(&format!(",\n  \"speedup\": {:.2}", base / best));
     }
+    // The parse section, like every section, comes after the top-level
+    // forward keys; its own keys are unique so the gate reads them too.
+    json.push_str(",\n  \"parse\": {\n");
+    json.push_str(
+        "    \"harness\": \"best-of-N passes of Analyzer::parse_named over the pretty-printed \
+         corpus programs that re-parse, serial_sum(5000) among them; rendering is untimed\",\n",
+    );
+    json.push_str(&format!("    \"programs\": {},\n", parse_corpus.len()));
+    json.push_str(&format!("    \"bytes\": {parse_bytes},\n"));
+    json.push_str(&format!("    \"best_pass_seconds\": {parse_best:.6},\n"));
+    json.push_str(&format!("    \"mb_per_sec\": {:.2},\n", parse_bytes as f64 / 1e6 / parse_best));
+    json.push_str(&format!(
+        "    \"programs_per_sec\": {:.2}\n  }}",
+        parse_corpus.len() as f64 / parse_best
+    ));
     json.push_str(",\n  \"cache\": {\n");
     json.push_str(&format!("    \"budget_bytes\": {},\n", cache_stats.budget));
     json.push_str(&format!("    \"cold_pass_seconds\": {cache_cold:.6},\n"));
@@ -1538,6 +1575,26 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
                 "throughput regression: {checks_per_sec:.2} checks/s is below the gate floor \
                  {floor:.2} ({tolerance}% under baseline {base:.2} from {gate_path})"
             )));
+        }
+        // The front end's floor, at the same tolerance. Baselines
+        // predating the parse section skip the check.
+        let parse_mbps = parse_bytes as f64 / 1e6 / parse_best;
+        match extract_json_number(&text, "mb_per_sec") {
+            Some(base) => {
+                let floor = base * (1.0 - tolerance / 100.0);
+                eprintln!(
+                    "gate-parse: fresh {parse_mbps:.2} MB/s vs baseline {base:.2} MB/s \
+                     (floor {floor:.2} at {tolerance}% tolerance)"
+                );
+                if parse_mbps < floor {
+                    return Err(Failure::Batch(format!(
+                        "parse throughput regression: {parse_mbps:.2} MB/s is below the gate \
+                         floor {floor:.2} ({tolerance}% under baseline {base:.2} from \
+                         {gate_path})"
+                    )));
+                }
+            }
+            None => eprintln!("gate-parse: baseline {gate_path} has no parse section, skipping"),
         }
         // The bounds gate is exact, not a tolerance band: tightness counts
         // are deterministic rational comparisons, so any drift means an

@@ -399,12 +399,23 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
+                Some(lead) => {
                     // Consume one UTF-8 character (input is &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // byte stream is valid UTF-8). Only its own bytes are
+                    // decoded: validating the rest of the input for each
+                    // character made a string's parse quadratic.
+                    let width = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(self.pos..self.pos + width)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or("invalid UTF-8")?;
                     if (c as u32) < 0x20 {
                         return Err(format!("unescaped control character at byte {}", self.pos));
                     }
@@ -1847,6 +1858,17 @@ mod tests {
         let r = service.handle_line(&session, r#"{"id":1e999,"op":"stats"}"#);
         Json::parse(&r.json).expect("response with overflowed id is still valid JSON");
         assert!(r.json.starts_with(r#"{"id":null"#), "{}", r.json);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 2 MB source string: every character used to re-validate the
+        // rest of the input, about a minute of work at this size.
+        let src = "é // ".repeat(400_000);
+        let started = std::time::Instant::now();
+        let v = Json::parse(&format!(r#"{{"src":"{src}"}}"#)).expect("parses");
+        assert_eq!(v.get("src").and_then(Json::as_str), Some(src.as_str()));
+        assert!(started.elapsed() < std::time::Duration::from_secs(5), "{:?}", started.elapsed());
     }
 
     #[test]

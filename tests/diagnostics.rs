@@ -29,6 +29,20 @@ fn malformed_programs_are_spanned_syntax_diagnostics() {
 }
 
 #[test]
+fn malformed_literals_are_located_at_the_literal() {
+    // A malformed literal in an expression and in a type's grade.
+    for (src, col) in [("x = 1.2.3;\nx", 5), ("function f (x: ![1..2]num) : num { x }", 18)] {
+        let err = Program::parse_named("lit.nf", src).expect_err("rejects");
+        assert_eq!(err.code, ErrorCode::Syntax);
+        assert!(err.message.starts_with("invalid rational literal"), "{err}");
+        let rendered = err.render();
+        assert!(rendered.contains(&format!("--> lit.nf:1:{col}")), "{rendered}");
+        let caret = rendered.lines().last().expect("caret line");
+        assert_eq!(caret.find('^'), Some("   | ".len() + col - 1), "{rendered}");
+    }
+}
+
+#[test]
 fn unbound_names_are_located_in_the_source() {
     let src = "function f (x: num) : num {\n    mul (x, yy)\n}";
     let err = Program::parse_named("scope.nf", src).expect_err("rejects");

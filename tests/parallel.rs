@@ -94,6 +94,82 @@ fn deeply_nested_file_is_a_syntax_error_on_the_cli() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `count` one-line definitions, the program's value the last one.
+fn many_definitions(count: usize) -> String {
+    (0..count).map(|i| format!("function f{i} (x: num) : num {{ x }}\n")).collect()
+}
+
+#[test]
+fn thousands_of_definitions_batch_without_aborting() {
+    // Lowering used to recurse once per definition, and 4,000 of them
+    // overflowed a 2 MiB pool worker.
+    let dir = std::env::temp_dir().join(format!("numfuzz-batch-defs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("a_defs.nf"), many_definitions(4000)).expect("write");
+    std::fs::write(dir.join("b_ok.nf"), "rnd 1.5\n").expect("write");
+
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let (serial, stderr, code) = numfuzz_bin(&["batch", dir_arg, "--jobs", "1"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(serial.contains("2 programs: 2 ok, 0 failed"), "{serial}");
+    let (parallel, stderr, code) = numfuzz_bin(&["batch", dir_arg, "--jobs", "2"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert_eq!(parallel, serial);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tens_of_thousands_of_definitions_check_on_the_cli() {
+    let dir = std::env::temp_dir().join(format!("numfuzz-check-defs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let file = dir.join("defs.nf");
+    std::fs::write(&file, many_definitions(20_000)).expect("write");
+
+    let (stdout, stderr, code) = numfuzz_bin(&["check", file.to_str().expect("utf-8")]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("f19999"), "{}", &stdout[..stdout.len().min(400)]);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn huge_written_exponent_is_a_prompt_syntax_error() {
+    // `1e10000000` used to build ten to the ten-millionth power exactly,
+    // which took longer than any deadline.
+    let dir = std::env::temp_dir().join(format!("numfuzz-check-exp-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let file = dir.join("exp.nf");
+    std::fs::write(&file, "x = 1e10000000;\nrnd x\n").expect("write");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_numfuzz"))
+        .args(["check", file.to_str().expect("utf-8")])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn numfuzz");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`numfuzz check` on a 12-byte literal missed the 5 s deadline");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error[E0001]"), "{stderr}");
+    assert!(stderr.contains("exp.nf:1:5"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn numfuzz_batch_usage_errors_exit_2() {
     let (_, stderr, code) = numfuzz_bin(&["batch", "/nonexistent-numfuzz-dir"]);

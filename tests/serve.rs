@@ -389,6 +389,27 @@ fn deeply_nested_request_gets_an_error_reply() {
 }
 
 #[test]
+fn thousands_of_definitions_get_a_normal_reply() {
+    // 4,000 definitions (a 143 KB request) used to overflow a worker
+    // thread's stack in lowering, which recursed once per definition,
+    // and abort the whole server.
+    let (mut child, addr) = spawn_tcp_server(&[]);
+    let (mut writer, mut reader) = tcp_connect(&addr);
+    let defs: String =
+        (0..4000).map(|i| format!("function f{i} (x: num) : num {{ x }}\\n")).collect();
+    let request = format!(r#"{{"id":1,"op":"check","src":"{defs}"}}"#);
+    let v = tcp_request(&mut writer, &mut reader, &request);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    // The same connection keeps serving.
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":2,"op":"check","src":"rnd 1.5"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":3,"op":"shutdown"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let status = wait_timeout(&mut child, Duration::from_secs(10));
+    assert!(status.success());
+}
+
+#[test]
 fn pipelined_requests_answer_in_request_order() {
     let (mut child, addr) = spawn_tcp_server(&["--jobs", "2"]);
     let (mut writer, mut reader) = tcp_connect(&addr);

@@ -138,6 +138,14 @@ function squareRoot3Invalid (x: ![inf]num) : M[2*eps]num {
     ]
 }
 
+/// The paper's published Table 5 values: (name, Λnum bound, milliseconds).
+pub const PAPER_TABLE5: &[(&str, &str, &str)] = &[
+    ("PythagoreanSum", "8.88e-16", "2"),
+    ("HammarlingDistance", "1.11e-15", "2"),
+    ("squareRoot3", "4.44e-16", "2"),
+    ("squareRoot3Invalid", "4.44e-16", "2"),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -331,6 +331,20 @@ pub fn poly_naive_in(tys: CoreArena, n: usize) -> Generated {
     }
 }
 
+/// The paper's published Table 4 values: (name, ops, Λnum bound, Std.
+/// bound, Λnum seconds). `SerialSum` is [`serial_sum`]`(1024)`.
+pub const PAPER_TABLE4: &[(&str, usize, &str, &str, &str)] = &[
+    ("Horner50", 100, "1.11e-14", "1.11e-14", "9e-03"),
+    ("MatrixMultiply4", 112, "1.55e-15", "8.88e-16", "3e-03"),
+    ("Horner75", 150, "1.66e-14", "1.66e-14", "2e-02"),
+    ("Horner100", 200, "2.22e-14", "2.22e-14", "4e-02"),
+    ("SerialSum", 1023, "2.27e-13", "2.27e-13", "5"),
+    ("Poly50", 1325, "2.94e-13", "-", "2.12"),
+    ("MatrixMultiply16", 7936, "6.88e-15", "3.55e-15", "4e-02"),
+    ("MatrixMultiply64", 520192, "2.82e-14", "1.42e-14", "10"),
+    ("MatrixMultiply128", 4177920, "5.66e-14", "2.84e-14", "1080"),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,6 +17,10 @@
 //!   column;
 //! * [`conditionals`] — the four Table 5 conditional kernels as surface
 //!   programs.
+//!
+//! Next to each table's workloads sit the paper's published rows
+//! ([`PAPER_TABLE3`], [`PAPER_TABLE4`], [`PAPER_TABLE5`]), which
+//! `numfuzz paper N` prints beside its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,11 +32,13 @@ pub mod small;
 pub mod std_bounds;
 pub mod to_core;
 
-pub use conditionals::{table5, CondBench};
+pub use conditionals::{table5, CondBench, PAPER_TABLE5};
 pub use generators::{
     horner, horner_in, matrix_multiply, matrix_multiply_in, poly_naive, poly_naive_in, serial_sum,
-    serial_sum_in, Generated,
+    serial_sum_in, Generated, PAPER_TABLE4,
 };
 pub use ir::{Expr, Kernel};
-pub use small::{horner2_with_error_kernel, horner2_with_error_source, table3, SmallBench};
+pub use small::{
+    horner2_with_error_kernel, horner2_with_error_source, table3, SmallBench, PAPER_TABLE3,
+};
 pub use to_core::{kernel_to_core, kernel_to_core_in, CoreKernel, TranslateError};

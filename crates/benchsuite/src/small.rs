@@ -256,6 +256,29 @@ function Horner2we (a0: M[eps]num) (a1: M[eps]num) (a2: M[eps]num) (x: ![2.0]M[e
 "#
 }
 
+/// The paper's published Table 3 values, one row per kernel of
+/// [`table3`] plus `Horner2_with_error`: (name, Λnum bound, FPTaylor
+/// bound, Gappa bound).
+pub const PAPER_TABLE3: &[(&str, &str, &str, &str)] = &[
+    ("hypot", "5.55e-16", "5.17e-16", "4.46e-16"),
+    ("x_by_xy", "4.44e-16", "fail", "2.22e-16"),
+    ("one_by_sqrtxx", "5.55e-16", "5.09e-13", "3.33e-16"),
+    ("sqrt_add", "9.99e-16", "6.66e-16", "5.54e-16"),
+    ("test02_sum8", "1.55e-15", "9.32e-14", "1.55e-15"),
+    ("nonlin1", "4.44e-16", "4.49e-16", "2.22e-16"),
+    ("test05_nonlin1", "4.44e-16", "4.46e-16", "2.22e-16"),
+    ("verhulst", "8.88e-16", "7.38e-16", "4.44e-16"),
+    ("predatorPrey", "1.55e-15", "4.21e-11", "8.88e-16"),
+    ("test06_sums4_sum1", "6.66e-16", "6.71e-16", "6.66e-16"),
+    ("test06_sums4_sum2", "6.66e-16", "1.78e-14", "4.44e-16"),
+    ("i4", "4.44e-16", "4.50e-16", "4.44e-16"),
+    ("Horner2", "4.44e-16", "6.49e-11", "4.44e-16"),
+    ("Horner2_with_error", "1.55e-15", "1.61e-10", "1.11e-15"),
+    ("Horner5", "1.11e-15", "1.62e-01", "1.11e-15"),
+    ("Horner10", "2.22e-15", "1.14e+13", "2.22e-15"),
+    ("Horner20", "4.44e-15", "2.53e+43", "4.44e-15"),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,21 +11,33 @@ use crate::term::{Node, TermId, TermStore};
 use crate::ty::Ty;
 use numfuzz_exact::Rational;
 
-/// Renders a term. Iterative in spirit but recursion-bounded by
-/// `max_depth`: deeper structure prints as `...` (benchmark terms are
-/// millions of nodes deep; printing them fully is never what you want).
+/// Renders a term, printing structure deeper than `max_depth` as `...`.
+/// Statement chains (`let` bodies and the definitions after a
+/// `function`) are printed in a loop, so a program of any length prints
+/// in constant stack; only nesting inside one statement recurses.
 pub fn pretty_term(store: &TermStore, id: TermId, max_depth: u32) -> String {
     let mut out = String::new();
     go(store, id, max_depth, &mut out);
     out
 }
 
-fn go(store: &TermStore, id: TermId, depth: u32, out: &mut String) {
-    if depth == 0 {
-        out.push_str("...");
-        return;
+fn go(store: &TermStore, mut id: TermId, mut depth: u32, out: &mut String) {
+    loop {
+        if depth == 0 {
+            out.push_str("...");
+            return;
+        }
+        depth -= 1;
+        match go_step(store, id, depth, out) {
+            Some(tail) => id = tail,
+            None => return,
+        }
     }
-    let d = depth - 1;
+}
+
+/// Prints the head of `id` at remaining depth `d`; returns the term in
+/// tail position still to print at that depth, if any.
+fn go_step(store: &TermStore, id: TermId, d: u32, out: &mut String) -> Option<TermId> {
     match store.node(id) {
         Node::Var(v) => out.push_str(store.var_name(*v)),
         Node::UnitVal => out.push_str("()"),
@@ -111,7 +123,7 @@ fn go(store: &TermStore, id: TermId, depth: u32, out: &mut String) {
             out.push_str(&format!("let ({}, {}) = ", store.var_name(*x), store.var_name(*y)));
             go(store, *v, d, out);
             out.push_str("; ");
-            go(store, *e, d, out);
+            return Some(*e);
         }
         Node::Case(v, x, e1, y, e2) => {
             out.push_str("case ");
@@ -124,15 +136,15 @@ fn go(store: &TermStore, id: TermId, depth: u32, out: &mut String) {
         }
         Node::LetBox(x, v, e) => {
             emit_stmt(store, Binder::Box, *x, *v, d, out);
-            go(store, *e, d, out);
+            return Some(*e);
         }
         Node::LetBind(x, v, e) => {
             emit_stmt(store, Binder::Bind, *x, *v, d, out);
-            go(store, *e, d, out);
+            return Some(*e);
         }
         Node::Let(x, e, f) => {
             emit_stmt(store, Binder::Plain, *x, *e, d, out);
-            go(store, *f, d, out);
+            return Some(*f);
         }
         Node::LetFun(x, decl, body, rest) => {
             // Restore the surface sugar when possible: a declared type
@@ -156,13 +168,12 @@ fn go(store: &TermStore, id: TermId, depth: u32, out: &mut String) {
                 out.push_str(&format!(" : {ret} {{ "));
                 go(store, inner, d, out);
                 out.push_str(" }\n");
-                go(store, *rest, d, out);
             } else {
                 out.push_str(&format!("function {} = ", store.var_name(*x)));
                 go(store, *body, d, out);
                 out.push_str("; ");
-                go(store, *rest, d, out);
             }
+            return Some(*rest);
         }
         Node::Op(op, v) => {
             out.push_str(store.op_name(*op));
@@ -170,6 +181,7 @@ fn go(store: &TermStore, id: TermId, depth: u32, out: &mut String) {
             go(store, *v, d, out);
         }
     }
+    None
 }
 
 /// Statement flavors of the surface syntax.
@@ -188,43 +200,38 @@ enum Binder {
 /// hoisted — `x = (y = a; b); c` prints as `y = a; x = b; c` — because
 /// the surface grammar has no parenthesized blocks. Call-by-value
 /// evaluation order is unchanged by this floating.
+/// The hoisted chain's tail — `x = b` above — is printed in a loop.
 fn emit_stmt(
     store: &TermStore,
     kind: Binder,
     x: crate::term::VarId,
-    bound: TermId,
-    d: u32,
+    mut bound: TermId,
+    mut d: u32,
     out: &mut String,
 ) {
-    if d == 0 {
-        out.push_str("...; ");
-        return;
-    }
-    match store.node(bound) {
-        Node::Let(y, a, b) => {
-            let (y, a, b) = (*y, *a, *b);
-            emit_stmt(store, Binder::Plain, y, a, d - 1, out);
-            emit_stmt(store, kind, x, b, d - 1, out);
+    loop {
+        if d == 0 {
+            out.push_str("...; ");
+            return;
         }
-        Node::LetBind(y, a, b) => {
-            let (y, a, b) = (*y, *a, *b);
-            emit_stmt(store, Binder::Bind, y, a, d - 1, out);
-            emit_stmt(store, kind, x, b, d - 1, out);
-        }
-        Node::LetBox(y, a, b) => {
-            let (y, a, b) = (*y, *a, *b);
-            emit_stmt(store, Binder::Box, y, a, d - 1, out);
-            emit_stmt(store, kind, x, b, d - 1, out);
-        }
-        _ => {
-            match kind {
-                Binder::Plain => out.push_str(&format!("{} = ", store.var_name(x))),
-                Binder::Bind => out.push_str(&format!("let {} = ", store.var_name(x))),
-                Binder::Box => out.push_str(&format!("let [{}] = ", store.var_name(x))),
+        d -= 1;
+        let (inner, y, a, b) = match store.node(bound) {
+            Node::Let(y, a, b) => (Binder::Plain, *y, *a, *b),
+            Node::LetBind(y, a, b) => (Binder::Bind, *y, *a, *b),
+            Node::LetBox(y, a, b) => (Binder::Box, *y, *a, *b),
+            _ => {
+                match kind {
+                    Binder::Plain => out.push_str(&format!("{} = ", store.var_name(x))),
+                    Binder::Bind => out.push_str(&format!("let {} = ", store.var_name(x))),
+                    Binder::Box => out.push_str(&format!("let [{}] = ", store.var_name(x))),
+                }
+                go(store, bound, d, out);
+                out.push_str("; ");
+                return;
             }
-            go(store, bound, d - 1, out);
-            out.push_str("; ");
-        }
+        };
+        emit_stmt(store, inner, y, a, d, out);
+        bound = b;
     }
 }
 

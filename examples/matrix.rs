@@ -42,6 +42,6 @@ fn main() -> Result<(), Diagnostic> {
     println!("gamma_n = n*u/(1-n*u): Lnum rounds the products and the partial sums");
     println!("separately, while the fused inner-product analysis amortizes them —");
     println!("the same factor the paper reports in Table 4.");
-    println!("(Full scale: NUMFUZZ_LARGE=1 cargo run --release -p numfuzz-bench --bin table4.)");
+    println!("(Full scale: NUMFUZZ_LARGE=1 cargo run --release -- paper 4.)");
     Ok(())
 }

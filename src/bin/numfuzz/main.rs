@@ -1,117 +1,18 @@
 //! The `numfuzz` command-line interface, built on the
-//! [`Analyzer`]/[`Program`] facade.
-//!
-//! ```text
-//! numfuzz check FILE [options]       type-check a Λnum program
-//!     --backward     backward-error mode: Bean's strictly linear
-//!                    judgment, one backward-error grade per input
-//! numfuzz bound FILE [options]       print the eq. (8) error bound of
-//!                                    every function (and the program);
-//!                                    with --backward, the numeric
-//!                                    per-input backward bounds
-//! numfuzz run   FILE [options]       run ideal + floating-point
-//!                                    semantics and verify the bound
-//! numfuzz batch DIR [options]        check + bound every .nf file under
-//!                                    DIR concurrently (ordered output)
-//! numfuzz watch FILE [options]       live re-check: poll FILE and, on
-//!                                    every change, re-type it through a
-//!                                    session-persistent judgment cache,
-//!                                    printing diagnostics / eq. (8)
-//!                                    bounds plus reused/recomputed
-//!                                    judgment counts
-//!     --poll-ms N    poll interval in milliseconds (default 100)
-//!     --iterations N stop after N rechecks (default 0 = watch forever)
-//! numfuzz serve [serve options]      resident NDJSON analysis service
-//!                                    with a content-addressed result
-//!                                    cache (see docs/serve.md)
-//! numfuzz client --connect HOST:PORT pipe NDJSON requests from stdin to
-//!                                    a serving `numfuzz serve --listen`
-//! numfuzz loadgen [loadgen options]  deterministic mixed-traffic load
-//!                                    harness against a serve event loop
-//!                                    (self-spawned unless --connect),
-//!                                    emits BENCH_serve.json
-//! numfuzz table1 [--dir DIR]         differential bound verification over
-//!                                    the committed Table 1 corpus
-//!                                    (benches/table1/*.nf): bound every
-//!                                    benchmark with BOTH the typing
-//!                                    judgment and the independent
-//!                                    interval engine, check the true
-//!                                    error at the sample point against
-//!                                    both, and print a tightness +
-//!                                    wall-time comparison table
-//! numfuzz optimize FILE [opts]       search sound algebraic rewrites (and,
-//!                                    with --precision-search, per-program
-//!                                    precision assignments) minimizing the
-//!                                    typed error bound under an op-count
-//!                                    cost model; every candidate re-checks
-//!                                    through the full pipeline (type check,
-//!                                    eq. 8 bound, interval cross-check,
-//!                                    exact-oracle spot validation)
-//!     --budget N     rewrite candidates to evaluate (default 192)
-//!     --seed S       candidate-shuffle seed (default 42)
-//!     --precision-search  also rank the fuzzer's format palette
-//!     --target-rel R relative-error target for the precision search
-//!                    (a rational like 1/100000; default: the original
-//!                    program's bound at the session format)
-//!     --out FILE     write the rewritten .nf program to FILE
-//! numfuzz bench [bench options]      measure check+bound and parse
-//!                                    throughput over the benchsuite
-//!                                    corpus, emit JSON
-//!     --prec P       precision bits, 2..=237 (default 53)
-//!     --emax E       maximum exponent, 1..=262143 (default 1023)
-//!     --mode M       ru | rd | rz | rn (default ru)
-//!     --abs          absolute-error instantiation (default: relative)
-//!     --jobs N       batch/serve: worker threads (0 = one per core, the
-//!                    default)
-//! serve options:
-//!     --listen ADDR  serve over TCP on ADDR (e.g. 127.0.0.1:7878; port 0
-//!                    picks a free port, printed to stderr). Default:
-//!                    stdin/stdout framing
-//!     --cache-bytes N  result-cache byte budget (default 64 MiB)
-//!     --cache-file F   persist the reply cache to F (atomic rename) at
-//!                      shutdown and restore it at startup, so a restarted
-//!                      server answers repeated programs from the snapshot
-//!                      without re-analysis
-//!     --cache-file-cap N  compact the snapshot to at most N bytes at
-//!                      write time, dropping least-recently-used replies
-//!                      first (default 8 MiB)
-//!     --idle-ms N    close a TCP connection after N ms without traffic
-//!                    (default 300000)
-//!     --max-pending N  per-tenant admission limit: requests in flight
-//!                    before new ones are rejected with EBUSY (default 64)
-//! loadgen options:
-//!     --connect HOST:PORT  drive an already-running server (default:
-//!                    spawn an in-process server on a loopback port)
-//!     --connections N  concurrent connections (default 4)
-//!     --requests M   requests per connection (default 25)
-//!     --seed S       stream seed; same seed, same byte-identical request
-//!                    stream (default 42)
-//!     --out FILE     JSON report path (default BENCH_serve.json)
-//!     --gate F       compare requests_per_sec against report F and exit 1
-//!                    on regression beyond the tolerance
-//!     --tolerance P  allowed regression percentage for --gate (default 75
-//!                    — latency-bound, noisy on small containers)
-//! bench options:
-//!     --iters N      corpus passes to time, best-of-N (default 5)
-//!     --out FILE     where to write the JSON report (default
-//!                    BENCH_core.json; relative paths resolve against the
-//!                    current directory, and the resolved path is printed)
-//!     --baseline F   a previous report; its nodes_per_sec is embedded and
-//!                    a speedup factor computed
-//!     --gate F       compare cold check+bound throughput and parse MB/s
-//!                    against report F and exit 1 on regression beyond the
-//!                    tolerance
-//!     --tolerance P  allowed regression percentage for --gate (default 40)
-//!     --gate-incremental R  exit 1 unless this run's single-leaf-edit
-//!                    recheck replayed at least ratio R of its judgments
-//!                    (machine-independent, so no baseline file is needed)
-//! ```
+//! [`Analyzer`]/[`Program`] facade. `numfuzz --help` lists every command
+//! and flag; `cli.rs` holds the tables it prints and the one parser every
+//! command calls, and `paper.rs` the paper's tables and soundness sweep.
 //!
 //! Exit codes: `0` success, `1` the program is ill-typed / violates its
-//! bound (a *program* error, printed as a spanned diagnostic) — or, for
-//! `bench --gate`, a throughput regression, `2` usage or I/O error.
+//! bound (a *program* error, printed as a spanned diagnostic) — or a
+//! failed gate, `2` usage or I/O error.
 
+mod cli;
+mod paper;
+
+use cli::Args;
 use numfuzz::prelude::*;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Exit code for ill-typed / failing programs.
@@ -155,62 +56,52 @@ fn main() -> ExitCode {
         }
         Err(Failure::Usage(msg)) => {
             eprintln!("numfuzz: {msg}");
-            eprintln!("{}", usage());
+            eprint!("{}", cli::usage(args.first().map(String::as_str)));
             ExitCode::from(EXIT_USAGE)
         }
     }
 }
 
-fn dispatch(args: &[String]) -> Result<(), Failure> {
-    let (cmd, rest) = args.split_first().ok_or_else(|| Failure::Usage("missing command".into()))?;
-    match cmd.as_str() {
+fn dispatch(words: &[String]) -> Result<(), Failure> {
+    let (command, rest) =
+        words.split_first().ok_or_else(|| Failure::Usage("missing command".into()))?;
+    let args = match command.as_str() {
+        "--help" | "-h" | "help" => None,
+        _ => cli::parse(command, rest).map_err(Failure::Usage)?,
+    };
+    let Some(args) = args else {
+        print!("{}", cli::help());
+        return Ok(());
+    };
+    match args.command() {
         "check" => {
-            let (program, analyzer, backward) = load(rest)?;
-            check(&program, &analyzer, backward)
+            let (program, analyzer) = load(&args)?;
+            check(&program, &analyzer, args.switch("--backward"))
         }
         "bound" => {
-            let (program, analyzer, backward) = load(rest)?;
-            bound(&program, &analyzer, backward)
+            let (program, analyzer) = load(&args)?;
+            bound(&program, &analyzer, args.switch("--backward"))
         }
         "run" => {
-            let (program, analyzer, backward) = load(rest)?;
-            if backward {
-                return Err(Failure::Usage(
-                    "`run` has no --backward mode (the backward judgment is static)".into(),
-                ));
-            }
+            let (program, analyzer) = load(&args)?;
             run(&program, &analyzer)
         }
-        "batch" => batch(rest),
-        "optimize" => optimize(rest),
-        "table1" => table1(rest),
-        "watch" => watch(rest),
-        "bench" => bench(rest),
-        "fuzz" => fuzz(rest),
-        "serve" => serve(rest),
-        "client" => client(rest),
-        "loadgen" => loadgen(rest),
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(Failure::Usage(format!("unknown command `{other}`"))),
+        "batch" => batch(&args),
+        "optimize" => optimize(&args),
+        "table1" => table1(&args),
+        "watch" => watch(&args),
+        "bench" => bench(&args),
+        "fuzz" => fuzz(&args),
+        "serve" => serve(&args),
+        "client" => client(&args),
+        "loadgen" => loadgen(&args),
+        "paper" => paper::table(args.arg()).map_err(Failure::Usage),
+        "validate" => match paper::validate(args.value("--jobs")) {
+            0 => Ok(()),
+            n => Err(Failure::Batch(format!("{n} error-soundness violations"))),
+        },
+        other => unreachable!("`{other}` is in the command table but has no handler"),
     }
-}
-
-fn usage() -> String {
-    "usage: numfuzz <check|bound> FILE [--backward] [--prec P] [--emax E] [--mode ru|rd|rz|rn] [--abs]\n\
-     \x20      numfuzz run FILE [--prec P] [--emax E] [--mode ru|rd|rz|rn] [--abs]\n\
-     \x20      numfuzz batch DIR [--backward] [--jobs N] [--prec P] [--emax E] [--mode ru|rd|rz|rn] [--abs]\n\
-     \x20      numfuzz watch FILE [--poll-ms N] [--iterations N] [--backward] [--prec P] [--emax E] [--mode M] [--abs]\n\
-     \x20      numfuzz serve [--listen ADDR] [--jobs N] [--cache-bytes N] [--cache-file F] [--cache-file-cap N] [--idle-ms N] [--max-pending N] [--prec P] [--emax E] [--mode M] [--abs]\n\
-     \x20      numfuzz client --connect HOST:PORT [--retry SECONDS]\n\
-     \x20      numfuzz loadgen [--connect HOST:PORT] [--connections N] [--requests M] [--seed S] [--jobs N] [--out FILE] [--gate FILE] [--tolerance P]\n\
-     \x20      numfuzz bench [--iters N] [--out FILE] [--baseline FILE] [--gate FILE] [--tolerance P] [--gate-incremental R]\n\
-     \x20      numfuzz optimize FILE [--budget N] [--seed S] [--jobs J] [--precision-search] [--target-rel R] [--out FILE] [--prec P] [--emax E] [--mode M]\n\
-     \x20      numfuzz table1 [--dir DIR] [--prec P] [--emax E] [--mode ru|rd|rz|rn]\n\
-     \x20      numfuzz fuzz [--backward] [--incremental] [--cases N] [--seed S] [--jobs N] [--repro PREFIX]"
-        .to_string()
 }
 
 /// `numfuzz serve`: the resident analysis service — NDJSON over stdio by
@@ -218,63 +109,20 @@ fn usage() -> String {
 /// session; all sessions share one content-addressed result cache, so
 /// repeated programs — within a connection, across connections, inside
 /// `batch` requests — are analyzed once. Protocol: `docs/serve.md`.
-fn serve(rest: &[String]) -> Result<(), Failure> {
-    let mut listen: Option<String> = None;
-    let mut cache_bytes: usize = 64 << 20;
-    let mut config = numfuzz::serve::ServeConfig::default();
-    let mut passthrough = Vec::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| Failure::Usage(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--listen" => listen = Some(value("--listen")?),
-            "--cache-bytes" => {
-                cache_bytes = value("--cache-bytes")?
-                    .parse()
-                    .map_err(|e| Failure::Usage(format!("--cache-bytes: {e}")))?;
-            }
-            "--cache-file" => {
-                config.cache_file = Some(std::path::PathBuf::from(value("--cache-file")?));
-            }
-            "--cache-file-cap" => {
-                config.cache_file_cap = value("--cache-file-cap")?
-                    .parse()
-                    .map_err(|e| Failure::Usage(format!("--cache-file-cap: {e}")))?;
-            }
-            "--idle-ms" => {
-                let ms: u64 = value("--idle-ms")?
-                    .parse()
-                    .map_err(|e| Failure::Usage(format!("--idle-ms: {e}")))?;
-                config.idle_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--max-pending" => {
-                config.max_pending = value("--max-pending")?
-                    .parse()
-                    .map_err(|e| Failure::Usage(format!("--max-pending: {e}")))?;
-                if config.max_pending == 0 {
-                    return Err(Failure::Usage("--max-pending must be at least 1".into()));
-                }
-            }
-            other => passthrough.push(other.to_string()),
-        }
-    }
-    let (opts, jobs) = parse_opts_with_jobs(&passthrough).map_err(Failure::Usage)?;
-    if opts.backward {
-        return Err(Failure::Usage(
-            "serve has no --backward flag; set \"mode\": \"backward\" per request instead".into(),
-        ));
-    }
-    let jobs = jobs.unwrap_or(0); // serve defaults to one worker per core
-    config.persist_budget = cache_bytes;
-    // Test-only fault-injection ops (docs/serve.md): environment-gated so
-    // no production request stream can trip them by accident.
-    config.debug_ops = std::env::var("NUMFUZZ_SERVE_DEBUG_OPS").as_deref() == Ok("1");
-    let analyzer = Analyzer::builder()
-        .signature(opts.instantiation)
-        .format(opts.format)
-        .mode(opts.mode)
+fn serve(args: &Args) -> Result<(), Failure> {
+    let cache_bytes: usize = args.value("--cache-bytes");
+    let config = numfuzz::serve::ServeConfig {
+        idle_timeout: std::time::Duration::from_millis(args.value("--idle-ms")),
+        max_pending: args.value("--max-pending"),
+        cache_file: args.get("--cache-file"),
+        persist_budget: cache_bytes,
+        cache_file_cap: args.value("--cache-file-cap"),
+        // Test-only fault-injection ops (docs/serve.md): environment-gated
+        // so no production request stream can trip them by accident.
+        debug_ops: std::env::var("NUMFUZZ_SERVE_DEBUG_OPS").as_deref() == Ok("1"),
+    };
+    let analyzer = args
+        .session()
         .cache(AnalysisCache::with_budget(cache_bytes))
         // The judgment-level cache behind the `edit` op: sub-term results
         // persist across requests and connections, so an edited program
@@ -282,8 +130,9 @@ fn serve(rest: &[String]) -> Result<(), Failure> {
         // budget as the whole-program cache.
         .judgment_cache_bytes(cache_bytes)
         .build();
+    let jobs = args.value("--jobs");
     let service = std::sync::Arc::new(numfuzz::serve::Service::with_config(analyzer, jobs, config));
-    let result = match listen {
+    let result = match args.get::<String>("--listen") {
         Some(addr) => numfuzz::serve::serve_tcp(&service, &addr),
         None => numfuzz::serve::serve_stdio(&service),
     };
@@ -293,28 +142,12 @@ fn serve(rest: &[String]) -> Result<(), Failure> {
 /// `numfuzz client`: pipe NDJSON request lines from stdin to a serving
 /// `numfuzz serve --listen`, one response line per request to stdout.
 /// Exits with the worst `exit` field seen in a response.
-fn client(rest: &[String]) -> Result<(), Failure> {
-    let mut connect: Option<String> = None;
-    let mut retry = std::time::Duration::from_secs(10);
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--connect" => connect = Some(value("--connect").map_err(Failure::Usage)?),
-            "--retry" => {
-                retry = value("--retry")
-                    .and_then(|v| v.parse().map_err(|e| format!("--retry: {e}")))
-                    .and_then(|secs| {
-                        std::time::Duration::try_from_secs_f64(secs)
-                            .map_err(|e| format!("--retry {secs}: {e}"))
-                    })
-                    .map_err(Failure::Usage)?
-            }
-            other => return Err(Failure::Usage(format!("unknown option `{other}`"))),
-        }
-    }
-    let addr = connect.ok_or_else(|| Failure::Usage("client needs --connect HOST:PORT".into()))?;
+fn client(args: &Args) -> Result<(), Failure> {
+    let addr: String = args
+        .get("--connect")
+        .ok_or_else(|| Failure::Usage("client needs --connect HOST:PORT".into()))?;
+    // In range: `cli::parse` checked it with `Duration::try_from_secs_f64`.
+    let retry = std::time::Duration::from_secs_f64(args.value("--retry"));
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout().lock();
     let worst = numfuzz::serve::client(&addr, retry, &mut stdin.lock(), &mut stdout)
@@ -332,62 +165,17 @@ fn client(rest: &[String]) -> Result<(), Failure> {
 /// committed report is gated in CI like `BENCH_core.json` (throughput
 /// tolerance band, plus hard zero-tolerance on dropped connections and
 /// verdict flips).
-fn loadgen(rest: &[String]) -> Result<(), Failure> {
-    let mut connect: Option<String> = None;
-    let mut connections = 4usize;
-    let mut requests = 25usize;
-    let mut seed = 42u64;
-    let mut jobs = 0usize;
-    let mut out = "BENCH_serve.json".to_string();
-    let mut gate: Option<String> = None;
-    let mut tolerance = 75.0f64;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--connect" => connect = Some(value("--connect").map_err(Failure::Usage)?),
-            "--connections" => {
-                connections = value("--connections")
-                    .and_then(|v| v.parse().map_err(|e| format!("--connections: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--requests" => {
-                requests = value("--requests")
-                    .and_then(|v| v.parse().map_err(|e| format!("--requests: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--seed" => {
-                seed = value("--seed")
-                    .and_then(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--jobs" => {
-                jobs = value("--jobs")
-                    .and_then(|v| v.parse().map_err(|e| format!("--jobs: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--out" => out = value("--out").map_err(Failure::Usage)?,
-            "--gate" => gate = Some(value("--gate").map_err(Failure::Usage)?),
-            "--tolerance" => {
-                tolerance = value("--tolerance")
-                    .and_then(|v| v.parse().map_err(|e| format!("--tolerance: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            other => return Err(Failure::Usage(format!("unknown option `{other}`"))),
-        }
-    }
-    if connections == 0 || requests == 0 {
-        return Err(Failure::Usage("--connections and --requests must be at least 1".into()));
-    }
-    if !(0.0..100.0).contains(&tolerance) {
-        return Err(Failure::Usage("--tolerance must be in [0, 100)".into()));
-    }
+fn loadgen(args: &Args) -> Result<(), Failure> {
+    let connections: usize = args.value("--connections");
+    let requests: usize = args.value("--requests");
+    let seed: u64 = args.value("--seed");
+    let out: String = args.value("--out");
+    let tolerance: f64 = args.value("--tolerance");
     let out_path = std::env::current_dir()
         .map(|cwd| cwd.join(&out))
         .map_err(|e| Failure::Usage(format!("cannot resolve current directory: {e}")))?;
 
-    let report = match connect {
+    let report = match args.get::<String>("--connect") {
         Some(addr) => numfuzz::loadgen::run(&addr, connections, requests, seed),
         None => {
             // Self-spawned server: the same construction as `numfuzz
@@ -397,7 +185,8 @@ fn loadgen(rest: &[String]) -> Result<(), Failure> {
                 .cache(AnalysisCache::with_budget(64 << 20))
                 .judgment_cache_bytes(64 << 20)
                 .build();
-            let service = std::sync::Arc::new(numfuzz::serve::Service::new(analyzer, jobs));
+            let service =
+                std::sync::Arc::new(numfuzz::serve::Service::new(analyzer, args.value("--jobs")));
             let listener = std::net::TcpListener::bind("127.0.0.1:0")
                 .map_err(|e| Failure::Usage(format!("loadgen: cannot bind loopback: {e}")))?;
             let addr = listener
@@ -445,7 +234,7 @@ fn loadgen(rest: &[String]) -> Result<(), Failure> {
             report.unexpected_errors
         )));
     }
-    if let Some(gate_path) = gate {
+    if let Some(gate_path) = args.get::<String>("--gate") {
         let text = std::fs::read_to_string(&gate_path)
             .map_err(|e| Failure::Usage(format!("{gate_path}: {e}")))?;
         let base = extract_json_number(&text, "requests_per_sec")
@@ -482,35 +271,16 @@ fn loadgen_shutdown(addr: &str) {
 /// (see `docs/testing.md`). Deterministic per seed: the report is
 /// byte-identical for every `--jobs` value and across repeated runs.
 /// Exit 1 with a written reproducer on any counterexample.
-fn fuzz(rest: &[String]) -> Result<(), Failure> {
-    let mut cfg = numfuzz::fuzz::FuzzConfig::default();
-    let mut repro_prefix = "fuzz-reproducer".to_string();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--cases" => {
-                cfg.cases = value("--cases")
-                    .and_then(|v| v.parse().map_err(|e| format!("--cases: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")
-                    .and_then(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--jobs" => {
-                cfg.jobs = value("--jobs")
-                    .and_then(|v| v.parse().map_err(|e| format!("--jobs: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--repro" => repro_prefix = value("--repro").map_err(Failure::Usage)?,
-            "--backward" => cfg.backward = true,
-            "--incremental" => cfg.incremental = true,
-            other => return Err(Failure::Usage(format!("unknown option `{other}`"))),
-        }
-    }
+fn fuzz(args: &Args) -> Result<(), Failure> {
+    let cfg = numfuzz::fuzz::FuzzConfig {
+        cases: args.value("--cases"),
+        seed: args.value("--seed"),
+        jobs: args.value("--jobs"),
+        backward: args.switch("--backward"),
+        incremental: args.switch("--incremental"),
+        ..numfuzz::fuzz::FuzzConfig::default()
+    };
+    let repro_prefix: String = args.value("--repro");
 
     let outcome = numfuzz::fuzzing::fuzz_campaign(&cfg);
     print!("{}", outcome.report);
@@ -538,56 +308,18 @@ fn fuzz(rest: &[String]) -> Result<(), Failure> {
 /// (see `docs/optimize.md`). The report on stdout is deterministic —
 /// byte-identical across repeated runs and every `--jobs` value — so it
 /// can be golden-pinned; wall time goes to stderr.
-fn optimize(rest: &[String]) -> Result<(), Failure> {
-    let file = rest.first().ok_or_else(|| Failure::Usage("missing FILE argument".into()))?;
-    let mut cfg = numfuzz::optimize::OptimizeConfig::default();
-    let mut out: Option<String> = None;
-    let mut passthrough = Vec::new();
-    let mut it = rest[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--budget" => {
-                cfg.budget = value("--budget")
-                    .and_then(|v| v.parse().map_err(|e| format!("--budget: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")
-                    .and_then(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--jobs" => {
-                cfg.jobs = value("--jobs")
-                    .and_then(|v| v.parse().map_err(|e| format!("--jobs: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--precision-search" => cfg.precision_search = true,
-            "--target-rel" => {
-                let v = value("--target-rel").map_err(Failure::Usage)?;
-                cfg.target_rel = Some(parse_rational(&v).ok_or_else(|| {
-                    Failure::Usage(format!(
-                        "--target-rel: `{v}` is not a rational (n/d or decimal)"
-                    ))
-                })?);
-            }
-            "--out" => out = Some(value("--out").map_err(Failure::Usage)?),
-            other => passthrough.push(other.to_string()),
-        }
-    }
-    let opts = parse_opts(&passthrough).map_err(Failure::Usage)?;
-    if opts.backward || opts.instantiation == Instantiation::AbsoluteError {
-        return Err(Failure::Usage(
-            "optimize works on the forward relative-precision instantiation (no --abs / --backward)".into(),
-        ));
-    }
+fn optimize(args: &Args) -> Result<(), Failure> {
+    let cfg = numfuzz::optimize::OptimizeConfig {
+        budget: args.value("--budget"),
+        seed: args.value("--seed"),
+        jobs: args.value("--jobs"),
+        precision_search: args.switch("--precision-search"),
+        target_rel: args.get::<String>("--target-rel").as_deref().and_then(cli::parse_rational),
+        ..numfuzz::optimize::OptimizeConfig::default()
+    };
+    let file = args.arg();
     let src = std::fs::read_to_string(file).map_err(|e| Failure::Usage(format!("{file}: {e}")))?;
-    let analyzer = Analyzer::builder()
-        .signature(opts.instantiation)
-        .format(opts.format)
-        .mode(opts.mode)
-        .build();
+    let analyzer = args.session().build();
     let program = analyzer.parse_named(file, &src)?;
     let t0 = std::time::Instant::now();
     let outcome = analyzer.optimize(&program, &cfg)?;
@@ -599,7 +331,7 @@ fn optimize(rest: &[String]) -> Result<(), Failure> {
         elapsed,
         if elapsed > 0.0 { outcome.evaluated as f64 / elapsed } else { 0.0 }
     );
-    if let Some(out) = out {
+    if let Some(out) = args.get::<String>("--out") {
         std::fs::write(&out, &outcome.rewritten)
             .map_err(|e| Failure::Usage(format!("{out}: {e}")))?;
         eprintln!("rewritten program written: {out}");
@@ -607,49 +339,23 @@ fn optimize(rest: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Parses `n/d`, an integer, or a decimal into an exact [`Rational`].
-fn parse_rational(s: &str) -> Option<Rational> {
-    if let Some((n, d)) = s.split_once('/') {
-        let d: i64 = d.trim().parse().ok()?;
-        if d == 0 {
-            return None;
-        }
-        return Some(Rational::ratio(n.trim().parse().ok()?, d));
-    }
-    Rational::from_decimal_str(s.trim()).ok()
-}
-
 /// `numfuzz batch DIR`: check and bound every `.nf` file under `DIR`
 /// (recursively) on `--jobs` worker threads — each worker is its own
 /// session with its own arena, so workers never contend.
 /// Output is printed in sorted-path order whatever the scheduling, so a
 /// batch run is byte-for-byte reproducible across job counts.
-fn batch(rest: &[String]) -> Result<(), Failure> {
-    let dir = rest.first().ok_or_else(|| Failure::Usage("missing DIR argument".into()))?;
-    let (opts, jobs) = parse_opts_with_jobs(&rest[1..]).map_err(Failure::Usage)?;
-    let jobs = jobs.unwrap_or(0); // batch defaults to one worker per core
-
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    collect_nf_files(std::path::Path::new(dir), &mut files)
-        .map_err(|e| Failure::Usage(format!("{dir}: {e}")))?;
-    if files.is_empty() {
-        return Err(Failure::Usage(format!("no .nf files under `{dir}`")));
-    }
-    files.sort();
+fn batch(args: &Args) -> Result<(), Failure> {
+    let dir = args.arg();
+    let files = nf_files(Path::new(dir))?;
+    let backward = args.switch("--backward");
 
     // One analyzer session per worker: parse, check, and bound all
     // happen against worker-local arenas.
     let reports = numfuzz::core::pool::ordered_map_with(
-        jobs,
+        args.value("--jobs"),
         &files,
-        |_worker| {
-            Analyzer::builder()
-                .signature(opts.instantiation)
-                .format(opts.format)
-                .mode(opts.mode)
-                .build()
-        },
-        |analyzer, _i, path| batch_one(analyzer, path, opts.backward),
+        |_worker| args.session().build(),
+        |analyzer, _i, path| batch_one(analyzer, path, backward),
     );
 
     let mut ok = 0usize;
@@ -686,36 +392,11 @@ fn batch(rest: &[String]) -> Result<(), Failure> {
 /// would (or the spanned E0xxx diagnostic) plus one `judgments:` line
 /// with the reuse split. `--iterations N` stops after N rechecks (for
 /// scripted use); the default 0 watches until interrupted.
-fn watch(rest: &[String]) -> Result<(), Failure> {
-    let file = rest.first().ok_or_else(|| Failure::Usage("missing FILE argument".into()))?;
-    let mut poll_ms = 100u64;
-    let mut iterations = 0u64;
-    let mut passthrough = Vec::new();
-    let mut it = rest[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--poll-ms" => {
-                poll_ms = value("--poll-ms")
-                    .and_then(|v| v.parse().map_err(|e| format!("--poll-ms: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--iterations" => {
-                iterations = value("--iterations")
-                    .and_then(|v| v.parse().map_err(|e| format!("--iterations: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            other => passthrough.push(other.to_string()),
-        }
-    }
-    let opts = parse_opts(&passthrough).map_err(Failure::Usage)?;
-    let analyzer = Analyzer::builder()
-        .signature(opts.instantiation)
-        .format(opts.format)
-        .mode(opts.mode)
-        .judgment_cache_bytes(64 << 20)
-        .build();
+fn watch(args: &Args) -> Result<(), Failure> {
+    let file = args.arg();
+    let poll_ms: u64 = args.value("--poll-ms");
+    let iterations: u64 = args.value("--iterations");
+    let analyzer = args.session().judgment_cache_bytes(64 << 20).build();
 
     use std::io::Write as _;
     let mut last_src: Option<String> = None;
@@ -760,7 +441,7 @@ fn watch(rest: &[String]) -> Result<(), Failure> {
             let stdout = std::io::stdout();
             let mut out = stdout.lock();
             let _ = writeln!(out, "--- {file} (recheck {rechecks}) ---");
-            let report = watch_recheck(&analyzer, file, &src, opts.backward);
+            let report = watch_recheck(&analyzer, file, &src, args.switch("--backward"));
             let _ = write!(out, "{report}");
             let _ = out.flush();
             if iterations > 0 && rechecks >= iterations {
@@ -813,23 +494,6 @@ fn judgment_line(counts: &numfuzz::JudgmentCounts) -> String {
     )
 }
 
-/// [`parse_opts`] plus the batch/serve `--jobs N` knob (`None` when the
-/// flag is absent).
-fn parse_opts_with_jobs(rest: &[String]) -> Result<(Opts, Option<usize>), String> {
-    let mut jobs = None;
-    let mut passthrough = Vec::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--jobs" {
-            let v = it.next().ok_or("--jobs needs a value")?;
-            jobs = Some(v.parse().map_err(|e| format!("--jobs: {e}"))?);
-        } else {
-            passthrough.push(flag.clone());
-        }
-    }
-    Ok((parse_opts(&passthrough)?, jobs))
-}
-
 /// One file of a [`batch`] run: `Ok((line, true))` for a checked program
 /// (its type and, when monadic, its eq. 8 bound), `Ok((diagnostic,
 /// false))` for a program error, `Err(message)` for an I/O failure.
@@ -865,6 +529,34 @@ fn collect_nf_files(
     Ok(())
 }
 
+/// Every `.nf` file under `dir`, recursively, in sorted order; an empty
+/// directory is a usage error.
+fn nf_files(dir: &Path) -> Result<Vec<PathBuf>, Failure> {
+    let mut files = Vec::new();
+    collect_nf_files(dir, &mut files)
+        .map_err(|e| Failure::Usage(format!("{}: {e}", dir.display())))?;
+    if files.is_empty() {
+        return Err(Failure::Usage(format!("no .nf files under `{}`", dir.display())));
+    }
+    files.sort();
+    Ok(files)
+}
+
+/// The Table 1 corpus that `table1` and `bench` read: `dir`, else
+/// `benches/table1` under the current directory, else the copy committed
+/// next to the crate (so `cargo run -- table1` works from anywhere).
+fn table1_corpus(dir: Option<PathBuf>) -> Result<Vec<PathBuf>, Failure> {
+    let dir = dir.unwrap_or_else(|| {
+        let local = Path::new("benches/table1");
+        if local.is_dir() {
+            local.to_path_buf()
+        } else {
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("benches/table1")
+        }
+    });
+    nf_files(&dir)
+}
+
 /// `numfuzz table1`: differential bound verification over the committed
 /// Table 1 corpus (`benches/table1/*.nf`).
 ///
@@ -876,60 +568,17 @@ fn collect_nf_files(
 /// lies below both bounds. One row per benchmark: the symbolic grade,
 /// both eq. (8) relative bounds, which engine was tighter, the
 /// sample-point soundness verdict, and per-engine wall time.
-fn table1(rest: &[String]) -> Result<(), Failure> {
-    let mut dir: Option<String> = None;
-    let mut passthrough = Vec::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--dir" {
-            dir = Some(
-                it.next().cloned().ok_or_else(|| Failure::Usage("--dir needs a value".into()))?,
-            );
-        } else {
-            passthrough.push(flag.clone());
-        }
-    }
-    let opts = parse_opts(&passthrough).map_err(Failure::Usage)?;
-    if opts.backward || opts.instantiation == Instantiation::AbsoluteError {
-        return Err(Failure::Usage(
-            "the Table 1 corpus is forward relative-precision (no --abs / --backward)".into(),
-        ));
-    }
-    // Corpus resolution: explicit --dir, else `benches/table1` relative to
-    // the current directory, else the copy committed next to the crate
-    // (so `cargo run -- table1` works from anywhere).
-    let dir = match dir {
-        Some(d) => std::path::PathBuf::from(d),
-        None => {
-            let local = std::path::Path::new("benches/table1");
-            if local.is_dir() {
-                local.to_path_buf()
-            } else {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benches/table1")
-            }
-        }
-    };
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    collect_nf_files(&dir, &mut files)
-        .map_err(|e| Failure::Usage(format!("{}: {e}", dir.display())))?;
-    if files.is_empty() {
-        return Err(Failure::Usage(format!("no .nf files under `{}`", dir.display())));
-    }
-    files.sort();
-
-    let analyzer = Analyzer::builder()
-        .signature(opts.instantiation)
-        .format(opts.format)
-        .mode(opts.mode)
-        .build();
+fn table1(args: &Args) -> Result<(), Failure> {
+    let files = table1_corpus(args.get("--dir"))?;
+    let analyzer = args.session().build();
     // Section 6.2 runs every benchmark over this input box.
     let std_range = RatInterval::new(Rational::ratio(1, 10), Rational::ratio(1000, 1));
 
     println!(
         "numfuzz table1: differential bound verification ({} benchmarks, {}, {}, inputs in [0.1, 1000])",
         files.len(),
-        opts.format,
-        opts.mode,
+        analyzer.format(),
+        analyzer.mode(),
     );
     println!(
         "{:<14} {:<9} {:>10} {:>10}  {:<8} {:<6} {:>10} {:>12}",
@@ -1066,14 +715,10 @@ fn table1_row(
         }
     };
 
-    let rel = |alpha: &Rational| match numfuzz::metrics::rp::rp_to_rel_bound(alpha) {
-        Some(r) => r.to_sci_string(3),
-        None => "inf".to_string(),
-    };
     Ok(Table1Row {
         grade: bound.grade.to_string(),
-        typed_rel: rel(&bound.alpha),
-        interval_rel: rel(ranged.bound()),
+        typed_rel: paper::rp_bound_string(&bound.alpha),
+        interval_rel: paper::rp_bound_string(ranged.bound()),
         tighter: bound.alpha.cmp(ranged.bound()),
         sound: report.holds() && interval_holds,
         typed_ms,
@@ -1089,50 +734,11 @@ fn table1_row(
 /// Table 4 generated workloads, so the timing covers both type-heavy and
 /// grade-heavy checking. One *pass* checks and bounds every program once;
 /// the reported throughput is the best of `--iters` passes.
-fn bench(rest: &[String]) -> Result<(), Failure> {
-    let mut iters = 5usize;
-    let mut out = "BENCH_core.json".to_string();
-    let mut baseline: Option<String> = None;
-    let mut gate: Option<String> = None;
-    let mut tolerance = 40.0f64;
-    let mut gate_incremental: Option<f64> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--iters" => {
-                iters = value("--iters")
-                    .and_then(|v| v.parse().map_err(|e| format!("--iters: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--out" => out = value("--out").map_err(Failure::Usage)?,
-            "--baseline" => baseline = Some(value("--baseline").map_err(Failure::Usage)?),
-            "--gate" => gate = Some(value("--gate").map_err(Failure::Usage)?),
-            "--tolerance" => {
-                tolerance = value("--tolerance")
-                    .and_then(|v| v.parse().map_err(|e| format!("--tolerance: {e}")))
-                    .map_err(Failure::Usage)?
-            }
-            "--gate-incremental" => {
-                gate_incremental = Some(
-                    value("--gate-incremental")
-                        .and_then(|v| v.parse().map_err(|e| format!("--gate-incremental: {e}")))
-                        .map_err(Failure::Usage)?,
-                )
-            }
-            other => return Err(Failure::Usage(format!("unknown option `{other}`"))),
-        }
-    }
-    if iters == 0 {
-        return Err(Failure::Usage("--iters must be at least 1".into()));
-    }
-    if !(0.0..100.0).contains(&tolerance) {
-        return Err(Failure::Usage("--tolerance must be in [0, 100)".into()));
-    }
-    if gate_incremental.is_some_and(|r| !(0.0..=1.0).contains(&r)) {
-        return Err(Failure::Usage("--gate-incremental must be a ratio in [0, 1]".into()));
-    }
+fn bench(args: &Args) -> Result<(), Failure> {
+    let iters: usize = args.value("--iters");
+    let out: String = args.value("--out");
+    let tolerance: f64 = args.value("--tolerance");
+    let gate_incremental: Option<f64> = args.get("--gate-incremental");
     // Relative --out paths resolve against the invocation directory, and
     // the resolved path is printed below, so a CI gate and a local run
     // always agree on where the report landed.
@@ -1320,18 +926,7 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     // are machine-independent and gated as exact equalities below; the
     // pass times ride along as context. A benchmark failing the
     // differential check fails the bench outright, gate file or not.
-    let bounds_dir = {
-        let local = std::path::Path::new("benches/table1");
-        if local.is_dir() {
-            local.to_path_buf()
-        } else {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benches/table1")
-        }
-    };
-    let mut bounds_files: Vec<std::path::PathBuf> = Vec::new();
-    collect_nf_files(&bounds_dir, &mut bounds_files)
-        .map_err(|e| Failure::Usage(format!("{}: {e}", bounds_dir.display())))?;
-    bounds_files.sort();
+    let bounds_files = table1_corpus(None)?;
     // The corpus is the paper's relative-precision Table 1; like the rest
     // of the bench it runs under the default session (binary64, RP).
     let bounds_analyzer = Analyzer::new();
@@ -1406,10 +1001,10 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
     // The speedup compares wall time for the identically constructed
     // corpus: node *counts* are not comparable across revisions (term
     // hash-consing changed what one "node" means), pass seconds are.
-    let baseline_seconds = baseline
-        .as_deref()
+    let baseline_seconds = args
+        .get::<String>("--baseline")
         .map(|path| {
-            let text = std::fs::read_to_string(path)
+            let text = std::fs::read_to_string(&path)
                 .map_err(|e| Failure::Usage(format!("{path}: {e}")))?;
             extract_json_number(&text, "best_pass_seconds")
                 .ok_or_else(|| Failure::Usage(format!("{path}: no `best_pass_seconds` field")))
@@ -1560,7 +1155,7 @@ fn bench(rest: &[String]) -> Result<(), Failure> {
 
     // The CI regression gate: cold serial check+bound throughput must not
     // fall more than the tolerance below the baseline report's.
-    if let Some(gate_path) = gate {
+    if let Some(gate_path) = args.get::<String>("--gate") {
         let text = std::fs::read_to_string(&gate_path)
             .map_err(|e| Failure::Usage(format!("{gate_path}: {e}")))?;
         let base = extract_json_number(&text, "checks_per_sec")
@@ -1807,67 +1402,13 @@ fn extract_json_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Parses options, reads the file, and builds the session. The third
-/// element is the `--backward` flag.
-fn load(rest: &[String]) -> Result<(Program, Analyzer, bool), Failure> {
-    let file = rest.first().ok_or_else(|| Failure::Usage("missing FILE argument".into()))?;
-    let opts = parse_opts(&rest[1..]).map_err(Failure::Usage)?;
+/// Reads FILE and parses it in the session the flags describe.
+fn load(args: &Args) -> Result<(Program, Analyzer), Failure> {
+    let file = args.arg();
     let src = std::fs::read_to_string(file).map_err(|e| Failure::Usage(format!("{file}: {e}")))?;
-    let analyzer = Analyzer::builder()
-        .signature(opts.instantiation)
-        .format(opts.format)
-        .mode(opts.mode)
-        .build();
+    let analyzer = args.session().build();
     let program = analyzer.parse_named(file, &src)?;
-    Ok((program, analyzer, opts.backward))
-}
-
-struct Opts {
-    format: Format,
-    mode: RoundingMode,
-    instantiation: Instantiation,
-    /// Backward-error analysis mode (`--backward`): Bean's strictly
-    /// linear judgment with per-input backward bounds.
-    backward: bool,
-}
-
-fn parse_opts(rest: &[String]) -> Result<Opts, String> {
-    let mut prec = 53u32;
-    let mut emax = 1023i64;
-    let mut mode = RoundingMode::TowardPositive;
-    let mut instantiation = Instantiation::RelativePrecision;
-    let mut backward = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--prec" => prec = value("--prec")?.parse().map_err(|e| format!("--prec: {e}"))?,
-            "--emax" => emax = value("--emax")?.parse().map_err(|e| format!("--emax: {e}"))?,
-            "--mode" => {
-                mode = match value("--mode")?.as_str() {
-                    "ru" => RoundingMode::TowardPositive,
-                    "rd" => RoundingMode::TowardNegative,
-                    "rz" => RoundingMode::TowardZero,
-                    "rn" => RoundingMode::NearestEven,
-                    other => return Err(format!("unknown mode `{other}`")),
-                }
-            }
-            "--abs" => instantiation = Instantiation::AbsoluteError,
-            "--backward" => backward = true,
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    // `Format::new` asserts on degenerate formats, and huge ones make
-    // evaluation allocate or loop without bound; binary256 is the widest
-    // IEEE 754 interchange format.
-    if !(2..=237).contains(&prec) {
-        return Err(format!("--prec {prec} is out of range (2..=237)"));
-    }
-    if !(1..=262143).contains(&emax) {
-        return Err(format!("--emax {emax} is out of range (1..=262143)"));
-    }
-    Ok(Opts { format: Format::new(prec, emax), mode, instantiation, backward })
+    Ok((program, analyzer))
 }
 
 /// `numfuzz check`: every function's inferred type, plus the program's.

@@ -259,13 +259,15 @@ fn backward_mode_diagnostics_are_pinned() {
 fn golden_directory_has_no_orphans() {
     // Every golden file must correspond to a cataloged code — stale
     // files would silently stop being checked. The non-diagnostic
-    // goldens are `table1` (the `numfuzz table1` report, pinned by
-    // tests/table1_golden.rs), `backward_mode` (pinned above),
+    // goldens are `table1` and `paper1`/`2`/`3`/`5` (the `numfuzz table1`
+    // and `numfuzz paper N` reports, pinned by tests/table1_golden.rs),
+    // `backward_mode` (pinned above),
     // `lowering` (the front end's output, pinned by
     // tests/frontend_golden.rs) and the `optimize_*` reports (pinned by
     // tests/optimize_golden.rs).
     let mut known: Vec<String> = ALL_CODES.iter().map(|c| c.to_string()).collect();
     known.push("table1".to_string());
+    known.extend(["paper1", "paper2", "paper3", "paper5"].map(String::from));
     known.push("backward_mode".to_string());
     known.push("lowering".to_string());
     for entry in std::fs::read_dir(golden_dir()).expect("golden dir exists") {

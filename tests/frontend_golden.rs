@@ -90,18 +90,21 @@ fn lowering_line(name: &str, analyzer: &Analyzer, src: &str) -> String {
 }
 
 #[test]
-fn lowering_is_pinned() {
-    // Rendering and pretty-printing the `serial_sum(1000)` term recurse
-    // once per statement, deeper than a debug test thread's stack.
-    std::thread::Builder::new()
-        .stack_size(64 << 20)
-        .spawn(pin_lowering)
+fn long_statement_chains_pretty_print_on_a_worker_stack() {
+    // `serial_sum(5000)` is a 5,000-statement chain, the largest program
+    // `numfuzz bench` renders; the printer loops along statement chains,
+    // so it fits a 2 MiB pool worker's stack in the test profile.
+    let printed = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| Program::from_generated(serial_sum(5000)).pretty(u32::MAX))
         .expect("spawn")
         .join()
-        .expect("lowering golden");
+        .expect("pretty-printing serial_sum(5000) on a 2 MiB stack");
+    assert!(printed.len() > 100_000, "{} bytes", printed.len());
 }
 
-fn pin_lowering() {
+#[test]
+fn lowering_is_pinned() {
     let mut rendered = String::new();
     for dir in ["benches/table1", "tests/golden"] {
         for path in nf_files(dir) {

@@ -214,6 +214,25 @@ fn out_of_range_format_flags_exit_2() {
         let (_, stderr, code) = numfuzz_bin(&args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
     }
+    // Counts that would start hundreds of threads, or size an allocation
+    // past the address space, are usage errors before anything starts.
+    // Every loadgen case writes its report under the temp dir: the
+    // default path is the committed BENCH_serve.json.
+    let report = dir.join("loadgen.json");
+    let report = report.to_str().expect("utf-8");
+    let counts: [&[&str]; 6] = [
+        &["loadgen", "--connections", "1", "--requests", "4611686018427387904", "--out", report],
+        &["loadgen", "--connections", "257", "--requests", "1", "--out", report],
+        &["batch", dir_arg, "--jobs", "257"],
+        &["fuzz", "--cases", "1", "--jobs", "257"],
+        &["serve", "--jobs", "257"],
+        &["fuzz", "--cases", "4611686018427387904"],
+    ];
+    for args in counts {
+        let (_, stderr, code) = numfuzz_bin(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("out of range"), "{args:?}: {stderr}");
+    }
     // The widest accepted format (binary256) still works.
     let (stdout, stderr, code) =
         numfuzz_bin(&["run", file_arg, "--prec", "237", "--emax", "262143"]);
@@ -221,4 +240,31 @@ fn out_of_range_format_flags_exit_2() {
     assert!(stdout.contains("bound holds"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn flags_may_precede_the_positional_and_help_follows_any_command() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/benches/table1/hypot.nf");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/benches/table1");
+    let orders: [[&[&str]; 2]; 3] = [
+        [&["check", "--backward", file], &["check", file, "--backward"]],
+        [&["check", "--prec", "24", file], &["check", file, "--prec", "24"]],
+        [&["batch", "--jobs", "2", dir], &["batch", dir, "--jobs", "2"]],
+    ];
+    for [before, after] in orders {
+        let (stdout, stderr, code) = numfuzz_bin(before);
+        assert_ne!(code, Some(2), "{before:?}: {stderr}");
+        assert_eq!((stdout, stderr, code), numfuzz_bin(after), "{before:?} vs {after:?}");
+    }
+
+    let (help, stderr, code) = numfuzz_bin(&["--help"]);
+    assert_eq!((stderr.as_str(), code), ("", Some(0)));
+    for command in [
+        "check", "bound", "run", "batch", "watch", "optimize", "serve", "client", "loadgen",
+        "bench", "fuzz", "table1", "paper", "validate",
+    ] {
+        assert!(help.contains(&format!("\n  {command} ")), "--help lists `{command}`");
+        let got = numfuzz_bin(&[command, "--help"]);
+        assert_eq!(got, (help.clone(), String::new(), Some(0)), "`numfuzz {command} --help`");
+    }
 }

@@ -48,15 +48,14 @@
 use crate::arena::{ArenaInner, GradeId, TyId, TyNode, NUM_ID as NUM, UNIT_ID as UNIT};
 use crate::cache::{
     BackwardFnEntry, BackwardJudgment, BackwardParamEntry, JudgmentCache, JudgmentCounts,
-    JudgmentEntry, NodeFingerprints, StableHasher,
+    JudgmentEntry, NodeFingerprints, ReportWindow, StableHasher,
 };
 use crate::env::BackwardEnv;
 use crate::grade::{Coeffect, Grade};
 use crate::sig::Signature;
-use crate::term::{Node, TermId, TermStore, VarId};
+use crate::term::{grow_to, Node, TermId, TermStore, VarId};
 use crate::ty::Ty;
 use crate::walk::{walk, CheckError, Rules, Walker};
-use std::collections::HashMap;
 
 /// The backward judgment for the root term: one error bound per consumed
 /// input, plus the (forward-compatible) type.
@@ -165,7 +164,8 @@ struct BJudgment {
 /// Parameter *names* are presentation — lambda binder names are not part
 /// of the content fingerprint — so the mirror is memoized instead of the
 /// rendered report. A `None` mirror in a memoized pass marks a report
-/// that could not be canonicalized, poisoning every window containing it.
+/// that could not be canonicalized, poisoning every report window of the
+/// pass.
 #[derive(Clone, Debug)]
 struct BReport {
     shown: BackwardFnReport,
@@ -177,12 +177,14 @@ struct BReport {
 /// parameter demands, replayed at every use site.
 #[derive(Default)]
 struct Bean {
-    fn_sigs: HashMap<VarId, (BackwardEnv, Option<BFun>)>,
+    /// By [`VarId`]; `None` for variables outside the function context.
+    fn_sigs: Vec<Option<(BackwardEnv, Option<BFun>)>>,
 }
 
 impl Rules for Bean {
     type Judgment = BJudgment;
     type Report = BReport;
+    type Canon = BackwardFnEntry;
     type Output = BackwardResult;
 
     fn ty(j: &BJudgment) -> TyId {
@@ -209,9 +211,9 @@ impl Rules for Bean {
             // ----- leaves -----
             Node::Var(v) => {
                 let ty = w.var_ty(v)?;
-                match w.rules.fn_sigs.get(&v) {
-                    Some((caps, fun)) => (caps.clone(), ty, fun.clone()),
-                    None => (BackwardEnv::consume(v), ty, None),
+                match w.rules.fn_sigs.get(v.0 as usize) {
+                    Some(Some((caps, fun))) => (caps.clone(), ty, fun.clone()),
+                    _ => (BackwardEnv::consume(v), ty, None),
                 }
             }
             Node::UnitVal => (BackwardEnv::empty(), UNIT, None),
@@ -427,16 +429,11 @@ impl Rules for Bean {
             report(w, x, assigned, &params);
         }
         let inner = scope_child_fn(w, scope, x, assigned, &caps, &params);
-        w.rules.fn_sigs.insert(x, (caps, params));
+        *grow_to(&mut w.rules.fn_sigs, x.0 as usize, None) = Some((caps, params));
         inner
     }
 
-    fn entry(
-        j: &BJudgment,
-        fps: &NodeFingerprints,
-        arena: &ArenaInner,
-        window: &[BReport],
-    ) -> Option<JudgmentEntry> {
+    fn entry(j: &BJudgment, fps: &NodeFingerprints, arena: &ArenaInner) -> Option<JudgmentEntry> {
         let mut env = Vec::with_capacity(j.env.len());
         for (v, c) in j.env.iter() {
             env.push((fps.canon(*v)?, c.clone()));
@@ -457,11 +454,19 @@ impl Rules for Bean {
                 Some(params)
             }
         };
-        // A window containing a non-canonicalizable report is never
-        // memoized.
-        let fns = window.iter().map(|r| r.canon.clone()).collect::<Option<Vec<_>>>()?;
         let ty = arena.resolve(j.ty);
+        let fns = ReportWindow::default();
         Some(JudgmentEntry::Backward(BackwardJudgment { env, ty, fun, fns }))
+    }
+
+    fn canon(report: &BReport) -> Option<BackwardFnEntry> {
+        report.canon.clone()
+    }
+
+    fn attach(entry: &mut JudgmentEntry, fns: ReportWindow<BackwardFnEntry>) {
+        if let JudgmentEntry::Backward(j) = entry {
+            j.fns = fns;
+        }
     }
 
     fn replay(
@@ -490,8 +495,8 @@ impl Rules for Bean {
                 Some(BFun { params })
             }
         };
-        let mut replayed = Vec::with_capacity(j.fns.len());
-        for e in &j.fns {
+        let mut replayed = Vec::with_capacity(j.fns.reports().len());
+        for e in j.fns.reports() {
             let mut inputs = Vec::with_capacity(e.inputs.len());
             for (canon, g) in &e.inputs {
                 inputs.push((store.var_name(fps.var(*canon)?).to_string(), g.clone()));

@@ -36,10 +36,12 @@
 
 use crate::check::FnReport;
 use crate::grade::{Coeffect, Grade};
-use crate::term::{Node, TermId, TermStore, VarId};
+use crate::term::{grow_to, Node, TermId, TermStore, VarId};
 use crate::ty::Ty;
 use crate::TyId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{hash_map, BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// FNV-1a offset basis for the 128-bit variant.
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -201,18 +203,7 @@ pub fn fingerprint_term_with_display(
     root: TermId,
     free: &[(VarId, Ty)],
 ) -> (u128, u128) {
-    let mut fp = Fingerprinter {
-        store,
-        terms: HashMap::new(),
-        tys: HashMap::new(),
-        vars: HashMap::new(),
-        next_var: 0,
-    };
-    // Free variables are numbered first, in interface order, so their
-    // canonical ids are independent of where they first occur in the body.
-    for (v, _) in free {
-        fp.canon_var(*v);
-    }
+    let mut fp = Fingerprinter::new(store, free);
     let root_hash = fp.hash_term(root);
 
     let mut h = StableHasher::new();
@@ -225,12 +216,10 @@ pub fn fingerprint_term_with_display(
         h.write_u128(hash_ty_tree(ty));
     }
 
-    let mut names: Vec<(u32, VarId)> = fp.vars.iter().map(|(&v, &n)| (n, v)).collect();
-    names.sort_unstable();
     let mut d = StableHasher::new();
-    d.write_u64(names.len() as u64);
-    for (_, v) in names {
-        d.write_str(store.var_name(v));
+    d.write_u64(fp.vars.len() as u64);
+    for v in &fp.vars {
+        d.write_str(store.var_name(*v));
     }
     (h.finish128(), d.finish128())
 }
@@ -278,26 +267,65 @@ pub fn hash_ty_tree(ty: &Ty) -> u128 {
     h.finish128()
 }
 
+/// Marks a node not yet hashed, or a variable not yet numbered, in the
+/// fingerprinting tables indexed by [`TermId`] and [`VarId`].
+const UNSEEN: u32 = u32::MAX;
+
 /// Memoized canonical hashing of one store's term DAG.
+///
+/// Its node and variable tables are vectors indexed by the store-local
+/// [`TermId`]/[`VarId`]; only annotation hashes, keyed by the
+/// session-wide [`TyId`], stay in a map.
 struct Fingerprinter<'a> {
     store: &'a TermStore,
-    terms: HashMap<TermId, u128>,
+    /// Per node, its position in `hashes` ([`UNSEEN`] until hashed).
+    index: Vec<u32>,
+    /// Node hashes, in completion order.
+    hashes: Vec<u128>,
     tys: HashMap<TyId, u128>,
-    /// Canonical variable numbering, assigned in deterministic traversal
-    /// order (free interface first, then binders as encountered).
-    vars: HashMap<VarId, u32>,
-    next_var: u32,
+    /// Per variable, its canonical number ([`UNSEEN`] until met), assigned
+    /// in deterministic traversal order (free interface first, then
+    /// binders as encountered).
+    canon: Vec<u32>,
+    /// The variables by canonical number (the inverse of `canon`).
+    vars: Vec<VarId>,
 }
 
-impl Fingerprinter<'_> {
-    fn canon_var(&mut self, v: VarId) -> u32 {
-        if let Some(&n) = self.vars.get(&v) {
-            return n;
+impl<'a> Fingerprinter<'a> {
+    /// A fingerprinter over `store` with the free interface numbered first,
+    /// in interface order, so its canonical numbers are independent of
+    /// where the variables first occur in the body.
+    fn new(store: &'a TermStore, free: &[(VarId, Ty)]) -> Self {
+        let mut fp = Fingerprinter {
+            store,
+            index: vec![UNSEEN; store.len()],
+            hashes: Vec::new(),
+            tys: HashMap::new(),
+            canon: vec![UNSEEN; store.num_vars()],
+            vars: Vec::new(),
+        };
+        for (v, _) in free {
+            fp.canon_var(*v);
         }
-        let n = self.next_var;
-        self.next_var += 1;
-        self.vars.insert(v, n);
-        n
+        fp
+    }
+
+    fn canon_var(&mut self, v: VarId) -> u32 {
+        let n = grow_to(&mut self.canon, v.0 as usize, UNSEEN);
+        if *n == UNSEEN {
+            *n = self.vars.len() as u32;
+            self.vars.push(v);
+        }
+        *n
+    }
+
+    fn hashed(&self, id: TermId) -> bool {
+        self.index[id.0 as usize] != UNSEEN
+    }
+
+    /// The hash of an already hashed node.
+    fn term(&self, id: TermId) -> u128 {
+        self.hashes[self.index[id.0 as usize] as usize]
     }
 
     fn hash_ty(&mut self, id: TyId) -> u128 {
@@ -320,7 +348,7 @@ impl Fingerprinter<'_> {
         while let Some(task) = stack.pop() {
             match task {
                 Task::Enter(id) => {
-                    if self.terms.contains_key(&id) {
+                    if self.hashed(id) {
                         continue;
                     }
                     stack.push(Task::Exit(id));
@@ -374,15 +402,16 @@ impl Fingerprinter<'_> {
                     }
                 }
                 Task::Exit(id) => {
-                    if self.terms.contains_key(&id) {
+                    if self.hashed(id) {
                         continue;
                     }
                     let h = self.hash_node(id);
-                    self.terms.insert(id, h);
+                    self.index[id.0 as usize] = self.hashes.len() as u32;
+                    self.hashes.push(h);
                 }
             }
         }
-        self.terms[&root]
+        self.term(root)
     }
 
     /// Hashes one node whose children (and binder variables) are already
@@ -403,42 +432,42 @@ impl Fingerprinter<'_> {
             }
             Node::PairW(a, b) => {
                 h.write_u8(TAG_PAIR_W);
-                h.write_u128(self.terms[&a]);
-                h.write_u128(self.terms[&b]);
+                h.write_u128(self.term(a));
+                h.write_u128(self.term(b));
             }
             Node::PairT(a, b) => {
                 h.write_u8(TAG_PAIR_T);
-                h.write_u128(self.terms[&a]);
-                h.write_u128(self.terms[&b]);
+                h.write_u128(self.term(a));
+                h.write_u128(self.term(b));
             }
             Node::Inl(v, ty) => {
                 h.write_u8(TAG_INL);
-                h.write_u128(self.terms[&v]);
+                h.write_u128(self.term(v));
                 h.write_u128(self.hash_ty(ty));
             }
             Node::Inr(v, ty) => {
                 h.write_u8(TAG_INR);
-                h.write_u128(self.terms[&v]);
+                h.write_u128(self.term(v));
                 h.write_u128(self.hash_ty(ty));
             }
             Node::Lam(x, ty, body) => {
                 h.write_u8(TAG_LAM);
                 h.write_u32(self.canon_var(x));
                 h.write_u128(self.hash_ty(ty));
-                h.write_u128(self.terms[&body]);
+                h.write_u128(self.term(body));
             }
             Node::BoxIntro(s, v) => {
                 h.write_u8(TAG_BOX);
                 h.write_str(&self.store.grade(s).to_string());
-                h.write_u128(self.terms[&v]);
+                h.write_u128(self.term(v));
             }
             Node::Rnd(v) => {
                 h.write_u8(TAG_RND);
-                h.write_u128(self.terms[&v]);
+                h.write_u128(self.term(v));
             }
             Node::Ret(v) => {
                 h.write_u8(TAG_RET);
-                h.write_u128(self.terms[&v]);
+                h.write_u128(self.term(v));
             }
             Node::Err(u, ty) => {
                 h.write_u8(TAG_ERR);
@@ -447,45 +476,45 @@ impl Fingerprinter<'_> {
             }
             Node::App(a, b) => {
                 h.write_u8(TAG_APP);
-                h.write_u128(self.terms[&a]);
-                h.write_u128(self.terms[&b]);
+                h.write_u128(self.term(a));
+                h.write_u128(self.term(b));
             }
             Node::Proj(first, v) => {
                 h.write_u8(if first { TAG_PROJ1 } else { TAG_PROJ2 });
-                h.write_u128(self.terms[&v]);
+                h.write_u128(self.term(v));
             }
             Node::LetTensor(x, y, v, e) => {
                 h.write_u8(TAG_LET_TENSOR);
                 h.write_u32(self.canon_var(x));
                 h.write_u32(self.canon_var(y));
-                h.write_u128(self.terms[&v]);
-                h.write_u128(self.terms[&e]);
+                h.write_u128(self.term(v));
+                h.write_u128(self.term(e));
             }
             Node::Case(v, x, e1, y, e2) => {
                 h.write_u8(TAG_CASE);
-                h.write_u128(self.terms[&v]);
+                h.write_u128(self.term(v));
                 h.write_u32(self.canon_var(x));
-                h.write_u128(self.terms[&e1]);
+                h.write_u128(self.term(e1));
                 h.write_u32(self.canon_var(y));
-                h.write_u128(self.terms[&e2]);
+                h.write_u128(self.term(e2));
             }
             Node::LetBox(x, v, e) => {
                 h.write_u8(TAG_LET_BOX);
                 h.write_u32(self.canon_var(x));
-                h.write_u128(self.terms[&v]);
-                h.write_u128(self.terms[&e]);
+                h.write_u128(self.term(v));
+                h.write_u128(self.term(e));
             }
             Node::LetBind(x, v, e) => {
                 h.write_u8(TAG_LET_BIND);
                 h.write_u32(self.canon_var(x));
-                h.write_u128(self.terms[&v]);
-                h.write_u128(self.terms[&e]);
+                h.write_u128(self.term(v));
+                h.write_u128(self.term(e));
             }
             Node::Let(x, v, e) => {
                 h.write_u8(TAG_LET);
                 h.write_u32(self.canon_var(x));
-                h.write_u128(self.terms[&v]);
-                h.write_u128(self.terms[&e]);
+                h.write_u128(self.term(v));
+                h.write_u128(self.term(e));
             }
             Node::LetFun(x, declared, body, rest) => {
                 h.write_u8(TAG_LET_FUN);
@@ -502,13 +531,13 @@ impl Fingerprinter<'_> {
                     }
                     None => h.write_u8(0),
                 }
-                h.write_u128(self.terms[&body]);
-                h.write_u128(self.terms[&rest]);
+                h.write_u128(self.term(body));
+                h.write_u128(self.term(rest));
             }
             Node::Op(op, v) => {
                 h.write_u8(TAG_OP);
                 h.write_str(self.store.op_name(op));
-                h.write_u128(self.terms[&v]);
+                h.write_u128(self.term(v));
             }
         }
         h.finish128()
@@ -531,33 +560,40 @@ impl Fingerprinter<'_> {
 /// to that store's [`VarId`]s.
 #[derive(Debug)]
 pub struct NodeFingerprints {
-    terms: HashMap<TermId, u128>,
-    canon: HashMap<VarId, u32>,
-    uncanon: Vec<VarId>,
+    /// Per node, its position in `hashes` ([`UNSEEN`] when unreachable).
+    index: Vec<u32>,
+    hashes: Vec<u128>,
+    /// Per variable, its canonical number ([`UNSEEN`] when absent).
+    canon: Vec<u32>,
+    /// The variables by canonical number.
+    vars: Vec<VarId>,
 }
 
 impl NodeFingerprints {
     /// The content fingerprint of the subterm rooted at `id`, if `id` is
     /// reachable from the fingerprinted root.
     pub fn node(&self, id: TermId) -> Option<u128> {
-        self.terms.get(&id).copied()
+        match self.index.get(id.0 as usize) {
+            Some(&i) if i != UNSEEN => Some(self.hashes[i as usize]),
+            _ => None,
+        }
     }
 
     /// The canonical number of a variable occurring in the program.
     pub fn canon(&self, v: VarId) -> Option<u32> {
-        self.canon.get(&v).copied()
+        self.canon.get(v.0 as usize).copied().filter(|&n| n != UNSEEN)
     }
 
     /// The store's [`VarId`] behind a canonical number (the inverse of
     /// [`NodeFingerprints::canon`]).
     pub fn var(&self, canon: u32) -> Option<VarId> {
-        self.uncanon.get(canon as usize).copied()
+        self.vars.get(canon as usize).copied()
     }
 
     /// Number of distinct reachable nodes — the number of judgments a
     /// from-scratch checking pass computes.
     pub fn reachable(&self) -> usize {
-        self.terms.len()
+        self.hashes.len()
     }
 }
 
@@ -570,22 +606,9 @@ pub fn node_fingerprints(
     root: TermId,
     free: &[(VarId, Ty)],
 ) -> NodeFingerprints {
-    let mut fp = Fingerprinter {
-        store,
-        terms: HashMap::new(),
-        tys: HashMap::new(),
-        vars: HashMap::new(),
-        next_var: 0,
-    };
-    for (v, _) in free {
-        fp.canon_var(*v);
-    }
+    let mut fp = Fingerprinter::new(store, free);
     let _ = fp.hash_term(root);
-    let mut uncanon = vec![VarId(0); fp.next_var as usize];
-    for (&v, &n) in &fp.vars {
-        uncanon[n as usize] = v;
-    }
-    NodeFingerprints { terms: fp.terms, canon: fp.vars, uncanon }
+    NodeFingerprints { index: fp.index, hashes: fp.hashes, canon: fp.canon, vars: fp.vars }
 }
 
 /// Extends a scope-chain fingerprint with one binder.
@@ -621,7 +644,7 @@ pub struct ForwardJudgment {
     /// Function reports emitted while checking this subtree, in emission
     /// order (function names are part of the content fingerprint, so they
     /// replay verbatim).
-    pub fns: Vec<FnReport>,
+    pub fns: ReportWindow<FnReport>,
 }
 
 /// One still-unapplied parameter of a memoized backward function value.
@@ -662,7 +685,7 @@ pub struct BackwardJudgment {
     /// applied) function value.
     pub fun: Option<Vec<BackwardParamEntry>>,
     /// Per-function reports emitted while checking this subtree.
-    pub fns: Vec<BackwardFnEntry>,
+    pub fns: ReportWindow<BackwardFnEntry>,
 }
 
 /// One memoized judgment — the value type of a [`JudgmentCache`]. The
@@ -677,6 +700,74 @@ pub enum JudgmentEntry {
     Backward(BackwardJudgment),
 }
 
+/// The function reports one memoized pass emitted, in store-independent
+/// form, frozen when the pass ends and shared by every entry it memoized.
+///
+/// Each entry addresses the reports its own subtree emitted as a
+/// [`ReportWindow`] into this log. A chain of `N` function definitions
+/// therefore keeps its `N` reports once, where a copy per enclosing
+/// definition would keep `N²/2`; and the cache counts the log's weight
+/// once, however many entries hold it ([`CacheWeight::shared`]).
+#[derive(Debug)]
+pub(crate) struct ReportLog<C> {
+    reports: Vec<C>,
+    /// Summed weight of `reports`.
+    weight: usize,
+}
+
+impl<C: CacheWeight> ReportLog<C> {
+    /// Freezes a pass's reports in emission order, or `None` when one of
+    /// them did not canonicalize.
+    pub(crate) fn freeze(reports: impl Iterator<Item = Option<C>>) -> Option<Arc<Self>> {
+        let reports = reports.collect::<Option<Vec<C>>>()?;
+        let weight = reports.iter().map(C::weight).sum();
+        Some(Arc::new(ReportLog { reports, weight }))
+    }
+}
+
+/// The function reports one memoized subtree emitted: a range of the
+/// report list its pass froze when it ended, shared by every entry the
+/// pass memoized. An empty window holds no list.
+#[derive(Debug)]
+pub struct ReportWindow<C> {
+    log: Option<Arc<ReportLog<C>>>,
+    start: u32,
+    end: u32,
+}
+
+impl<C> Default for ReportWindow<C> {
+    fn default() -> Self {
+        ReportWindow { log: None, start: 0, end: 0 }
+    }
+}
+
+impl<C> Clone for ReportWindow<C> {
+    fn clone(&self) -> Self {
+        ReportWindow { log: self.log.clone(), start: self.start, end: self.end }
+    }
+}
+
+impl<C> ReportWindow<C> {
+    /// The reports at positions `range` of `log`.
+    pub(crate) fn new(log: &Arc<ReportLog<C>>, range: Range<usize>) -> Self {
+        let (start, end) = (range.start as u32, range.end as u32);
+        ReportWindow { log: Some(Arc::clone(log)), start, end }
+    }
+
+    /// The window's reports, in emission order.
+    pub fn reports(&self) -> &[C] {
+        match &self.log {
+            None => &[],
+            Some(log) => &log.reports[self.start as usize..self.end as usize],
+        }
+    }
+
+    /// The log this window keeps alive, as [`CacheWeight::shared`] counts it.
+    fn shared(&self) -> Option<(usize, usize)> {
+        self.log.as_ref().map(|log| (Arc::as_ptr(log) as usize, log.weight))
+    }
+}
+
 fn ty_weight(t: &Ty) -> usize {
     24 + match t {
         Ty::Unit | Ty::Num => 0,
@@ -687,28 +778,34 @@ fn ty_weight(t: &Ty) -> usize {
     }
 }
 
+impl CacheWeight for FnReport {
+    fn weight(&self) -> usize {
+        32 + self.name.len() + ty_weight(&self.inferred) + ty_weight(&self.assigned)
+    }
+}
+
+impl CacheWeight for BackwardFnEntry {
+    fn weight(&self) -> usize {
+        32 + self.name.len() + ty_weight(&self.assigned) + 48 * self.inputs.len()
+    }
+}
+
 impl CacheWeight for JudgmentEntry {
     fn weight(&self) -> usize {
         match self {
-            JudgmentEntry::Forward(j) => {
-                48 + 48 * j.env.len()
-                    + ty_weight(&j.ty)
-                    + j.fns
-                        .iter()
-                        .map(|f| {
-                            32 + f.name.len() + ty_weight(&f.inferred) + ty_weight(&f.assigned)
-                        })
-                        .sum::<usize>()
-            }
+            JudgmentEntry::Forward(j) => 48 + 48 * j.env.len() + ty_weight(&j.ty),
             JudgmentEntry::Backward(j) => {
                 48 + 80 * j.env.len()
                     + ty_weight(&j.ty)
                     + j.fun.as_ref().map_or(0, |ps| 88 * ps.len())
-                    + j.fns
-                        .iter()
-                        .map(|f| 32 + f.name.len() + ty_weight(&f.assigned) + 48 * f.inputs.len())
-                        .sum::<usize>()
             }
+        }
+    }
+
+    fn shared(&self) -> Option<(usize, usize)> {
+        match self {
+            JudgmentEntry::Forward(j) => j.fns.shared(),
+            JudgmentEntry::Backward(j) => j.fns.shared(),
         }
     }
 }
@@ -912,8 +1009,17 @@ pub struct CacheStats {
 /// byte budget. Estimates only need to be consistent (the cache accounts
 /// removal with the weight it recorded at insert), not exact.
 pub trait CacheWeight {
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes, not counting
+    /// [`CacheWeight::shared`].
     fn weight(&self) -> usize;
+
+    /// A heap block this value shares with other values, as `(address,
+    /// bytes)`: a [`ResultCache`] counts its bytes once, for as long as
+    /// any resident entry holds it. `None` (the default) for values that
+    /// share nothing.
+    fn shared(&self) -> Option<(usize, usize)> {
+        None
+    }
 }
 
 impl CacheWeight for String {
@@ -962,6 +1068,9 @@ pub struct ResultCache<V> {
     budget: usize,
     map: HashMap<CacheKey, Entry<V>>,
     recency: BTreeMap<u64, CacheKey>,
+    /// Blocks resident entries share ([`CacheWeight::shared`]), by address:
+    /// their bytes and how many resident entries hold them.
+    shared: HashMap<usize, (usize, usize)>,
     seq: u64,
     bytes: usize,
     hits: u64,
@@ -985,6 +1094,7 @@ impl<V: Clone + CacheWeight> ResultCache<V> {
             budget: budget_bytes,
             map: HashMap::new(),
             recency: BTreeMap::new(),
+            shared: HashMap::new(),
             seq: 0,
             bytes: 0,
             hits: 0,
@@ -1041,20 +1151,40 @@ impl<V: Clone + CacheWeight> ResultCache<V> {
         let weight = value.weight() + ENTRY_OVERHEAD;
         if let Some(old) = self.map.remove(&key) {
             self.recency.remove(&old.seq);
-            self.bytes -= old.weight;
+            self.release(old);
         }
         self.seq += 1;
         self.bytes += weight;
+        if let Some((addr, bytes)) = value.shared() {
+            let held = self.shared.entry(addr).or_insert((bytes, 0));
+            if held.1 == 0 {
+                self.bytes += bytes;
+            }
+            held.1 += 1;
+        }
         self.map.insert(key, Entry { value, weight, seq: self.seq });
         self.recency.insert(self.seq, key);
         let mut evicted = 0;
         while self.bytes > self.budget {
             let Some((_, victim)) = self.recency.pop_first() else { break };
             let entry = self.map.remove(&victim).expect("recency index tracks the map");
-            self.bytes -= entry.weight;
+            self.release(entry);
             evicted += 1;
         }
         evicted
+    }
+
+    /// Uncounts a removed entry's bytes, and those of a shared block it
+    /// was the last resident holder of.
+    fn release(&mut self, entry: Entry<V>) {
+        self.bytes -= entry.weight;
+        let Some((addr, _)) = entry.value.shared() else { return };
+        if let hash_map::Entry::Occupied(mut held) = self.shared.entry(addr) {
+            held.get_mut().1 -= 1;
+            if held.get().1 == 0 {
+                self.bytes -= held.remove().0;
+            }
+        }
     }
 
     /// Current counters.
@@ -1307,6 +1437,40 @@ mod tests {
         assert_eq!(cache.stats().bytes, before + 200);
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.stats().insertions, 2);
+    }
+
+    /// An entry holding a shared block of `*0` bytes.
+    #[derive(Clone, Debug)]
+    struct Holder(Arc<usize>);
+    impl CacheWeight for Holder {
+        fn weight(&self) -> usize {
+            10
+        }
+        fn shared(&self) -> Option<(usize, usize)> {
+            Some((Arc::as_ptr(&self.0) as usize, *self.0))
+        }
+    }
+
+    #[test]
+    fn shared_block_counts_once_while_any_holder_is_resident() {
+        let own = 10 + ENTRY_OVERHEAD;
+        let block = Arc::new(1000);
+        // Room for two holders and one block.
+        let mut cache = ResultCache::new(2 * own + 1000);
+        cache.insert(key(1), Holder(Arc::clone(&block)));
+        cache.insert(key(2), Holder(Arc::clone(&block)));
+        cache.insert(key(1), Holder(Arc::clone(&block)));
+        assert_eq!(cache.stats().bytes, 2 * own + 1000);
+        assert_eq!(cache.stats().evictions, 0);
+        // A holder of another block evicts the LRU holder (key 2); key 1
+        // still holds the first block.
+        cache.insert(key(3), Holder(Arc::new(0)));
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.stats().bytes, 2 * own + 1000);
+        // Evicting its last holder uncounts the block.
+        cache.insert(key(4), Holder(Arc::new(0)));
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.stats().bytes, 2 * own);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::arena::{ArenaInner, TyId, TyNode, NUM_ID as NUM, UNIT_ID as UNIT};
 use crate::cache::{
-    ForwardJudgment, JudgmentCache, JudgmentCounts, JudgmentEntry, NodeFingerprints,
+    ForwardJudgment, JudgmentCache, JudgmentCounts, JudgmentEntry, NodeFingerprints, ReportWindow,
 };
 use crate::env::Env;
 use crate::grade::Grade;
@@ -127,6 +127,7 @@ struct Forward;
 impl Rules for Forward {
     type Judgment = Judgment;
     type Report = FnReport;
+    type Canon = FnReport;
     type Output = CheckResult;
 
     fn ty(j: &Judgment) -> TyId {
@@ -308,19 +309,24 @@ impl Rules for Forward {
         w.scope_child(scope, x, assigned)
     }
 
-    fn entry(
-        j: &Judgment,
-        fps: &NodeFingerprints,
-        arena: &ArenaInner,
-        window: &[FnReport],
-    ) -> Option<JudgmentEntry> {
+    fn entry(j: &Judgment, fps: &NodeFingerprints, arena: &ArenaInner) -> Option<JudgmentEntry> {
         let mut env = Vec::with_capacity(j.env.len());
         for (v, g) in j.env.iter() {
             env.push((fps.canon(*v)?, g.clone()));
         }
         env.sort_by_key(|(c, _)| *c);
-        let fns = window.to_vec();
-        Some(JudgmentEntry::Forward(ForwardJudgment { env, ty: arena.resolve(j.ty), fns }))
+        let ty = arena.resolve(j.ty);
+        Some(JudgmentEntry::Forward(ForwardJudgment { env, ty, fns: ReportWindow::default() }))
+    }
+
+    fn canon(report: &FnReport) -> Option<FnReport> {
+        Some(report.clone())
+    }
+
+    fn attach(entry: &mut JudgmentEntry, fns: ReportWindow<FnReport>) {
+        if let JudgmentEntry::Forward(j) = entry {
+            j.fns = fns;
+        }
     }
 
     fn replay(
@@ -335,7 +341,7 @@ impl Rules for Forward {
         for (canon, g) in &j.env {
             env.push((fps.var(*canon)?, g.clone()));
         }
-        reports.extend(j.fns.iter().cloned());
+        reports.extend(j.fns.reports().iter().cloned());
         Some(Judgment { env: Env::from_entries(env), ty: arena.intern(&j.ty) })
     }
 

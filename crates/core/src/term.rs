@@ -32,6 +32,16 @@ type Idx = u32;
 /// Index of a stored variable display name.
 pub(crate) type NameIdx = u32;
 
+/// The entry at index `i` of a table indexed by a store-local id
+/// ([`TermId`], [`VarId`] or an operation index), growing the table with
+/// `fill` to reach it.
+pub(crate) fn grow_to<T: Clone>(table: &mut Vec<T>, i: usize, fill: T) -> &mut T {
+    if i >= table.len() {
+        table.resize(i + 1, fill);
+    }
+    &mut table[i]
+}
+
 /// A term node. Constructors and eliminators take *value* operands
 /// (Fig. 1's refinement of Fuzz); the surface-syntax lowering inserts lets
 /// to enforce this, and [`TermStore::is_value`] checks it.

@@ -12,19 +12,27 @@
 //!   order), so million-node Table 4 programs check without recursion;
 //! * child results consumed over [`count_parent_edges`], so peak memory
 //!   tracks the live frontier while shared children still work;
+//! * per-node and per-variable state in vectors indexed by [`TermId`] and
+//!   [`VarId`] (the [`Results`] slab, variable types, where each memoized
+//!   node's report window starts): both ids are dense and local to the
+//!   store, so no pass state is hashed; only tables keyed by the
+//!   session-wide arena's [`TyId`]s are;
 //! * binder introduction: `λ` parameters, and the binders of `let (x, y)`,
 //!   `case`, `let [x]` and `let x = v` from the scrutinee's `⊗`/`+`/`!`/`M`
 //!   shape;
 //! * the memo protocol ([`crate::cache`]): a stage-0 replay of each
 //!   non-leaf node under its scope chain, the window of function reports
-//!   each cache-missed node emits, and memoization when it completes.
+//!   each cache-missed node emits, and memoization when it completes —
+//!   the entries reach the cache when the pass ends, sharing one frozen
+//!   log of the pass's reports.
 //!
 //! A [`Rules`] set supplies the rest: its judgment and report types, a
 //! stage-0 hook that can reject a construct before its children are
 //! visited, each node's own rule once its children are judged, the
-//! `Let`/`LetFun` binder hook, and the translation between a judgment and
-//! its store-independent [`JudgmentEntry`]. The walker is generic over the
-//! rule set (static dispatch) and never asks which one it runs.
+//! `Let`/`LetFun` binder hook, and the translation between a judgment (or
+//! a report) and its store-independent [`JudgmentEntry`] form. The walker
+//! is generic over the rule set (static dispatch) and never asks which one
+//! it runs.
 //!
 //! Types flow through the pass as interned [`TyId`]s of the store's
 //! [`crate::CoreArena`]; a `Ty` tree is built only at the public boundary
@@ -32,15 +40,16 @@
 
 use crate::arena::{ArenaInner, GradeId, TyId, TyNode};
 use crate::cache::{
-    hash_ty_tree, node_fingerprints, scope_extend, JudgmentCache, JudgmentCounts, JudgmentEntry,
-    NodeFingerprints,
+    hash_ty_tree, node_fingerprints, scope_extend, CacheWeight, JudgmentCache, JudgmentCounts,
+    JudgmentEntry, NodeFingerprints, ReportLog, ReportWindow,
 };
 use crate::grade::Grade;
 use crate::sig::Signature;
-use crate::term::{Node, TermId, TermStore, VarId};
+use crate::term::{grow_to, Node, TermId, TermStore, VarId};
 use crate::ty::Ty;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::MutexGuard;
 
 /// Type-checking errors of both judgments. The forward judgment raises
@@ -195,6 +204,8 @@ pub(crate) trait Rules: Default {
     type Judgment: Clone;
     /// The report emitted for one `function` definition.
     type Report;
+    /// A report's store-independent form, as memo entries keep it.
+    type Canon: CacheWeight;
     /// What a whole pass returns.
     type Output;
 
@@ -225,15 +236,22 @@ pub(crate) trait Rules: Default {
         scope: u64,
     ) -> u64;
 
-    /// The store-independent memo entry for a judgment whose subtree
-    /// emitted the reports `window`, or `None` when some part of it does
-    /// not canonicalize (the node then goes unmemoized).
+    /// The store-independent memo entry for a judgment, with an empty
+    /// report window ([`Rules::attach`] fills it when the pass ends), or
+    /// `None` when some part of it does not canonicalize (the node then
+    /// goes unmemoized).
     fn entry(
         j: &Self::Judgment,
         fps: &NodeFingerprints,
         arena: &ArenaInner,
-        window: &[Self::Report],
     ) -> Option<JudgmentEntry>;
+
+    /// A report's store-independent form, or `None` when it does not
+    /// canonicalize (no report window of the pass is then memoized).
+    fn canon(report: &Self::Report) -> Option<Self::Canon>;
+
+    /// Gives a memo entry the window of reports its subtree emitted.
+    fn attach(entry: &mut JudgmentEntry, fns: ReportWindow<Self::Canon>);
 
     /// Translates a memo entry back into this store, appending its
     /// subtree's reports; `None` (and nothing appended) when the entry is
@@ -284,7 +302,8 @@ pub(crate) fn walk<R: Rules>(
                 cache,
                 fps,
                 ty_fps: HashMap::new(),
-                fns_start: HashMap::new(),
+                fns_start: vec![NOT_IN_FLIGHT; store.len()],
+                pending: Vec::new(),
                 recomputed: 0,
             };
             (Some(memo), seed)
@@ -295,22 +314,27 @@ pub(crate) fn walk<R: Rules>(
     let mut arena = store.tys().inner();
     let rnd_grade_id = arena.intern_grade(sig.rnd_grade());
     let zero_grade_id = arena.intern_grade(&Grade::zero());
-    let var_tys = free.iter().map(|(v, t)| (*v, arena.intern(t))).collect();
     let mut w = Walker {
         store,
         sig,
         arena,
-        var_tys,
-        results: HashMap::new(),
-        remaining: count_parent_edges(store),
+        var_tys: vec![None; store.num_vars()],
+        results: Results::new(count_parent_edges(store)),
         reports: Vec::new(),
-        ops: HashMap::new(),
+        ops: Vec::new(),
         rnd_grade_id,
         zero_grade_id,
         memo,
         rules: R::default(),
     };
-    w.run(root, seed)?;
+    for (v, t) in free {
+        let ty = w.arena.intern(t);
+        w.set_var_ty(*v, ty);
+    }
+    // A failed pass still memoizes the subtrees it judged.
+    let run = w.run(root, seed);
+    w.flush();
+    run?;
     let counts = match &w.memo {
         None => JudgmentCounts::default(),
         Some(m) => {
@@ -322,7 +346,7 @@ pub(crate) fn walk<R: Rules>(
             }
         }
     };
-    let root_j = w.results.remove(&root).expect("root judged");
+    let root_j = w.results.remove(root).expect("root judged");
     let ty = w.arena.resolve(R::ty(&root_j));
     Ok((R::output(store, root_j, ty, w.reports), counts))
 }
@@ -369,6 +393,85 @@ fn count_parent_edges(store: &TermStore) -> Vec<u32> {
     uses
 }
 
+/// Judged nodes' judgments, each held until its last parent edge has
+/// consumed it (see [`count_parent_edges`]).
+///
+/// A judgment lives in a slot of one vector, and a consumed node's slot
+/// goes on a free list for the next judgment: memory follows the live
+/// frontier, as it would in a map keyed by node, not the store size,
+/// while each lookup is two indexings instead of a hash.
+struct Results<J> {
+    /// Per node, by [`TermId`].
+    nodes: Vec<NodeState>,
+    slots: Vec<Option<J>>,
+    /// Slots whose judgment was consumed.
+    free: Vec<u32>,
+}
+
+#[derive(Clone, Copy)]
+struct NodeState {
+    /// Outstanding parent edges.
+    remaining: u32,
+    /// The node's slot, or [`NO_SLOT`] while it holds no judgment.
+    slot: u32,
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+impl<J: Clone> Results<J> {
+    /// An empty table for nodes with `edges[i]` parent edges each.
+    fn new(edges: Vec<u32>) -> Self {
+        let nodes = edges.into_iter().map(|remaining| NodeState { remaining, slot: NO_SLOT });
+        Results { nodes: nodes.collect(), slots: Vec::new(), free: Vec::new() }
+    }
+
+    fn contains(&self, id: TermId) -> bool {
+        self.nodes[id.0 as usize].slot != NO_SLOT
+    }
+
+    fn get(&self, id: TermId) -> Option<&J> {
+        match self.nodes[id.0 as usize].slot {
+            NO_SLOT => None,
+            slot => self.slots[slot as usize].as_ref(),
+        }
+    }
+
+    /// Stores a node's judgment, in a freed slot if there is one.
+    fn insert(&mut self, id: TermId, j: J) {
+        let node = &mut self.nodes[id.0 as usize];
+        if node.slot == NO_SLOT {
+            node.slot = self.free.pop().unwrap_or_else(|| {
+                self.slots.push(None);
+                (self.slots.len() - 1) as u32
+            });
+        }
+        self.slots[node.slot as usize] = Some(j);
+    }
+
+    /// Removes a node's judgment and frees its slot.
+    fn remove(&mut self, id: TermId) -> Option<J> {
+        let slot = std::mem::replace(&mut self.nodes[id.0 as usize].slot, NO_SLOT);
+        if slot == NO_SLOT {
+            return None;
+        }
+        self.free.push(slot);
+        self.slots[slot as usize].take()
+    }
+
+    /// Consumes one parent edge's view of a judged node: a clone while
+    /// other edges remain, the judgment itself at the last one.
+    fn take(&mut self, id: TermId) -> Option<J> {
+        let node = &mut self.nodes[id.0 as usize];
+        if node.remaining > 1 {
+            node.remaining -= 1;
+            self.get(id).cloned()
+        } else {
+            node.remaining = 0;
+            self.remove(id)
+        }
+    }
+}
+
 /// The state of one pass: what every rule set reads, plus its own
 /// (`rules`).
 pub(crate) struct Walker<'a, R: Rules> {
@@ -376,14 +479,13 @@ pub(crate) struct Walker<'a, R: Rules> {
     pub(crate) sig: &'a Signature,
     /// The arena table, locked once for the whole pass.
     pub(crate) arena: MutexGuard<'a, ArenaInner>,
-    var_tys: HashMap<VarId, TyId>,
-    results: HashMap<TermId, R::Judgment>,
-    /// Outstanding parent edges per node (see [`count_parent_edges`]).
-    remaining: Vec<u32>,
+    /// Each variable's type, by [`VarId`], once its binder is in scope.
+    var_tys: Vec<Option<TyId>>,
+    results: Results<R::Judgment>,
     /// Function reports in emission (source) order.
     pub(crate) reports: Vec<R::Report>,
-    /// Signature entries interned on first use, keyed by op index.
-    ops: HashMap<u32, (TyId, TyId)>,
+    /// Signature entries interned on first use, by op index.
+    ops: Vec<Option<(TyId, TyId)>>,
     pub(crate) rnd_grade_id: GradeId,
     pub(crate) zero_grade_id: GradeId,
     /// Judgment memoization state (memoized passes only).
@@ -399,11 +501,27 @@ pub(crate) struct Memo<'a> {
     pub(crate) fps: NodeFingerprints,
     /// `hash_ty_tree` of resolved types, memoized by interned id.
     ty_fps: HashMap<TyId, u128>,
-    /// Where each in-flight (cache-missed) node's window into the reports
-    /// starts; presence gates memoization in [`Walker::done`].
-    fns_start: HashMap<TermId, usize>,
+    /// Per node, by [`TermId`]: where its window into the reports starts
+    /// while it is in flight (cache-missed, not yet judged), else
+    /// [`NOT_IN_FLIGHT`]; only in-flight nodes are memoized in
+    /// [`Walker::done`].
+    fns_start: Vec<u32>,
+    /// Entries memoized by this pass, inserted when it ends.
+    pending: Vec<Pending>,
     /// Judgments computed by this pass (cache misses and leaves).
     recomputed: u64,
+}
+
+const NOT_IN_FLIGHT: u32 = u32::MAX;
+
+/// A memo entry waiting for the end of its pass: the reports its subtree
+/// emitted are a range of the pass's reports, frozen into the log every
+/// entry of the pass shares only once the pass is over.
+struct Pending {
+    node: u128,
+    scope: u64,
+    entry: JudgmentEntry,
+    fns: Range<usize>,
 }
 
 #[derive(Clone, Copy)]
@@ -418,7 +536,12 @@ struct Frame {
 impl<'a, R: Rules> Walker<'a, R> {
     /// The type of a variable in scope.
     pub(crate) fn var_ty(&self, v: VarId) -> Result<TyId, CheckError> {
-        self.var_tys.get(&v).copied().ok_or_else(|| CheckError::UnboundVar(self.name(v)))
+        let ty = self.var_tys.get(v.0 as usize).copied().flatten();
+        ty.ok_or_else(|| CheckError::UnboundVar(self.name(v)))
+    }
+
+    fn set_var_ty(&mut self, v: VarId, ty: TyId) {
+        *grow_to(&mut self.var_tys, v.0 as usize, None) = Some(ty);
     }
 
     /// A variable's source name (for reports and errors).
@@ -438,33 +561,25 @@ impl<'a, R: Rules> Walker<'a, R> {
 
     /// The interned `(arg, ret)` pair of a signature operation.
     pub(crate) fn op_sig(&mut self, op_idx: u32) -> Result<(TyId, TyId), CheckError> {
-        if let Some(&entry) = self.ops.get(&op_idx) {
+        if let Some(&Some(entry)) = self.ops.get(op_idx as usize) {
             return Ok(entry);
         }
         let name = self.store.op_name(op_idx);
         let op = self.sig.op(name).ok_or_else(|| CheckError::UnknownOp(name.to_string()))?;
         let entry = (self.arena.intern(&op.arg), self.arena.intern(&op.ret));
-        self.ops.insert(op_idx, entry);
+        *grow_to(&mut self.ops, op_idx as usize, None) = Some(entry);
         Ok(entry)
     }
 
     /// Consumes one parent edge's view of a judged child; the stored
     /// judgment is freed when the last edge has consumed it.
     pub(crate) fn take(&mut self, id: TermId) -> R::Judgment {
-        let slot = &mut self.remaining[id.0 as usize];
-        let j = if *slot > 1 {
-            *slot -= 1;
-            self.results.get(&id).cloned()
-        } else {
-            *slot = 0;
-            self.results.remove(&id)
-        };
-        j.expect("child judged")
+        self.results.take(id).expect("child judged")
     }
 
     /// A judged child's judgment, without consuming it.
     pub(crate) fn judged(&self, id: TermId) -> &R::Judgment {
-        self.results.get(&id).expect("child judged")
+        self.results.get(id).expect("child judged")
     }
 
     /// Records a node's judgment, memoizing it if the node cache-missed.
@@ -478,10 +593,34 @@ impl<'a, R: Rules> Walker<'a, R> {
     /// cheaper to recompute than to look up).
     fn memoize(&mut self, id: TermId, j: &R::Judgment, scope: u64) {
         let Some(memo) = self.memo.as_mut() else { return };
-        let Some(start) = memo.fns_start.remove(&id) else { return };
-        let Some(node_fp) = memo.fps.node(id) else { return };
-        if let Some(entry) = R::entry(j, &memo.fps, &self.arena, &self.reports[start..]) {
-            memo.cache.insert(node_fp, scope, entry);
+        let start = std::mem::replace(&mut memo.fns_start[id.0 as usize], NOT_IN_FLIGHT);
+        if start == NOT_IN_FLIGHT {
+            return;
+        }
+        let Some(node) = memo.fps.node(id) else { return };
+        if let Some(entry) = R::entry(j, &memo.fps, &self.arena) {
+            let fns = start as usize..self.reports.len();
+            memo.pending.push(Pending { node, scope, entry, fns });
+        }
+    }
+
+    /// Inserts the entries this pass memoized, in the order their nodes
+    /// were judged, each with its window into the pass's reports — frozen
+    /// now into the one log they share.
+    fn flush(&mut self) {
+        let Some(memo) = self.memo.as_mut() else { return };
+        if memo.pending.is_empty() {
+            return;
+        }
+        let log = ReportLog::freeze(self.reports.iter().map(R::canon));
+        for Pending { node, scope, mut entry, fns } in memo.pending.drain(..) {
+            if !fns.is_empty() {
+                // A report that did not canonicalize leaves every window
+                // unmemoized.
+                let Some(log) = &log else { continue };
+                R::attach(&mut entry, ReportWindow::new(log, fns));
+            }
+            memo.cache.insert(node, scope, entry);
         }
     }
 
@@ -510,7 +649,7 @@ impl<'a, R: Rules> Walker<'a, R> {
                 return true;
             }
         }
-        memo.fns_start.insert(id, self.reports.len());
+        memo.fns_start[id.0 as usize] = self.reports.len() as u32;
         memo.recomputed += 1;
         false
     }
@@ -534,7 +673,7 @@ impl<'a, R: Rules> Walker<'a, R> {
     /// Brings the binder `x : ty` into scope and returns the scope chain
     /// under it.
     fn introduce(&mut self, scope: u64, x: VarId, ty: TyId) -> u64 {
-        self.var_tys.insert(x, ty);
+        self.set_var_ty(x, ty);
         self.scope_child(scope, x, ty)
     }
 
@@ -543,7 +682,7 @@ impl<'a, R: Rules> Walker<'a, R> {
         while let Some(Frame { id, stage, scope }) = stack.pop() {
             let node = *self.store.node(id);
             if stage == 0 {
-                if self.results.contains_key(&id) || self.try_replay(id, scope) {
+                if self.results.contains(id) || self.try_replay(id, scope) {
                     continue;
                 }
                 R::enter(node)?;
@@ -638,7 +777,7 @@ impl<'a, R: Rules> Walker<'a, R> {
                         }
                         _ => inferred,
                     };
-                    self.var_tys.insert(x, assigned);
+                    self.set_var_ty(x, assigned);
                     let fun = matches!(node, Node::LetFun(..));
                     let inner = R::bind(self, x, e, assigned, fun, scope);
                     stack.push(Frame { id, stage: 2, scope });
@@ -653,5 +792,52 @@ impl<'a, R: Rules> Walker<'a, R> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn id(i: u32) -> TermId {
+        TermId(i)
+    }
+
+    #[test]
+    fn last_parent_edge_frees_the_slot_for_the_next_judgment() {
+        // Node 0 has one parent edge, node 1 one.
+        let mut results = Results::new(vec![1, 1]);
+        results.insert(id(0), "a".to_string());
+        assert_eq!(results.take(id(0)).as_deref(), Some("a"));
+        assert!(!results.contains(id(0)), "consumed by its only parent");
+        results.insert(id(1), "b".to_string());
+        assert_eq!(results.slots.len(), 1, "node 1 reuses node 0's slot");
+        assert_eq!(results.get(id(1)).map(String::as_str), Some("b"));
+    }
+
+    #[test]
+    fn shared_child_is_cloned_until_its_last_parent_takes_it() {
+        let mut results = Results::new(vec![3]);
+        results.insert(id(0), "shared".to_string());
+        assert_eq!(results.take(id(0)).as_deref(), Some("shared"));
+        assert_eq!(results.take(id(0)).as_deref(), Some("shared"));
+        assert!(results.contains(id(0)), "one parent edge outstanding");
+        assert_eq!(results.take(id(0)).as_deref(), Some("shared"));
+        assert!(!results.contains(id(0)));
+        assert_eq!(results.free, [0]);
+    }
+
+    #[test]
+    fn freed_node_can_be_judged_again() {
+        let mut results = Results::new(vec![1, 0]);
+        results.insert(id(0), "first".to_string());
+        results.insert(id(1), "root".to_string());
+        assert_eq!(results.take(id(0)).as_deref(), Some("first"));
+        assert!(results.get(id(0)).is_none());
+        results.insert(id(0), "again".to_string());
+        assert_eq!(results.slots.len(), 2, "the freed slot is reused");
+        assert_eq!(results.take(id(0)).as_deref(), Some("again"));
+        assert_eq!(results.remove(id(1)).as_deref(), Some("root"));
+        assert!(results.remove(id(1)).is_none());
     }
 }

@@ -249,3 +249,26 @@ fn tiny_budget_still_checks_correctly() {
     let warm = check_both(PIPELINE, &sig, &mut cache);
     assert!(warm.recomputed > 0, "64-byte budget cannot hold every judgment");
 }
+
+#[test]
+fn cold_pass_memory_is_linear_in_function_definitions() {
+    // Each `function` node's subtree emits the reports of every later
+    // definition, so entries that each copied their subtree's reports
+    // would hold N²/2 of them; sharing one frozen report list per pass
+    // keeps the judgment cache linear in N.
+    let sig = Signature::relative_precision();
+    let bytes = |n: usize| {
+        let src: String =
+            (0..n).map(|i| format!("function f_{i} (x: num) : M[eps]num {{ rnd x }}\n")).collect();
+        let mut cache = JudgmentCache::new(1 << 30);
+        check_both(&src, &sig, &mut cache);
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 0);
+        stats.bytes
+    };
+    let (single, double) = (bytes(200), bytes(400));
+    assert!(
+        double * 2 <= single * 5,
+        "doubling the definitions grew the cache from {single} to {double} bytes"
+    );
+}

@@ -31,8 +31,8 @@
 //!
 //! The facade crate wraps a `ResultCache` in an `Arc<Mutex<..>>` handle
 //! (`numfuzz::AnalysisCache`) shared by every session of a service:
-//! `Analyzer::check` and `Analyzer::check_backward` answer through it
-//! whenever a session was built with one.
+//! `Analyzer::analyze` answers through it whenever a session was built
+//! with one.
 
 use crate::check::FnReport;
 use crate::grade::{Coeffect, Grade};
@@ -51,11 +51,11 @@ const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 /// An incremental FNV-1a/128 hasher over a canonical byte stream.
 ///
 /// Deliberately *not* `std::hash::Hasher`: `DefaultHasher` is seeded per
-/// process, and content addresses must be stable across processes (a
-/// service restart must not invalidate a future persistent cache, and
-/// tests pin fingerprints). FNV is not collision-resistant against an
-/// adversary, but at 128 bits accidental collisions are negligible for a
-/// memoization table whose worst failure is a wrong-but-well-typed reply.
+/// process, and content addresses must be stable across processes
+/// (`tests/golden/lowering.expected` pins fingerprints). FNV is not
+/// collision-resistant against an adversary, but at 128 bits accidental
+/// collisions are negligible for a memoization table whose worst failure
+/// is a wrong-but-well-typed reply.
 #[derive(Clone, Copy, Debug)]
 pub struct StableHasher {
     state: u128,
@@ -1022,12 +1022,6 @@ pub trait CacheWeight {
     }
 }
 
-impl CacheWeight for String {
-    fn weight(&self) -> usize {
-        self.len()
-    }
-}
-
 /// Fixed per-entry accounting overhead (key, recency index, map slots).
 const ENTRY_OVERHEAD: usize = 96;
 
@@ -1138,16 +1132,6 @@ impl<V: Clone + CacheWeight> ResultCache<V> {
     /// insert is still counted).
     pub fn insert(&mut self, key: CacheKey, value: V) {
         self.insertions += 1;
-        let evicted = self.place(key, value);
-        self.evictions += evicted;
-    }
-
-    /// The insert mechanics without counter effects: places the entry,
-    /// enforces the budget, and reports how many entries were evicted.
-    /// [`ResultCache::insert`] counts those as evictions; a snapshot
-    /// restore does not (restored entries that never fit were never
-    /// live).
-    fn place(&mut self, key: CacheKey, value: V) -> u64 {
         let weight = value.weight() + ENTRY_OVERHEAD;
         if let Some(old) = self.map.remove(&key) {
             self.recency.remove(&old.seq);
@@ -1164,14 +1148,12 @@ impl<V: Clone + CacheWeight> ResultCache<V> {
         }
         self.map.insert(key, Entry { value, weight, seq: self.seq });
         self.recency.insert(self.seq, key);
-        let mut evicted = 0;
         while self.bytes > self.budget {
             let Some((_, victim)) = self.recency.pop_first() else { break };
             let entry = self.map.remove(&victim).expect("recency index tracks the map");
             self.release(entry);
-            evicted += 1;
+            self.evictions += 1;
         }
-        evicted
     }
 
     /// Uncounts a removed entry's bytes, and those of a shared block it
@@ -1199,189 +1181,6 @@ impl<V: Clone + CacheWeight> ResultCache<V> {
             budget: self.budget,
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Snapshot persistence
-// ---------------------------------------------------------------------
-
-/// A value that can round-trip through a [`ResultCache`] snapshot. The
-/// encoding must be self-contained bytes: keys are already stable content
-/// addresses ([`StableHasher`] has no per-process seed), so a snapshot
-/// written by one process replays in another.
-pub trait SnapshotValue: Sized {
-    /// Appends this value's canonical byte encoding to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-    /// Decodes one value from exactly `bytes`; `None` on any malformation
-    /// (the restore path treats that record as corrupt and stops).
-    fn decode(bytes: &[u8]) -> Option<Self>;
-}
-
-impl SnapshotValue for String {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.as_bytes());
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-}
-
-/// What a snapshot restore managed to load: entries placed into the
-/// table, and whether the restore stopped early at a corrupt or truncated
-/// record (everything before the damage is kept — a partially written
-/// snapshot restores its intact prefix).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct SnapshotLoad {
-    /// Entries restored into the cache.
-    pub restored: usize,
-    /// `true` when the snapshot ended at a corrupt record (bad checksum,
-    /// truncation, undecodable payload) rather than a clean end-of-file.
-    pub truncated: bool,
-}
-
-/// Snapshot format magic: file type + format version in one prefix.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"NFZSNAP1";
-
-/// Per-record checksum: FNV-1a/64 over key and payload, so a torn write
-/// or bit flip is detected record-locally.
-fn record_checksum(key: &CacheKey, payload: &[u8]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u128(key.program);
-    h.write_u64(key.config);
-    h.write_u64(payload.len() as u64);
-    h.write(payload);
-    h.finish64()
-}
-
-impl<V: Clone + CacheWeight + SnapshotValue> ResultCache<V> {
-    /// Serializes every resident entry, oldest recency first — restoring
-    /// a snapshot therefore reproduces the same LRU eviction order.
-    ///
-    /// Layout: an 8-byte magic/version prefix, then one record per entry:
-    /// `program (u128 LE) · config (u64 LE) · payload length (u32 LE) ·
-    /// payload · checksum (u64 LE)`. All integers little-endian; the
-    /// checksum covers key and payload.
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.snapshot_within(usize::MAX)
-    }
-
-    /// [`ResultCache::snapshot`] compacted to at most `cap` bytes of
-    /// output: entries are dropped LRU-first (the same order live
-    /// eviction would use) until the remaining records — measured by
-    /// their actual encoded size, not the in-memory weight estimate —
-    /// fit. The kept set is still written oldest recency first, so a
-    /// restore reproduces its LRU order. A snapshot file therefore never
-    /// exceeds the cap however large the in-memory cache has grown.
-    pub fn snapshot_within(&self, cap: usize) -> Vec<u8> {
-        // Record sizes, newest first, to find how many newest entries fit.
-        const RECORD_FIXED: usize = 16 + 8 + 4 + 8;
-        let mut sizes: Vec<usize> = Vec::with_capacity(self.map.len());
-        let mut payload = Vec::new();
-        for key in self.recency.values().rev() {
-            payload.clear();
-            self.map[key].value.encode(&mut payload);
-            sizes.push(RECORD_FIXED + payload.len());
-        }
-        let mut remaining = cap.saturating_sub(SNAPSHOT_MAGIC.len());
-        let mut keep = 0usize;
-        for size in &sizes {
-            match remaining.checked_sub(*size) {
-                Some(r) => {
-                    remaining = r;
-                    keep += 1;
-                }
-                None => break,
-            }
-        }
-        let mut out = Vec::with_capacity(64 + self.bytes.min(cap));
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        for key in self.recency.values().skip(self.map.len() - keep) {
-            let entry = &self.map[key];
-            payload.clear();
-            entry.value.encode(&mut payload);
-            out.extend_from_slice(&key.program.to_le_bytes());
-            out.extend_from_slice(&key.config.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&payload);
-            out.extend_from_slice(&record_checksum(key, &payload).to_le_bytes());
-        }
-        out
-    }
-
-    /// Loads a [`ResultCache::snapshot`] into this cache,
-    /// corruption-tolerantly: a wrong magic restores nothing, and a
-    /// corrupt or truncated record stops the restore there, keeping every
-    /// intact entry before it. Restored entries do not count as
-    /// insertions (the hit/miss/insert counters track live traffic), and
-    /// entries beyond the byte budget are dropped oldest-first without
-    /// counting as evictions.
-    pub fn restore(&mut self, bytes: &[u8]) -> SnapshotLoad {
-        let mut load = SnapshotLoad::default();
-        let Some(mut rest) = bytes.strip_prefix(SNAPSHOT_MAGIC.as_slice()) else {
-            load.truncated = !bytes.is_empty();
-            return load;
-        };
-        const RECORD_HEADER: usize = 16 + 8 + 4;
-        while !rest.is_empty() {
-            if rest.len() < RECORD_HEADER {
-                load.truncated = true;
-                break;
-            }
-            let program = u128::from_le_bytes(rest[0..16].try_into().expect("sliced"));
-            let config = u64::from_le_bytes(rest[16..24].try_into().expect("sliced"));
-            let len = u32::from_le_bytes(rest[24..28].try_into().expect("sliced")) as usize;
-            let Some(record_end) = RECORD_HEADER.checked_add(len).map(|n| n + 8) else {
-                load.truncated = true;
-                break;
-            };
-            if rest.len() < record_end {
-                load.truncated = true;
-                break;
-            }
-            let payload = &rest[RECORD_HEADER..RECORD_HEADER + len];
-            let stored =
-                u64::from_le_bytes(rest[record_end - 8..record_end].try_into().expect("sliced"));
-            let key = CacheKey { program, config };
-            if stored != record_checksum(&key, payload) {
-                load.truncated = true;
-                break;
-            }
-            let Some(value) = V::decode(payload) else {
-                load.truncated = true;
-                break;
-            };
-            self.place(key, value);
-            load.restored += 1;
-            rest = &rest[record_end..];
-        }
-        load
-    }
-}
-
-/// Writes `bytes` to `path` atomically: a temp file in the same directory
-/// (same filesystem, so the rename is atomic), flushed, then renamed over
-/// the destination. A crash mid-write leaves the previous snapshot — or
-/// no file — never a half-written one.
-///
-/// # Errors
-///
-/// Filesystem errors creating, writing, or renaming the temp file.
-pub fn persist_atomically(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    let result = (|| {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 #[cfg(test)]
@@ -1556,110 +1355,6 @@ mod tests {
         assert_eq!(payload(AnalysisMode::Forward), payload(AnalysisMode::Forward));
         assert_eq!(AnalysisMode::Forward.as_str(), "forward");
         assert_eq!(AnalysisMode::Backward.as_str(), "backward");
-    }
-
-    #[test]
-    fn snapshot_round_trips_entries_and_recency_order() {
-        let mut cache: ResultCache<String> = ResultCache::new(1 << 16);
-        cache.insert(key(1), "one".to_string());
-        cache.insert(key(2), "two".to_string());
-        cache.insert(key(3), "three".to_string());
-        // Touch key 1 so the recency order is 2 < 3 < 1.
-        assert!(cache.get(&key(1)).is_some());
-        let bytes = cache.snapshot();
-
-        let mut restored: ResultCache<String> = ResultCache::new(1 << 16);
-        let load = restored.restore(&bytes);
-        assert_eq!(load, SnapshotLoad { restored: 3, truncated: false });
-        for k in [1u128, 2, 3] {
-            assert_eq!(restored.get(&key(k)), cache.get(&key(k)), "entry {k}");
-        }
-        // Restored counters track live traffic only: the three lookups
-        // above, no insertions.
-        assert_eq!(restored.stats().insertions, 0);
-        assert_eq!(restored.stats().entries, 3);
-        // Recency survived: squeezing the budget must evict 2 first.
-        let mut tight: ResultCache<String> = ResultCache::new(2 * (5 + ENTRY_OVERHEAD));
-        tight.restore(&bytes);
-        assert!(tight.get(&key(2)).is_none(), "oldest entry dropped under a tight budget");
-        assert!(tight.get(&key(1)).is_some(), "most recent entry kept");
-        assert_eq!(tight.stats().evictions, 0, "budget-dropped restores are not evictions");
-    }
-
-    #[test]
-    fn snapshot_within_compacts_lru_first_and_round_trips() {
-        let mut cache: ResultCache<String> = ResultCache::new(1 << 16);
-        cache.insert(key(1), "one".to_string());
-        cache.insert(key(2), "two".to_string());
-        cache.insert(key(3), "three".to_string());
-        // Touch key 1 so the recency order is 2 < 3 < 1.
-        assert!(cache.get(&key(1)).is_some());
-
-        // An uncapped snapshot and a cap-sized one are identical.
-        let full = cache.snapshot();
-        assert_eq!(cache.snapshot_within(full.len()), full);
-        assert_eq!(cache.snapshot_within(usize::MAX), full);
-
-        // One byte under full: the LRU entry (key 2) is compacted away,
-        // the cap is honored, and the survivors round-trip in order.
-        let capped = cache.snapshot_within(full.len() - 1);
-        assert!(capped.len() < full.len());
-        let mut restored: ResultCache<String> = ResultCache::new(1 << 16);
-        let load = restored.restore(&capped);
-        assert_eq!(load, SnapshotLoad { restored: 2, truncated: false });
-        assert!(restored.get(&key(2)).is_none(), "LRU entry dropped at the cap");
-        assert_eq!(restored.get(&key(3)).as_deref(), Some("three"));
-        assert_eq!(restored.get(&key(1)).as_deref(), Some("one"));
-
-        // A cap too small for any record still writes a valid, empty
-        // snapshot (magic only).
-        let empty = cache.snapshot_within(SNAPSHOT_MAGIC.len());
-        assert_eq!(empty, SNAPSHOT_MAGIC.to_vec());
-        let mut fresh: ResultCache<String> = ResultCache::new(1 << 16);
-        assert_eq!(fresh.restore(&empty), SnapshotLoad::default());
-    }
-
-    #[test]
-    fn snapshot_restore_tolerates_corruption() {
-        let mut cache: ResultCache<String> = ResultCache::new(1 << 16);
-        cache.insert(key(1), "alpha".to_string());
-        cache.insert(key(2), "beta".to_string());
-        let bytes = cache.snapshot();
-
-        // Garbage / wrong magic: nothing restores, nothing panics.
-        let mut fresh: ResultCache<String> = ResultCache::new(1 << 16);
-        assert_eq!(
-            fresh.restore(b"not a snapshot at all"),
-            SnapshotLoad { restored: 0, truncated: true }
-        );
-        assert_eq!(fresh.restore(&[]), SnapshotLoad::default());
-
-        // Truncation mid-record: the intact prefix restores.
-        let mut fresh: ResultCache<String> = ResultCache::new(1 << 16);
-        let load = fresh.restore(&bytes[..bytes.len() - 3]);
-        assert_eq!(load, SnapshotLoad { restored: 1, truncated: true });
-        assert!(fresh.get(&key(1)).is_some());
-
-        // A flipped payload byte fails the record checksum.
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 10; // inside the second record's payload
-        flipped[last] ^= 0xff;
-        let mut fresh: ResultCache<String> = ResultCache::new(1 << 16);
-        let load = fresh.restore(&flipped);
-        assert!(load.truncated);
-        assert!(load.restored <= 1);
-    }
-
-    #[test]
-    fn persist_atomically_writes_and_replaces() {
-        let dir = std::env::temp_dir().join(format!("nfz-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.snap");
-        persist_atomically(&path, b"first").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        persist_atomically(&path, b"second").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

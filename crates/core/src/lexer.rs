@@ -197,7 +197,11 @@ impl<'a> Lexer<'a> {
                     (Tok::Ident(&self.src[i..end]), end - i)
                 }
                 _ => {
-                    let msg = format!("unexpected character `{}`", c as char);
+                    // Name the whole character, not its first byte: `i`
+                    // is on a character boundary, because every token
+                    // above is ASCII and a comment ends at a newline.
+                    let ch = self.src[i..].chars().next().expect("a byte remains at `i`");
+                    let msg = format!("unexpected character `{ch}`");
                     return Err(SyntaxError::new(msg, line, col));
                 }
             };
@@ -346,6 +350,14 @@ mod tests {
         let e = lexer.rest_error().expect("a bad character follows");
         assert_eq!((e.msg.as_str(), e.line, e.col), ("unexpected character `#`", 1, 5));
         assert_eq!(Lexer::new("x y").rest_error(), None);
+        // A non-ASCII character is named whole, not by its first byte.
+        for (src, bad, col) in
+            [("rnd é", "é", 5), ("\u{feff}rnd 1.5", "\u{feff}", 1), ("x 😀", "😀", 3)]
+        {
+            let e = Lexer::new(src).rest_error().expect("a bad character");
+            let msg = format!("unexpected character `{bad}`");
+            assert_eq!((e.msg.as_str(), e.line, e.col), (msg.as_str(), 1, col), "{src:?}");
+        }
     }
 
     #[test]

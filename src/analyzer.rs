@@ -7,17 +7,23 @@
 //! paper's defaults: relative precision, binary64, round toward +∞),
 //! then reuse it across any number of [`Program`]s:
 //!
-//! * [`Analyzer::check`] — one type-checking pass; the grade on the
-//!   monadic type *is* the rounding-error bound (the paper's headline);
+//! * [`Analyzer::analyze`] — one type-checking pass in either mode:
+//!   NumFuzz's forward judgment, whose grade on the monadic type *is*
+//!   the rounding-error bound (the paper's headline), or Bean's
+//!   backward judgment, one bound per input. The [`Analysis`] renders
+//!   what `check`, `bound`, `batch`, `watch` and `numfuzz serve` print;
+//!   [`Analyzer::check`] and [`Analyzer::check_backward`] are its typed
+//!   projections;
 //! * [`Analyzer::bound`] — the eq. (8) conversion from an RP grade to
 //!   the relative error bound the paper's tables report;
 //! * [`Analyzer::run`] — ideal + floating-point execution;
 //! * [`Analyzer::validate`] — the rigorous Corollary 4.20 check.
 //!
 //! Caching is session policy: a session built with
-//! [`AnalyzerBuilder::cache`] answers [`Analyzer::check`] and
-//! [`Analyzer::check_backward`] through that shared result cache, and
-//! every other session computes from scratch.
+//! [`AnalyzerBuilder::cache`] answers [`Analyzer::analyze`] through that
+//! shared result cache, and every other session computes from scratch.
+//! [`Analyzer::analyze_incremental`] goes through the other cache, the
+//! judgment memo of [`AnalyzerBuilder::judgment_cache_bytes`].
 //!
 //! There is no batch method: `numfuzz batch`, the serve `batch` op,
 //! `optimize`, and `fuzz` map their programs over the scoped worker pool
@@ -34,8 +40,8 @@ use numfuzz_core::cache::{
 };
 use numfuzz_core::{
     cache, infer, infer_backward, infer_backward_memoized, infer_memoized, BackwardFnReport,
-    BackwardInferred, CheckError, CoreArena, FnReport, Grade, Inferred, Instantiation,
-    JudgmentCache, JudgmentCounts, Signature, Ty, VarId,
+    BackwardInferred, BackwardResult, CheckError, CheckResult, CoreArena, FnReport, Grade,
+    Inferred, Instantiation, JudgmentCache, JudgmentCounts, Signature, Ty, VarId,
 };
 use numfuzz_exact::{RatInterval, Rational};
 use numfuzz_interp::{
@@ -73,7 +79,7 @@ pub struct Analyzer {
     cache: Option<AnalysisCache>,
     /// Optional judgment-level memo table (see [`JudgmentMemo`]): the
     /// *subterm*-granular companion of [`AnalysisCache`], consulted by
-    /// the `*_incremental` entry points.
+    /// [`Analyzer::analyze_incremental`].
     judgments: Option<JudgmentMemo>,
     /// Stable fingerprint of everything that can influence a result:
     /// signature, format, mode, rounding unit, sqrt precision — under the
@@ -152,22 +158,14 @@ impl Analyzer {
 
     /// The session's configuration fingerprint under `mode`: a stable
     /// digest of signature, format, rounding mode, rounding unit, and
-    /// sqrt precision — the config half of every cache key this session
-    /// mints. Public so service layers can address their own
-    /// content-keyed tables (e.g. the persistent reply cache of
-    /// `numfuzz serve`) consistently with the analysis cache.
-    pub fn config_fingerprint(&self, mode: AnalysisMode) -> u64 {
+    /// sqrt precision — the config half of every key this session mints
+    /// in either cache, so forward and backward entries live in disjoint
+    /// key spaces by construction.
+    fn config_fingerprint(&self, mode: AnalysisMode) -> u64 {
         match mode {
             AnalysisMode::Forward => self.config_fp,
             AnalysisMode::Backward => self.config_fp_backward,
         }
-    }
-
-    /// The result-cache address of `program` under `mode`: its content
-    /// fingerprint plus the mode's configuration fingerprint, so forward
-    /// and backward entries live in disjoint key spaces by construction.
-    fn cache_key(&self, program: &Program, mode: AnalysisMode) -> CacheKey {
-        CacheKey { program: program.fingerprint(), config: self.config_fingerprint(mode) }
     }
 
     /// The rounding mode of [`Analyzer::run`] / [`Analyzer::validate`].
@@ -219,16 +217,110 @@ impl Analyzer {
         Program::from_kernel_in(self.tys.clone(), kernel)
     }
 
-    /// Type-checks a program: one pass of the Fig. 10 algorithmic rules.
-    /// The resulting [`Typed`] carries the root judgment and one report
-    /// per `function` definition.
+    /// Analyzes a program under one judgment: NumFuzz's forward
+    /// rounding-error inference (the Fig. 10 algorithmic rules) or Bean's
+    /// backward-error judgment. The [`Analysis`] renders what the `check`,
+    /// `bound`, `batch` and `watch` commands and the serve ops print.
     ///
     /// A session built with an [`AnalysisCache`] ([`AnalyzerBuilder::cache`])
     /// answers through it: a content hit replays the memoized outcome
     /// (with the program's own name re-attached to any diagnostic), and a
-    /// miss is checked and stored. Results are byte-identical either way,
-    /// because checking is a pure function of the term content and the
-    /// session configuration.
+    /// miss is analyzed and stored. Results are byte-identical either way,
+    /// because a judgment is a pure function of the term content, the
+    /// session configuration and the mode. The mode is part of the key
+    /// ([`AnalysisMode`]), so a forward entry never replays for a backward
+    /// request or vice versa.
+    ///
+    /// ```
+    /// use numfuzz::prelude::*;
+    ///
+    /// let analyzer = Analyzer::new();
+    /// let program = analyzer.parse("function f (x: num) : M[eps]num { rnd x }")?;
+    /// let forward = analyzer.analyze(&program, AnalysisMode::Forward)?;
+    /// assert_eq!(forward.check_text(), "f : num -o M[eps]num\nprogram : num -o M[eps]num\n");
+    /// let backward = analyzer.analyze(&program, AnalysisMode::Backward)?;
+    /// assert_eq!(backward.batch_line(&analyzer, "f.nf"), "f.nf: num -o M[eps]num");
+    /// # Ok::<(), numfuzz::Diagnostic>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// A spanned [`Diagnostic`] for any program the judgment rejects (see
+    /// [`Analyzer::check`] and [`Analyzer::check_backward`] for the
+    /// codes), or [`ErrorCode::SignatureMismatch`] when the program was
+    /// lowered against a different instantiation's signature.
+    pub fn analyze(&self, program: &Program, mode: AnalysisMode) -> Result<Analysis, Diagnostic> {
+        let Some(cache) = &self.cache else { return self.judge(program, mode) };
+        let key =
+            CacheKey { program: program.fingerprint(), config: self.config_fingerprint(mode) };
+        let display = program.display_fingerprint();
+        if let Some(hit) = cache.get_admissible(&key, display) {
+            return localize(hit, program);
+        }
+        let result = self.judge(program, mode);
+        cache.insert(key, CachedResult { result: strip_file(result.clone()), display });
+        result
+    }
+
+    /// One pass of `mode`'s judgment, bypassing both caches.
+    fn judge(&self, program: &Program, mode: AnalysisMode) -> Result<Analysis, Diagnostic> {
+        self.ensure_instantiation(program)?;
+        let (store, root, free) = (program.store(), program.root(), program.free());
+        match mode {
+            AnalysisMode::Forward => infer(store, &self.sig, root, free).map(Analysis::forward),
+            AnalysisMode::Backward => {
+                infer_backward(store, &self.sig, root, free).map(Analysis::backward)
+            }
+        }
+        .map_err(rejected(program))
+    }
+
+    /// [`Analyzer::analyze`] through the session's judgment memo table
+    /// ([`AnalyzerBuilder::judgment_cache_bytes`]) instead of the result
+    /// cache: every *subterm* judgment is keyed on its content fingerprint
+    /// and scope chain, so a recheck after an edit replays the untouched
+    /// subtrees and recomputes only the spine from the edited node to the
+    /// root. The returned [`JudgmentCounts`] say how much was replayed.
+    /// Without a memo table every judgment is recomputed (the result
+    /// cache is not consulted, so the counts stay truthful). The outcome —
+    /// success or diagnostic — is byte-identical to the from-scratch path
+    /// (enforced by the edit-sequence fuzzer, `numfuzz fuzz --incremental`).
+    /// Forward and backward judgments share the table without aliasing:
+    /// the mode is the first byte of the configuration fingerprint each
+    /// scope chain is seeded with.
+    ///
+    /// # Errors
+    ///
+    /// See [`Analyzer::analyze`].
+    pub fn analyze_incremental(
+        &self,
+        program: &Program,
+        mode: AnalysisMode,
+    ) -> Result<(Analysis, JudgmentCounts), Diagnostic> {
+        let Some(memo) = &self.judgments else {
+            let analysis = self.judge(program, mode)?;
+            let total = program.store().len() as u64;
+            return Ok((analysis, JudgmentCounts { reused: 0, recomputed: total, total }));
+        };
+        self.ensure_instantiation(program)?;
+        let (store, root, free) = (program.store(), program.root(), program.free());
+        let (cache, config) = (&mut *memo.lock(), self.config_fingerprint(mode));
+        match mode {
+            AnalysisMode::Forward => infer_memoized(store, &self.sig, root, free, cache, config)
+                .map(|(result, counts)| (Analysis::forward(result), counts)),
+            AnalysisMode::Backward => {
+                infer_backward_memoized(store, &self.sig, root, free, cache, config)
+                    .map(|(result, counts)| (Analysis::backward(result), counts))
+            }
+        }
+        .map_err(rejected(program))
+    }
+
+    /// Type-checks a program: one pass of the Fig. 10 algorithmic rules,
+    /// the forward projection of [`Analyzer::analyze`] (through the
+    /// session's result cache, when it has one). The resulting [`Typed`]
+    /// carries the root judgment and one report per `function`
+    /// definition.
     ///
     /// # Errors
     ///
@@ -238,92 +330,7 @@ impl Analyzer {
     /// differ between instantiations, so cross-checking would only
     /// produce misleading unknown-operation errors).
     pub fn check(&self, program: &Program) -> Result<Typed, Diagnostic> {
-        let Some(cache) = &self.cache else { return self.judge(program) };
-        let key = self.cache_key(program, AnalysisMode::Forward);
-        let display = program.display_fingerprint();
-        if let Some(CachedResult::Forward(hit, _)) = cache.get_admissible(&key, display) {
-            return localize(hit, program);
-        }
-        let result = self.judge(program);
-        cache.insert(key, CachedResult::Forward(strip_file(result.clone()), display));
-        result
-    }
-
-    /// One forward pass that bypasses the result cache.
-    fn judge(&self, program: &Program) -> Result<Typed, Diagnostic> {
-        self.ensure_instantiation(program)?;
-        let result = infer(program.store(), &self.sig, program.root(), program.free())
-            .map_err(rejected(program))?;
-        Ok(Typed { root: result.root, fns: result.fns })
-    }
-
-    /// [`Analyzer::check`] through the session's judgment memo table
-    /// ([`AnalyzerBuilder::judgment_cache_bytes`]): every *subterm*
-    /// judgment is keyed on its content fingerprint and scope chain, so a
-    /// recheck after an edit replays the untouched subtrees and recomputes
-    /// only the spine from the edited node to the root. The returned
-    /// [`JudgmentCounts`] say how much was replayed. Without a memo table
-    /// every judgment is recomputed (the result cache is not consulted,
-    /// so the counts stay truthful). The outcome — success or diagnostic —
-    /// is byte-identical to the from-scratch path (enforced by the
-    /// edit-sequence fuzzer, `numfuzz fuzz --incremental`).
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::check`].
-    pub fn check_incremental(
-        &self,
-        program: &Program,
-    ) -> Result<(Typed, JudgmentCounts), Diagnostic> {
-        let Some(memo) = &self.judgments else {
-            let typed = self.judge(program)?;
-            let total = program.store().len() as u64;
-            return Ok((typed, JudgmentCounts { reused: 0, recomputed: total, total }));
-        };
-        self.ensure_instantiation(program)?;
-        let mut cache = memo.lock();
-        let (result, counts) = infer_memoized(
-            program.store(),
-            &self.sig,
-            program.root(),
-            program.free(),
-            &mut cache,
-            self.config_fp,
-        )
-        .map_err(rejected(program))?;
-        Ok((Typed { root: result.root, fns: result.fns }, counts))
-    }
-
-    /// [`Analyzer::check_backward`] through the session's judgment memo
-    /// table — the backward twin of [`Analyzer::check_incremental`].
-    /// Forward and backward judgments share the table without aliasing:
-    /// the analysis mode is the first byte of the configuration
-    /// fingerprint each scope chain is seeded with.
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::check_backward`].
-    pub fn check_backward_incremental(
-        &self,
-        program: &Program,
-    ) -> Result<(BackwardTyped, JudgmentCounts), Diagnostic> {
-        let Some(memo) = &self.judgments else {
-            let typed = self.judge_backward(program)?;
-            let total = program.store().len() as u64;
-            return Ok((typed, JudgmentCounts { reused: 0, recomputed: total, total }));
-        };
-        self.ensure_instantiation(program)?;
-        let mut cache = memo.lock();
-        let (result, counts) = infer_backward_memoized(
-            program.store(),
-            &self.sig,
-            program.root(),
-            program.free(),
-            &mut cache,
-            self.config_fp_backward,
-        )
-        .map_err(rejected(program))?;
-        Ok((BackwardTyped { root: result.root, fns: result.fns }, counts))
+        self.analyze(program, AnalysisMode::Forward).map(Analysis::into_forward)
     }
 
     /// Rejects programs lowered against another instantiation's
@@ -517,16 +524,12 @@ impl Analyzer {
     }
 
     /// Type-checks a program under the **backward-error** judgment (the
-    /// Bean discipline): every linear variable must be consumed exactly
-    /// once, and the result reports one backward-error grade *per input*
-    /// instead of one forward grade on the output. A grade `r` on input
-    /// `x` means the computed result is the *exact* ideal result of some
-    /// perturbed input `x̃` within distance `r` of `x`.
-    ///
-    /// Like [`Analyzer::check`], a session with an [`AnalysisCache`]
-    /// answers through it. Backward entries are keyed under the backward
-    /// configuration fingerprint ([`AnalysisMode`]), so a warm forward
-    /// entry can never replay for a backward request or vice versa.
+    /// Bean discipline), the backward projection of [`Analyzer::analyze`]:
+    /// every linear variable must be consumed exactly once, and the result
+    /// reports one backward-error grade *per input* instead of one forward
+    /// grade on the output. A grade `r` on input `x` means the computed
+    /// result is the *exact* ideal result of some perturbed input `x̃`
+    /// within distance `r` of `x`.
     ///
     /// ```
     /// use numfuzz::prelude::*;
@@ -549,23 +552,7 @@ impl Analyzer {
     /// [`ErrorCode::DuplicatedUse`], [`ErrorCode::BackwardIncompatible`],
     /// [`ErrorCode::NoCarrier`], [`ErrorCode::BranchSupport`].
     pub fn check_backward(&self, program: &Program) -> Result<BackwardTyped, Diagnostic> {
-        let Some(cache) = &self.cache else { return self.judge_backward(program) };
-        let key = self.cache_key(program, AnalysisMode::Backward);
-        let display = program.display_fingerprint();
-        if let Some(CachedResult::Backward(hit, _)) = cache.get_admissible(&key, display) {
-            return localize(hit, program);
-        }
-        let result = self.judge_backward(program);
-        cache.insert(key, CachedResult::Backward(strip_file(result.clone()), display));
-        result
-    }
-
-    /// One backward pass that bypasses the result cache.
-    fn judge_backward(&self, program: &Program) -> Result<BackwardTyped, Diagnostic> {
-        self.ensure_instantiation(program)?;
-        let result = infer_backward(program.store(), &self.sig, program.root(), program.free())
-            .map_err(rejected(program))?;
-        Ok(BackwardTyped { root: result.root, fns: result.fns })
+        self.analyze(program, AnalysisMode::Backward).map(Analysis::into_backward)
     }
 
     /// Numeric per-input backward-error bounds of a backward-checked
@@ -861,17 +848,18 @@ impl AnalyzerBuilder {
     }
 
     /// Attaches a (possibly shared) content-addressed result cache:
-    /// [`Analyzer::check`] and [`Analyzer::check_backward`] replay and
-    /// store their outcomes through it. The handle is cheap to clone —
-    /// share one cache across the sessions of a service so content hits
-    /// regardless of which session computed the result.
+    /// [`Analyzer::analyze`] (and so [`Analyzer::check`] and
+    /// [`Analyzer::check_backward`]) replays and stores its outcomes
+    /// through it. The handle is cheap to clone — share one cache across
+    /// the sessions of a service so content hits regardless of which
+    /// session computed the result.
     pub fn cache(mut self, cache: AnalysisCache) -> Self {
         self.cache = Some(cache);
         self
     }
 
     /// Attaches a fresh judgment-level memo table of the given byte
-    /// budget: the `*_incremental` entry points key every subterm
+    /// budget: [`Analyzer::analyze_incremental`] keys every subterm
     /// judgment on content and scope, so rechecks after edits replay the
     /// untouched subtrees. Every [`Analyzer::fork_session`] of the built
     /// session shares the table, so judgments computed by any worker
@@ -974,20 +962,9 @@ fn config_fingerprint(
 /// admissible for a program whose display fingerprint matches; `Ok`
 /// outcomes depend on the structural fingerprint alone.
 #[derive(Clone, Debug)]
-enum CachedResult {
-    Forward(Result<Typed, Diagnostic>, u128),
-    Backward(Result<BackwardTyped, Diagnostic>, u128),
-}
-
-impl CachedResult {
-    /// Whether this entry may be replayed for a program with the given
-    /// display fingerprint.
-    fn admissible_for(&self, display: u128) -> bool {
-        match self {
-            CachedResult::Forward(Ok(_), _) | CachedResult::Backward(Ok(_), _) => true,
-            CachedResult::Forward(Err(_), d) | CachedResult::Backward(Err(_), d) => *d == display,
-        }
-    }
+struct CachedResult {
+    result: Result<Analysis, Diagnostic>,
+    display: u128,
 }
 
 /// Rough heap footprint of a [`Ty`] tree (per-node costs, not exact).
@@ -1010,8 +987,8 @@ fn diag_weight(d: &Diagnostic) -> usize {
 
 impl CacheWeight for CachedResult {
     fn weight(&self) -> usize {
-        match self {
-            CachedResult::Forward(Ok(typed), _) => {
+        match &self.result {
+            Ok(Analysis::Forward(typed)) => {
                 64 + ty_weight(typed.ty())
                     + typed
                         .functions()
@@ -1021,7 +998,7 @@ impl CacheWeight for CachedResult {
                         })
                         .sum::<usize>()
             }
-            CachedResult::Backward(Ok(typed), _) => {
+            Ok(Analysis::Backward(typed)) => {
                 64 + ty_weight(typed.ty())
                     + backward_inputs_weight(typed.inputs())
                     + typed
@@ -1034,7 +1011,7 @@ impl CacheWeight for CachedResult {
                         })
                         .sum::<usize>()
             }
-            CachedResult::Forward(Err(d), _) | CachedResult::Backward(Err(d), _) => diag_weight(d),
+            Err(d) => diag_weight(d),
         }
     }
 }
@@ -1090,11 +1067,17 @@ impl AnalysisCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Fetches an entry admissible for the given display fingerprint
-    /// (an inadmissible resident entry counts as a miss — see
-    /// [`CachedResult::admissible_for`]).
-    fn get_admissible(&self, key: &CacheKey, display: u128) -> Option<CachedResult> {
-        self.lock().get_if(key, |v| v.admissible_for(display))
+    /// Fetches the outcome stored under `key` if it may be replayed for a
+    /// program with the given display fingerprint: any `Ok`, or an `Err`
+    /// rendered from the same display. An inadmissible resident entry
+    /// counts as a miss.
+    fn get_admissible(
+        &self,
+        key: &CacheKey,
+        display: u128,
+    ) -> Option<Result<Analysis, Diagnostic>> {
+        let hit = self.lock().get_if(key, |v| v.result.is_ok() || v.display == display);
+        hit.map(|v| v.result)
     }
 
     fn insert(&self, key: CacheKey, value: CachedResult) {
@@ -1104,7 +1087,7 @@ impl AnalysisCache {
 
 /// A shareable, thread-safe judgment-level memo table: the handle an
 /// [`Analyzer`] session (and every [`Analyzer::fork_session`] of it)
-/// consults from the `*_incremental` entry points. Sessions get one from
+/// consults from [`Analyzer::analyze_incremental`]. Sessions get one from
 /// [`AnalyzerBuilder::judgment_cache_bytes`].
 ///
 /// Where [`AnalysisCache`] memoizes whole-program outcomes, this table
@@ -1118,10 +1101,10 @@ impl AnalysisCache {
 ///
 /// let analyzer = Analyzer::builder().judgment_cache_bytes(16 << 20).build();
 /// let v1 = analyzer.parse("s = mul (2, 3); rnd s")?;
-/// let (_, cold) = analyzer.check_incremental(&v1)?;
+/// let (_, cold) = analyzer.analyze_incremental(&v1, AnalysisMode::Forward)?;
 /// assert_eq!(cold.reused, 0);
 /// let v2 = analyzer.parse("s = mul (2, 4); rnd s")?; // one leaf edited
-/// let (_, warm) = analyzer.check_incremental(&v2)?;
+/// let (_, warm) = analyzer.analyze_incremental(&v2, AnalysisMode::Forward)?;
 /// assert!(warm.reused > 0);
 /// # Ok::<(), numfuzz::Diagnostic>(())
 /// ```
@@ -1247,6 +1230,170 @@ impl BackwardTyped {
     }
 }
 
+/// A program analyzed by [`Analyzer::analyze`] under one judgment. It
+/// renders the text every surface prints for the program — the `check`
+/// report (also the serve `edit` output), the `bound` report and the
+/// `batch` line — so the CLI, `numfuzz watch` and `numfuzz serve` print
+/// the same bytes in either mode.
+#[derive(Clone, Debug)]
+pub enum Analysis {
+    /// NumFuzz's forward judgment: one rounding-error grade on the output.
+    Forward(Typed),
+    /// Bean's backward judgment: one backward-error grade per input.
+    Backward(BackwardTyped),
+}
+
+impl Analysis {
+    fn forward(result: CheckResult) -> Analysis {
+        Analysis::Forward(Typed { root: result.root, fns: result.fns })
+    }
+
+    fn backward(result: BackwardResult) -> Analysis {
+        Analysis::Backward(BackwardTyped { root: result.root, fns: result.fns })
+    }
+
+    fn into_forward(self) -> Typed {
+        match self {
+            Analysis::Forward(typed) => typed,
+            Analysis::Backward(_) => unreachable!("the forward judgment yields a forward analysis"),
+        }
+    }
+
+    fn into_backward(self) -> BackwardTyped {
+        match self {
+            Analysis::Backward(typed) => typed,
+            Analysis::Forward(_) => {
+                unreachable!("the backward judgment yields a backward analysis")
+            }
+        }
+    }
+
+    /// What `numfuzz check` prints: one line per `function`, then the
+    /// program's type. Backward lines end with the per-input grades,
+    /// e.g. ` [x <= eps, y <= 2*eps]`. Trailing newline included.
+    pub fn check_text(&self) -> String {
+        let mut out = String::new();
+        match self {
+            Analysis::Forward(typed) => {
+                for f in typed.functions() {
+                    out.push_str(&format!("{} : {}\n", f.name, f.inferred));
+                }
+                out.push_str(&format!("program : {}\n", typed.ty()));
+            }
+            Analysis::Backward(typed) => {
+                for f in typed.functions() {
+                    let grades = grades_suffix(&f.inputs);
+                    out.push_str(&format!("{} : {}{grades}\n", f.name, f.assigned));
+                }
+                out.push_str(&format!(
+                    "program : {}{}\n",
+                    typed.ty(),
+                    grades_suffix(typed.inputs())
+                ));
+            }
+        }
+        out
+    }
+
+    /// What `numfuzz bound` prints: the eq. (8) bound of every function
+    /// and of the program (backward: every input's bound), then the
+    /// session's format, rounding mode and unit roundoff. Trailing
+    /// newline included.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorCode::UnresolvedGrade`] when a backward input grade
+    /// mentions symbols other than the rounding symbol (see
+    /// [`Analyzer::bound_backward`]).
+    pub fn bound_text(&self, analyzer: &Analyzer) -> Result<String, Diagnostic> {
+        let mut out = String::new();
+        match self {
+            Analysis::Forward(typed) => {
+                let line = |name: &str, ty: &Ty| match analyzer.bound_of_ty(ty) {
+                    Some(b) => format!("{name:<24} {b}\n"),
+                    None => format!("{name:<24} {ty} (no rounding-error bound)\n"),
+                };
+                for f in typed.functions() {
+                    out.push_str(&line(&f.name, &f.inferred));
+                }
+                out.push_str(&line("program", typed.ty()));
+            }
+            Analysis::Backward(typed) => {
+                let bound = analyzer.bound_backward(typed)?;
+                let line = |name: &str, inputs: &[InputBackwardBound]| {
+                    let list = if inputs.is_empty() {
+                        "(no linear inputs)".to_string()
+                    } else {
+                        let each = inputs.iter().map(|b| input_bound(b, bound.instantiation));
+                        each.collect::<Vec<_>>().join(", ")
+                    };
+                    format!("{name:<24} {list}\n")
+                };
+                for f in &bound.fns {
+                    out.push_str(&line(&f.name, &f.inputs));
+                }
+                out.push_str(&line("program", &bound.root));
+            }
+        }
+        out.push_str(&format!(
+            "({} {}, unit roundoff {})\n",
+            analyzer.format(),
+            analyzer.mode(),
+            analyzer.rounding_unit().to_sci_string(3)
+        ));
+        Ok(out)
+    }
+
+    /// The line `numfuzz batch` prints for the program `name`: its type
+    /// and, forward, the eq. (8) bound when the type has one (`name:
+    /// type — bound`), backward, the per-input grades (`name: type
+    /// [grades]`). No trailing newline.
+    pub fn batch_line(&self, analyzer: &Analyzer, name: &str) -> String {
+        match self {
+            Analysis::Forward(typed) => match analyzer.bound_of_ty(typed.ty()) {
+                Some(bound) => format!("{name}: {} — {bound}", typed.ty()),
+                None => format!("{name}: {}", typed.ty()),
+            },
+            Analysis::Backward(typed) => {
+                format!("{name}: {}{}", typed.ty(), grades_suffix(typed.inputs()))
+            }
+        }
+    }
+}
+
+/// The bracketed per-input grade list of a backward report line:
+/// `" [x <= eps, y <= 2*eps]"`, or the empty string when there are no
+/// linear inputs.
+fn grades_suffix(inputs: &[(String, Grade)]) -> String {
+    if inputs.is_empty() {
+        return String::new();
+    }
+    let list: Vec<String> = inputs.iter().map(|(n, g)| format!("{n} <= {g}")).collect();
+    format!(" [{}]", list.join(", "))
+}
+
+/// One input's numeric backward bound, e.g.
+/// `x <= 2*eps (relative error <= 4.44e-16)`; an infinite grade renders
+/// as a bare `x <= inf` (no finite backward bound exists for that input).
+fn input_bound(b: &InputBackwardBound, instantiation: Instantiation) -> String {
+    let kind = error_kind(instantiation);
+    match (&b.alpha, &b.relative) {
+        (None, _) => format!("{} <= {}", b.name, b.grade),
+        (Some(_), Some(r)) => {
+            format!("{} <= {} ({kind} <= {})", b.name, b.grade, r.to_sci_string(3))
+        }
+        (Some(_), None) => format!("{} <= {} (no finite {kind} bound)", b.name, b.grade),
+    }
+}
+
+/// The metric an instantiation's bounds are stated in, as reports name it.
+fn error_kind(instantiation: Instantiation) -> &'static str {
+    match instantiation {
+        Instantiation::RelativePrecision => "relative error",
+        Instantiation::AbsoluteError => "absolute error",
+    }
+}
+
 /// Numeric per-input backward-error bounds of a whole program, produced
 /// by [`Analyzer::bound_backward`]: the backward analogue of
 /// [`ErrorBound`], with one bound per input instead of one on the output.
@@ -1312,10 +1459,7 @@ pub struct ErrorBound {
 
 impl fmt::Display for ErrorBound {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self.instantiation {
-            Instantiation::RelativePrecision => "relative error",
-            Instantiation::AbsoluteError => "absolute error",
-        };
+        let kind = error_kind(self.instantiation);
         match &self.relative {
             Some(b) => write!(f, "{} ({kind} <= {})", self.grade, b.to_sci_string(3)),
             None => write!(f, "{} (no finite {kind} bound)", self.grade),

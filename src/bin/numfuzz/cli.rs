@@ -151,15 +151,6 @@ const FLAGS: &[Flag] = &[
         &["serve"],
         "byte budget of the result and judgment caches",
     ),
-    flag("--cache-file", "FILE", Text, "", &["serve"], "persist the reply cache to FILE"),
-    flag(
-        "--cache-file-cap",
-        "N",
-        Int(0, NO_LIMIT),
-        "8388608",
-        &["serve"],
-        "snapshot byte cap; LRU replies go first",
-    ),
     flag("--idle-ms", "N", Int(0, NO_LIMIT), "300000", &["serve"], "close idle TCP connections"),
     flag(
         "--max-pending",

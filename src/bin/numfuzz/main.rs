@@ -76,11 +76,14 @@ fn dispatch(words: &[String]) -> Result<(), Failure> {
     match args.command() {
         "check" => {
             let (program, analyzer) = load(&args)?;
-            check(&program, &analyzer, args.switch("--backward"))
+            print!("{}", analyzer.analyze(&program, analysis_mode(&args))?.check_text());
+            Ok(())
         }
         "bound" => {
             let (program, analyzer) = load(&args)?;
-            bound(&program, &analyzer, args.switch("--backward"))
+            let analysis = analyzer.analyze(&program, analysis_mode(&args))?;
+            print!("{}", analysis.bound_text(&analyzer)?);
+            Ok(())
         }
         "run" => {
             let (program, analyzer) = load(&args)?;
@@ -114,9 +117,6 @@ fn serve(args: &Args) -> Result<(), Failure> {
     let config = numfuzz::serve::ServeConfig {
         idle_timeout: std::time::Duration::from_millis(args.value("--idle-ms")),
         max_pending: args.value("--max-pending"),
-        cache_file: args.get("--cache-file"),
-        persist_budget: cache_bytes,
-        cache_file_cap: args.value("--cache-file-cap"),
         // Test-only fault-injection ops (docs/serve.md): environment-gated
         // so no production request stream can trip them by accident.
         debug_ops: std::env::var("NUMFUZZ_SERVE_DEBUG_OPS").as_deref() == Ok("1"),
@@ -347,7 +347,7 @@ fn optimize(args: &Args) -> Result<(), Failure> {
 fn batch(args: &Args) -> Result<(), Failure> {
     let dir = args.arg();
     let files = nf_files(Path::new(dir))?;
-    let backward = args.switch("--backward");
+    let mode = analysis_mode(args);
 
     // One analyzer session per worker: parse, check, and bound all
     // happen against worker-local arenas.
@@ -355,7 +355,7 @@ fn batch(args: &Args) -> Result<(), Failure> {
         args.value("--jobs"),
         &files,
         |_worker| args.session().build(),
-        |analyzer, _i, path| batch_one(analyzer, path, backward),
+        |analyzer, _i, path| batch_one(analyzer, path, mode),
     );
 
     let mut ok = 0usize;
@@ -441,7 +441,7 @@ fn watch(args: &Args) -> Result<(), Failure> {
             let stdout = std::io::stdout();
             let mut out = stdout.lock();
             let _ = writeln!(out, "--- {file} (recheck {rechecks}) ---");
-            let report = watch_recheck(&analyzer, file, &src, args.switch("--backward"));
+            let report = watch_recheck(&analyzer, file, &src, analysis_mode(args));
             let _ = write!(out, "{report}");
             let _ = out.flush();
             if iterations > 0 && rechecks >= iterations {
@@ -453,63 +453,43 @@ fn watch(args: &Args) -> Result<(), Failure> {
 }
 
 /// One `watch` recheck: parse + incremental check (+ bound), rendered
-/// with the same report functions as `check`/`bound`/`serve`, followed by
-/// the judgment reuse split. Program errors render as their spanned
-/// diagnostic; the watch loop keeps running either way.
-fn watch_recheck(analyzer: &Analyzer, file: &str, src: &str, backward: bool) -> String {
-    let program = match analyzer.parse_named(file, src) {
-        Ok(p) => p,
+/// as `check` and `bound` print it, followed by the judgment reuse
+/// split. Program errors render as their spanned diagnostic; the watch
+/// loop keeps running either way.
+fn watch_recheck(analyzer: &Analyzer, file: &str, src: &str, mode: AnalysisMode) -> String {
+    let analyzed =
+        analyzer.parse_named(file, src).and_then(|p| analyzer.analyze_incremental(&p, mode));
+    let (analysis, counts) = match analyzed {
+        Ok(done) => done,
         Err(d) => return format!("{}\n", d.render()),
     };
-    if backward {
-        match analyzer.check_backward_incremental(&program) {
-            Ok((typed, counts)) => {
-                let mut report = numfuzz::serve::backward_check_report(&typed);
-                if let Ok(bound) = analyzer.bound_backward(&typed) {
-                    report.push_str(&numfuzz::serve::backward_bound_report(analyzer, &bound));
-                }
-                report.push_str(&judgment_line(&counts));
-                report
-            }
-            Err(d) => format!("{}\n", d.render()),
-        }
-    } else {
-        match analyzer.check_incremental(&program) {
-            Ok((typed, counts)) => {
-                let mut report = numfuzz::serve::check_report(&typed);
-                report.push_str(&numfuzz::serve::bound_report(analyzer, &typed));
-                report.push_str(&judgment_line(&counts));
-                report
-            }
-            Err(d) => format!("{}\n", d.render()),
-        }
+    let mut report = analysis.check_text();
+    // A backward bound can fail (E0202) where the check succeeded; the
+    // recheck then shows the check alone.
+    if let Ok(bound) = analysis.bound_text(analyzer) {
+        report.push_str(&bound);
     }
-}
-
-/// The `watch` reuse summary line.
-fn judgment_line(counts: &numfuzz::JudgmentCounts) -> String {
-    format!(
+    report.push_str(&format!(
         "judgments: {} reused, {} recomputed of {}\n",
         counts.reused, counts.recomputed, counts.total
-    )
+    ));
+    report
 }
 
 /// One file of a [`batch`] run: `Ok((line, true))` for a checked program
-/// (its type and, when monadic, its eq. 8 bound), `Ok((diagnostic,
-/// false))` for a program error, `Err(message)` for an I/O failure.
-/// The rendering is shared with the `serve` protocol's `batch` op
-/// ([`numfuzz::serve::batch_entry`]).
+/// (its [`Analysis::batch_line`], as the `serve` protocol's `batch` op
+/// renders it), `Ok((diagnostic, false))` for a program error,
+/// `Err(message)` for an I/O failure.
 fn batch_one(
     analyzer: &mut Analyzer,
     path: &std::path::Path,
-    backward: bool,
+    mode: AnalysisMode,
 ) -> Result<(String, bool), String> {
     let shown = path.display().to_string();
     let src = std::fs::read_to_string(path).map_err(|e| format!("{shown}: {e}"))?;
-    Ok(if backward {
-        numfuzz::serve::backward_batch_entry(analyzer, &shown, &src)
-    } else {
-        numfuzz::serve::batch_entry(analyzer, &shown, &src)
+    Ok(match analyzer.parse_named(&shown, &src).and_then(|p| analyzer.analyze(&p, mode)) {
+        Ok(analysis) => (analysis.batch_line(analyzer, &shown), true),
+        Err(d) => (d.render(), false),
     })
 }
 
@@ -796,7 +776,7 @@ fn bench(args: &Args) -> Result<(), Failure> {
     }
     let best = serial.best_seconds;
     let serial_rendered: Vec<String> =
-        serial.last.iter().map(|r| render_check(&analyzer, r)).collect();
+        serial.last.iter().map(|r| render(&analyzer, r.clone().map(Analysis::Forward))).collect();
 
     // The cache measurement: the same corpus through a cache-enabled
     // session — the resident-service profile (`numfuzz serve` answering a
@@ -808,8 +788,10 @@ fn bench(args: &Args) -> Result<(), Failure> {
     let cached = timed_passes(iters, || forward_pass(&cached_analyzer, &corpus));
     let (cache_cold, cache_warm) = (cached.first_seconds, cached.best_seconds);
     for (label, results) in [("cold", &cached.first), ("warm", &cached.last)] {
-        let rendered: Vec<String> =
-            results.iter().map(|r| render_check(&cached_analyzer, r)).collect();
+        let rendered: Vec<String> = results
+            .iter()
+            .map(|r| render(&cached_analyzer, r.clone().map(Analysis::Forward)))
+            .collect();
         if rendered != serial_rendered {
             return Err(Failure::Usage(format!(
                 "{label} cached results differ from uncached results (cache bug)"
@@ -824,6 +806,9 @@ fn bench(args: &Args) -> Result<(), Failure> {
     // are part of the measured work and of the byte-identity comparison.
     let bwd_serial = timed_passes(iters, || backward_pass(&analyzer, &corpus));
     let bwd_best = bwd_serial.best_seconds;
+    let render_backward = |r: &Result<BackwardTyped, Diagnostic>| {
+        render(&analyzer, r.clone().map(Analysis::Backward))
+    };
     let bwd_rendered: Vec<String> = bwd_serial.last.iter().map(render_backward).collect();
 
     // Backward warm-cache profile, on its own cache so the counters are
@@ -866,10 +851,9 @@ fn bench(args: &Args) -> Result<(), Failure> {
             inc_skipped += 1;
             continue;
         };
-        let roundtrip = inc_analyzer
-            .parse(&src)
-            .ok()
-            .filter(|p| render_check(&inc_analyzer, &inc_analyzer.check(p)) == *expect);
+        let roundtrip = inc_analyzer.parse(&src).ok().filter(|p| {
+            render(&inc_analyzer, inc_analyzer.analyze(p, AnalysisMode::Forward)) == *expect
+        });
         match (roundtrip, inc_analyzer.parse(&edited_src)) {
             (Some(orig), Ok(edited)) => inc_pairs.push((orig, edited)),
             _ => inc_skipped += 1,
@@ -881,7 +865,7 @@ fn bench(args: &Args) -> Result<(), Failure> {
     // first check.
     let t0 = std::time::Instant::now();
     for (orig, _) in &inc_pairs {
-        let _ = inc_analyzer.check_incremental(orig)?;
+        let _ = inc_analyzer.analyze_incremental(orig, AnalysisMode::Forward)?;
     }
     let inc_cold_seconds = t0.elapsed().as_secs_f64();
 
@@ -896,23 +880,21 @@ fn bench(args: &Args) -> Result<(), Failure> {
     // a second pass would replay itself at 100% and say nothing.
     let mut inc = numfuzz::JudgmentCounts::default();
     let t0 = std::time::Instant::now();
-    let mut inc_results: Vec<Result<Typed, Diagnostic>> = Vec::with_capacity(inc_pairs.len());
+    let mut inc_results: Vec<Result<Analysis, Diagnostic>> = Vec::with_capacity(inc_pairs.len());
     for (_, edited) in &inc_pairs {
-        match inc_analyzer.check_incremental(edited) {
-            Ok((typed, counts)) => {
-                inc.reused += counts.reused;
-                inc.recomputed += counts.recomputed;
-                inc.total += counts.total;
-                inc_results.push(Ok(typed));
-            }
-            Err(d) => inc_results.push(Err(d)),
-        }
+        let result = inc_analyzer.analyze_incremental(edited, AnalysisMode::Forward);
+        inc_results.push(result.map(|(analysis, counts)| {
+            inc.reused += counts.reused;
+            inc.recomputed += counts.recomputed;
+            inc.total += counts.total;
+            analysis
+        }));
     }
     let inc_edit_seconds = t0.elapsed().as_secs_f64();
     let scratch_rendered: Vec<String> =
-        inc_scratch.iter().map(|r| render_check(&inc_analyzer, r)).collect();
+        inc_scratch.into_iter().map(|r| render(&inc_analyzer, r.map(Analysis::Forward))).collect();
     let inc_rendered: Vec<String> =
-        inc_results.iter().map(|r| render_check(&inc_analyzer, r)).collect();
+        inc_results.into_iter().map(|r| render(&inc_analyzer, r)).collect();
     if inc_rendered != scratch_rendered {
         return Err(Failure::Usage(
             "incremental edited results differ from from-scratch results (memoization bug)".into(),
@@ -1069,7 +1051,7 @@ fn bench(args: &Args) -> Result<(), Failure> {
     // `extract_json_number`'s first-occurrence reads keep finding them.
     json.push_str(",\n  \"incremental\": {\n");
     json.push_str(
-        "    \"harness\": \"cold check_incremental over the source-roundtrippable corpus, then \
+        "    \"harness\": \"cold analyze_incremental over the source-roundtrippable corpus, then \
          one single-leaf edit per program (first numeric literal bumped) rechecked from scratch \
          vs. through the session's judgment cache\",\n",
     );
@@ -1367,27 +1349,14 @@ fn bump_first_literal(src: &str) -> Option<String> {
     None
 }
 
-/// Renders one corpus result the same way for the uncached, cached, and
-/// incremental bench passes, so the byte-identical comparison is
-/// meaningful: the inferred type plus its eq. (8) bound, or the rendered
-/// diagnostic.
-fn render_check(analyzer: &Analyzer, result: &Result<Typed, Diagnostic>) -> String {
-    match result {
-        Ok(typed) => match analyzer.bound_of_ty(typed.ty()) {
-            Some(bound) => format!("{} — {bound}", typed.ty()),
-            None => typed.ty().to_string(),
-        },
-        Err(d) => d.render(),
-    }
-}
-
-/// Renders one backward corpus result identically for the uncached and
-/// cached bench passes: the full backward check report, or
-/// the rendered diagnostic (backward rejections are expected for most of
-/// the forward corpus and compare byte-for-byte like any other output).
-fn render_backward(result: &Result<BackwardTyped, Diagnostic>) -> String {
-    match result {
-        Ok(typed) => numfuzz::serve::backward_check_report(typed),
+/// Renders one corpus outcome the same way for the uncached, cached,
+/// and incremental bench passes, so their byte-identical comparison is
+/// meaningful: the `check` and `bound` reports, or the rendered
+/// diagnostic (backward rejections are expected for most of the forward
+/// corpus and compare like any other output).
+fn render(analyzer: &Analyzer, result: Result<Analysis, Diagnostic>) -> String {
+    match result.and_then(|a| Ok(a.check_text() + &a.bound_text(analyzer)?)) {
+        Ok(text) => text,
         Err(d) => d.render(),
     }
 }
@@ -1402,6 +1371,16 @@ fn extract_json_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// The judgment `--backward` selects: Bean's backward judgment, or by
+/// default NumFuzz's forward one.
+fn analysis_mode(args: &Args) -> AnalysisMode {
+    if args.switch("--backward") {
+        AnalysisMode::Backward
+    } else {
+        AnalysisMode::Forward
+    }
+}
+
 /// Reads FILE and parses it in the session the flags describe.
 fn load(args: &Args) -> Result<(Program, Analyzer), Failure> {
     let file = args.arg();
@@ -1409,38 +1388,6 @@ fn load(args: &Args) -> Result<(Program, Analyzer), Failure> {
     let analyzer = args.session().build();
     let program = analyzer.parse_named(file, &src)?;
     Ok((program, analyzer))
-}
-
-/// `numfuzz check`: every function's inferred type, plus the program's.
-/// The output text is shared with the `serve` protocol's `check` op
-/// ([`numfuzz::serve::check_report`] — with `--backward`,
-/// [`numfuzz::serve::backward_check_report`]), byte for byte.
-fn check(program: &Program, analyzer: &Analyzer, backward: bool) -> Result<(), Failure> {
-    if backward {
-        let typed = analyzer.check_backward(program)?;
-        print!("{}", numfuzz::serve::backward_check_report(&typed));
-        return Ok(());
-    }
-    let typed = analyzer.check(program)?;
-    print!("{}", numfuzz::serve::check_report(&typed));
-    Ok(())
-}
-
-/// `numfuzz bound`: the eq. (8) error bound for every function and for
-/// the program, in the session's format/mode — with `--backward`, the
-/// numeric per-input backward bounds instead. Output shared with the
-/// `serve` protocol's `bound` op ([`numfuzz::serve::bound_report`] /
-/// [`numfuzz::serve::backward_bound_report`]).
-fn bound(program: &Program, analyzer: &Analyzer, backward: bool) -> Result<(), Failure> {
-    if backward {
-        let typed = analyzer.check_backward(program)?;
-        let bound = analyzer.bound_backward(&typed)?;
-        print!("{}", numfuzz::serve::backward_bound_report(analyzer, &bound));
-        return Ok(());
-    }
-    let typed = analyzer.check(program)?;
-    print!("{}", numfuzz::serve::bound_report(analyzer, &typed));
-    Ok(())
 }
 
 /// `numfuzz run`: both semantics, the measured distance, and the

@@ -20,7 +20,7 @@
 //! 5. **round-trips**: pretty-printing, re-parsing and re-checking
 //!    yields the identical root type and grade.
 
-use crate::{Analyzer, Inputs};
+use crate::{AnalysisMode, Analyzer, Inputs};
 use numfuzz_core::{Instantiation, Node, Signature, TermId, VarId};
 use numfuzz_fuzz::{
     validate_backward_fn, BackwardFacts, CaseFailure, CasePass, CasePlan, FailureKind, FuzzConfig,
@@ -256,10 +256,10 @@ fn backward_leg(
 
 /// Runs the incremental analysis mode over one generated case: the
 /// original program plus a deterministic sequence of single-constant
-/// edits, each checked from scratch *and* through a session-persistent
-/// judgment cache ([`Analyzer::check_incremental`]). Outputs must match
-/// byte for byte on every variant — forward reports, backward reports,
-/// and diagnostics alike. The edits replay a `numfuzz watch` session:
+/// edits, each analyzed in both modes from scratch *and* through a
+/// session-persistent judgment cache ([`Analyzer::analyze_incremental`]).
+/// Outputs must match byte for byte on every variant — forward reports,
+/// backward reports, and diagnostics alike. The edits replay a `numfuzz watch` session:
 /// the cache carries over from variant to variant, so later variants
 /// exercise genuine cross-edit replay, not just cold insertion.
 fn incremental_leg(plan: &CasePlan, src: &str) -> Result<IncrementalFacts, CaseFailure> {
@@ -292,54 +292,31 @@ fn incremental_leg(plan: &CasePlan, src: &str) -> Result<IncrementalFacts, CaseF
             )
         };
 
-        let plain = analyzer.check(&program).map(|t| crate::serve::check_report(&t));
-        let memo = analyzer.check_incremental(&program);
-        match (&plain, &memo) {
-            (Ok(p), Ok((t, counts))) => {
-                let m = crate::serve::check_report(t);
-                if *p != m {
-                    return Err(mismatch("forward", p, &m));
+        for mode in [AnalysisMode::Forward, AnalysisMode::Backward] {
+            let leg = mode.as_str();
+            let plain = analyzer.analyze(&program, mode).map(|a| a.check_text());
+            let memo = analyzer.analyze_incremental(&program, mode);
+            match (&plain, &memo) {
+                (Ok(p), Ok((a, counts))) => {
+                    let m = a.check_text();
+                    if *p != m {
+                        return Err(mismatch(leg, p, &m));
+                    }
+                    facts.reused += counts.reused;
+                    facts.recomputed += counts.recomputed;
                 }
-                facts.reused += counts.reused;
-                facts.recomputed += counts.recomputed;
-            }
-            (Err(dp), Err(dm)) => {
-                if dp.render() != dm.render() {
-                    return Err(mismatch("forward", &dp.render(), &dm.render()));
+                (Err(dp), Err(dm)) => {
+                    if dp.render() != dm.render() {
+                        return Err(mismatch(leg, &dp.render(), &dm.render()));
+                    }
                 }
-            }
-            _ => {
-                let p = match &plain {
-                    Ok(s) => s.clone(),
-                    Err(d) => d.render(),
-                };
-                return Err(mismatch("forward", &p, "opposite outcome"));
-            }
-        }
-
-        let plain =
-            analyzer.check_backward(&program).map(|t| crate::serve::backward_check_report(&t));
-        let memo = analyzer.check_backward_incremental(&program);
-        match (&plain, &memo) {
-            (Ok(p), Ok((t, counts))) => {
-                let m = crate::serve::backward_check_report(t);
-                if *p != m {
-                    return Err(mismatch("backward", p, &m));
+                _ => {
+                    let p = match &plain {
+                        Ok(s) => s.clone(),
+                        Err(d) => d.render(),
+                    };
+                    return Err(mismatch(leg, &p, "opposite outcome"));
                 }
-                facts.reused += counts.reused;
-                facts.recomputed += counts.recomputed;
-            }
-            (Err(dp), Err(dm)) => {
-                if dp.render() != dm.render() {
-                    return Err(mismatch("backward", &dp.render(), &dm.render()));
-                }
-            }
-            _ => {
-                let p = match &plain {
-                    Ok(s) => s.clone(),
-                    Err(d) => d.render(),
-                };
-                return Err(mismatch("backward", &p, "opposite outcome"));
             }
         }
         facts.edits += 1;

@@ -78,11 +78,11 @@ mod program;
 pub mod serve;
 
 pub use analyzer::{
-    AnalysisCache, Analyzer, AnalyzerBuilder, BackwardBound, BackwardTyped, ErrorBound, Execution,
-    FnBackwardBound, InputBackwardBound, Inputs, Typed,
+    Analysis, AnalysisCache, Analyzer, AnalyzerBuilder, BackwardBound, BackwardTyped, ErrorBound,
+    Execution, FnBackwardBound, InputBackwardBound, Inputs, Typed,
 };
 pub use diag::{Diagnostic, ErrorCode, Span};
-pub use numfuzz_core::cache::CacheStats;
+pub use numfuzz_core::cache::{AnalysisMode, CacheStats};
 pub use numfuzz_core::JudgmentCounts;
 pub use program::Program;
 
@@ -98,13 +98,13 @@ pub use numfuzz_softfloat as softfloat;
 /// The names most programs need, in one import.
 pub mod prelude {
     pub use crate::analyzer::{
-        AnalysisCache, Analyzer, AnalyzerBuilder, BackwardBound, BackwardTyped, ErrorBound,
-        Execution, FnBackwardBound, InputBackwardBound, Inputs, Typed,
+        Analysis, AnalysisCache, Analyzer, AnalyzerBuilder, BackwardBound, BackwardTyped,
+        ErrorBound, Execution, FnBackwardBound, InputBackwardBound, Inputs, Typed,
     };
     pub use crate::diag::{Diagnostic, ErrorCode, Span};
     pub use crate::program::Program;
     pub use numfuzz_bounds::{BoundError, IntervalBound};
-    pub use numfuzz_core::cache::CacheStats;
+    pub use numfuzz_core::cache::{AnalysisMode, CacheStats};
     pub use numfuzz_core::{Grade, Instantiation, JudgmentCounts, Signature, Ty};
     pub use numfuzz_exact::{RatInterval, Rational};
     pub use numfuzz_interp::{SoundnessReport, Value};

@@ -17,21 +17,18 @@
 //!
 //! Response payloads embed the *exact* stdout of the one-shot CLI: a
 //! `check` response's `output` field is byte-identical to what
-//! `numfuzz check FILE` prints, because both go through the same
-//! [`check_report`]/[`bound_report`]/[`batch_entry`] renderers. The
-//! `check`/`bound`/`batch` ops accept an optional `mode` field
-//! (`"forward"`, the default, or `"backward"`) selecting the analysis;
-//! backward requests go through
-//! [`backward_check_report`]/[`backward_bound_report`]/
-//! [`backward_batch_entry`] and are cached under a disjoint key space
-//! (see [`AnalysisMode`]).
+//! `numfuzz check FILE` prints, because both render the same
+//! [`Analysis`](crate::Analysis) of [`Analyzer::analyze`]. The
+//! `check`/`bound`/`edit`/`batch` ops accept an optional `mode` field
+//! (`"forward"`, the default, or `"backward"`) selecting the judgment;
+//! the mode is part of every cache key (see [`AnalysisMode`]).
 //!
 //! The `edit` op is the incremental variant of `check`: it rechecks
-//! through the analyzer's judgment-level memo table (attached with
-//! [`AnalyzerBuilder::judgment_cache_bytes`](crate::AnalyzerBuilder::judgment_cache_bytes))
-//! and reports `reused`/`recomputed`/`total` judgment counts alongside
-//! the usual `output` — which stays byte-identical to a `check` of the
-//! same source. `numfuzz watch` is built on the same entry points.
+//! through the analyzer's judgment-level memo table
+//! ([`Analyzer::analyze_incremental`]) and reports
+//! `reused`/`recomputed`/`total` judgment counts alongside the usual
+//! `output` — which stays byte-identical to a `check` of the same
+//! source. `numfuzz watch` is built on the same entry point.
 //!
 //! The TCP transport is a nonblocking event loop ([`serve_listener`]):
 //! one thread owns every socket, requests pipeline per connection
@@ -42,26 +39,20 @@
 //! bound. Every transport routes requests through a panic firewall
 //! ([`Service::handle_guarded`]): a panicking handler is logged,
 //! answered with a well-formed `EPANIC` reply, and the server keeps
-//! serving. A [`ServeConfig::cache_file`] adds a disk-persisted reply
-//! cache (content-addressed by the structural program fingerprint;
-//! snapshot written on shutdown, restored — corruption-tolerantly — on
-//! the next start). The `metrics` op reports per-op counters, queue
-//! depth, admission rejections, and cache hit rates.
+//! serving. The `metrics` op reports per-op counters, queue depth,
+//! admission rejections, and cache hit rates.
 
-use crate::analyzer::{Analyzer, BackwardBound, BackwardTyped, InputBackwardBound, Typed};
+use crate::analyzer::Analyzer;
 use crate::diag::Diagnostic;
 use crate::program::Program;
-use numfuzz_core::cache::{
-    persist_atomically, AnalysisMode, CacheKey, ConfigFingerprint, ResultCache,
-};
-use numfuzz_core::{pool, Grade, Instantiation};
+use numfuzz_core::cache::AnalysisMode;
+use numfuzz_core::pool;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -457,150 +448,6 @@ impl Parser<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Shared renderers (one-shot CLI and service emit identical bytes)
-// ---------------------------------------------------------------------
-
-/// The stdout of `numfuzz check FILE` for a checked program: one line per
-/// `function`, then the program's type. Trailing newline included.
-pub fn check_report(typed: &Typed) -> String {
-    let mut out = String::new();
-    for f in typed.functions() {
-        out.push_str(&format!("{} : {}\n", f.name, f.inferred));
-    }
-    out.push_str(&format!("program : {}\n", typed.ty()));
-    out
-}
-
-/// The stdout of `numfuzz bound FILE` for a checked program: the eq. (8)
-/// bound of every function and of the program, plus the session's
-/// format/mode setting line. Trailing newline included.
-pub fn bound_report(analyzer: &Analyzer, typed: &Typed) -> String {
-    let mut out = String::new();
-    let setting = format!("{} {}", analyzer.format(), analyzer.mode());
-    for f in typed.functions() {
-        match analyzer.bound_of_ty(&f.inferred) {
-            Some(b) => out.push_str(&format!("{:<24} {}\n", f.name, b)),
-            None => {
-                out.push_str(&format!("{:<24} {} (no rounding-error bound)\n", f.name, f.inferred))
-            }
-        }
-    }
-    match analyzer.bound_of_ty(typed.ty()) {
-        Some(b) => out.push_str(&format!("{:<24} {}\n", "program", b)),
-        None => {
-            out.push_str(&format!("{:<24} {} (no rounding-error bound)\n", "program", typed.ty()))
-        }
-    }
-    out.push_str(&format!(
-        "({setting}, unit roundoff {})\n",
-        analyzer.rounding_unit().to_sci_string(3)
-    ));
-    out
-}
-
-/// One entry of a batch — shared by `numfuzz batch` (per file) and the
-/// service's `batch` op (per request item): parse, check (through the
-/// session's cache when configured), and bound. Returns the output line
-/// (a `name: type — bound` summary, or the fully rendered diagnostic)
-/// and whether the program passed.
-pub fn batch_entry(analyzer: &Analyzer, name: &str, src: &str) -> (String, bool) {
-    match analyzer.parse_named(name, src).and_then(|program| analyzer.check(&program)) {
-        Ok(typed) => match analyzer.bound_of_ty(typed.ty()) {
-            Some(bound) => (format!("{name}: {} — {bound}", typed.ty()), true),
-            None => (format!("{name}: {}", typed.ty()), true),
-        },
-        Err(d) => (d.render(), false),
-    }
-}
-
-/// The bracketed per-input grade list appended to backward report lines:
-/// `" [x <= eps, y <= 2*eps]"`, or the empty string when there are no
-/// linear inputs.
-fn backward_grades_suffix(inputs: &[(String, Grade)]) -> String {
-    if inputs.is_empty() {
-        return String::new();
-    }
-    let list: Vec<String> = inputs.iter().map(|(n, g)| format!("{n} <= {g}")).collect();
-    format!(" [{}]", list.join(", "))
-}
-
-/// The stdout of `numfuzz check --backward FILE` for a backward-checked
-/// program: one line per `function` (its assigned type plus the
-/// per-parameter backward-error grades), then the program's type and the
-/// root's per-input grades. Trailing newline included.
-pub fn backward_check_report(typed: &BackwardTyped) -> String {
-    let mut out = String::new();
-    for f in typed.functions() {
-        out.push_str(&format!(
-            "{} : {}{}\n",
-            f.name,
-            f.assigned,
-            backward_grades_suffix(&f.inputs)
-        ));
-    }
-    out.push_str(&format!("program : {}{}\n", typed.ty(), backward_grades_suffix(typed.inputs())));
-    out
-}
-
-/// One input's numeric backward bound, e.g.
-/// `x <= 2*eps (relative error <= 4.44e-16)`; infinite grades render as a
-/// bare `x <= inf` (no finite backward bound exists for that input).
-fn backward_input_line(b: &InputBackwardBound, instantiation: Instantiation) -> String {
-    let kind = match instantiation {
-        Instantiation::RelativePrecision => "relative error",
-        Instantiation::AbsoluteError => "absolute error",
-    };
-    match (&b.alpha, &b.relative) {
-        (None, _) => format!("{} <= {}", b.name, b.grade),
-        (Some(_), Some(r)) => {
-            format!("{} <= {} ({kind} <= {})", b.name, b.grade, r.to_sci_string(3))
-        }
-        (Some(_), None) => format!("{} <= {} (no finite {kind} bound)", b.name, b.grade),
-    }
-}
-
-/// The stdout of `numfuzz bound --backward FILE`: the numeric per-input
-/// backward bound of every function and of the program, plus the
-/// session's format/mode setting line. Trailing newline included.
-pub fn backward_bound_report(analyzer: &Analyzer, bound: &BackwardBound) -> String {
-    let mut out = String::new();
-    let render = |inputs: &[InputBackwardBound]| -> String {
-        if inputs.is_empty() {
-            "(no linear inputs)".to_string()
-        } else {
-            inputs
-                .iter()
-                .map(|b| backward_input_line(b, bound.instantiation))
-                .collect::<Vec<_>>()
-                .join(", ")
-        }
-    };
-    for f in &bound.fns {
-        out.push_str(&format!("{:<24} {}\n", f.name, render(&f.inputs)));
-    }
-    out.push_str(&format!("{:<24} {}\n", "program", render(&bound.root)));
-    out.push_str(&format!(
-        "({} {}, unit roundoff {})\n",
-        analyzer.format(),
-        analyzer.mode(),
-        analyzer.rounding_unit().to_sci_string(3)
-    ));
-    out
-}
-
-/// The backward analogue of [`batch_entry`]: parse, backward-check
-/// (through the session's cache when configured), and summarize as
-/// `name: type [per-input grades]` — or the rendered diagnostic.
-pub fn backward_batch_entry(analyzer: &Analyzer, name: &str, src: &str) -> (String, bool) {
-    match analyzer.parse_named(name, src).and_then(|program| analyzer.check_backward(&program)) {
-        Ok(typed) => {
-            (format!("{name}: {}{}", typed.ty(), backward_grades_suffix(typed.inputs())), true)
-        }
-        Err(d) => (d.render(), false),
-    }
-}
-
-// ---------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------
 
@@ -622,8 +469,8 @@ pub struct Reply {
 
 /// Tunables for the resident transports. `Default` matches the
 /// historical service behavior closely enough that the pinned wire
-/// transcripts keep passing: no persistence, no debug ops, a generous
-/// admission budget, a five-minute idle deadline.
+/// transcripts keep passing: no debug ops, a generous admission budget,
+/// a five-minute idle deadline.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Close a TCP connection after this long with no traffic and
@@ -636,17 +483,6 @@ pub struct ServeConfig {
     /// be in flight at once. One more is refused with an `EBUSY` reply
     /// until a slot drains.
     pub max_pending: usize,
-    /// Snapshot file for the persistent reply cache. `None` disables
-    /// persistence entirely: no disk I/O, and no extra `stats` section.
-    pub cache_file: Option<PathBuf>,
-    /// Byte budget of the persistent reply cache.
-    pub persist_budget: usize,
-    /// Size cap for the on-disk snapshot itself. The in-memory reply
-    /// cache may carry `persist_budget` bytes, but the file written at
-    /// shutdown is compacted to at most this many bytes by dropping
-    /// LRU entries at snapshot-write time, so a long-lived server's
-    /// snapshot cannot grow without bound.
-    pub cache_file_cap: usize,
     /// Enable the test-only `debug-panic` / `debug-sleep` ops
     /// (`NUMFUZZ_SERVE_DEBUG_OPS=1` in the CLI).
     pub debug_ops: bool,
@@ -654,14 +490,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            idle_timeout: Duration::from_secs(300),
-            max_pending: 64,
-            cache_file: None,
-            persist_budget: 64 << 20,
-            cache_file_cap: 8 << 20,
-            debug_ops: false,
-        }
+        ServeConfig { idle_timeout: Duration::from_secs(300), max_pending: 64, debug_ops: false }
     }
 }
 
@@ -685,9 +514,6 @@ struct Metrics {
     accepted: AtomicU64,
     closed: AtomicU64,
     idle_closed: AtomicU64,
-    persist_hits: AtomicU64,
-    persist_misses: AtomicU64,
-    persist_restored: AtomicU64,
 }
 
 impl Metrics {
@@ -698,22 +524,6 @@ impl Metrics {
 
     fn dequeue(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The disk-persisted reply cache: rendered response *tails* (the bytes
-/// after the leading `"id"` field, which is the only request-specific
-/// part of a `check`/`bound` response) keyed by content — see
-/// [`Service::persist_key`] for the derivation and `docs/serve.md` for
-/// the on-disk snapshot format.
-struct ReplyCache {
-    entries: Mutex<ResultCache<String>>,
-    path: PathBuf,
-}
-
-impl ReplyCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ResultCache<String>> {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -730,18 +540,16 @@ macro_rules! serve_log {
     ($($arg:tt)*) => { log_line(format_args!($($arg)*)) };
 }
 
-/// A resident analysis service: a base [`Analyzer`] (whose cache, if
-/// configured, is shared by everything the service does), a worker count
-/// for `batch` requests, service tunables ([`ServeConfig`]), telemetry,
-/// and — when configured — the persistent reply cache. See the
-/// [module docs](self) for the wire protocol.
+/// A resident analysis service: a base [`Analyzer`] (whose caches, if
+/// configured, are shared by everything the service does), a worker
+/// count for `batch` requests, service tunables ([`ServeConfig`]), and
+/// telemetry. See the [module docs](self) for the wire protocol.
 pub struct Service {
     base: Analyzer,
     jobs: usize,
     requests: AtomicU64,
     config: ServeConfig,
     metrics: Metrics,
-    persist: Option<ReplyCache>,
 }
 
 impl Service {
@@ -752,29 +560,10 @@ impl Service {
         Service::with_config(analyzer, jobs, ServeConfig::default())
     }
 
-    /// Wraps an analyzer with explicit tunables. When
-    /// `config.cache_file` is set, a previous snapshot at that path is
-    /// restored immediately; a corrupt or truncated snapshot degrades to
-    /// whatever intact prefix it still has (one stderr note, never a
-    /// refusal to start).
+    /// Wraps an analyzer with explicit tunables.
     pub fn with_config(analyzer: Analyzer, jobs: usize, config: ServeConfig) -> Self {
-        let metrics = Metrics::default();
-        let persist = config.cache_file.as_ref().map(|path| {
-            let mut entries = ResultCache::new(config.persist_budget);
-            if let Ok(bytes) = std::fs::read(path) {
-                let load = entries.restore(&bytes);
-                metrics.persist_restored.store(load.restored as u64, Ordering::Relaxed);
-                if load.truncated {
-                    serve_log!(
-                        "numfuzz serve: cache snapshot {} is damaged; restored {} intact entries and moving on",
-                        path.display(),
-                        load.restored
-                    );
-                }
-            }
-            ReplyCache { entries: Mutex::new(entries), path: path.clone() }
-        });
-        Service { base: analyzer, jobs, requests: AtomicU64::new(0), config, metrics, persist }
+        let requests = AtomicU64::new(0);
+        Service { base: analyzer, jobs, requests, config, metrics: Metrics::default() }
     }
 
     /// The base analyzer (e.g. to read cache statistics).
@@ -785,40 +574,6 @@ impl Service {
     /// The service tunables this instance runs with.
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// Writes the persistent reply cache back to its snapshot file, via
-    /// a temp file and an atomic rename. A no-op without a cache file.
-    /// Errors are reported on stderr and swallowed: failing to persist
-    /// must not turn a clean shutdown into a failure.
-    pub fn persist_now(&self) {
-        let Some(pc) = &self.persist else { return };
-        let bytes = pc.lock().snapshot_within(self.config.cache_file_cap);
-        if let Err(e) = persist_atomically(&pc.path, &bytes) {
-            serve_log!("numfuzz serve: could not persist cache to {}: {e}", pc.path.display());
-        }
-    }
-
-    /// The content address of one `check`/`bound` reply in the
-    /// persistent cache. The `program` half is the structural (alpha-
-    /// invariant) fingerprint; the `config` half folds the analysis
-    /// mode's session configuration, the op, the display fingerprint
-    /// (rendered types and diagnostics quote concrete source names), and
-    /// the request's `name` (diagnostics embed it as the file).
-    fn persist_key(
-        &self,
-        session: &Analyzer,
-        program: &Program,
-        op: &str,
-        mode: AnalysisMode,
-        name: Option<&str>,
-    ) -> CacheKey {
-        let mut config = ConfigFingerprint::new(mode);
-        config.write_u64(session.config_fingerprint(mode));
-        config.write_u8(if op == "check" { 1 } else { 2 });
-        config.write_u128(program.display_fingerprint());
-        config.write_str(name.unwrap_or(""));
-        CacheKey { program: program.fingerprint(), config: config.finish() }
     }
 
     /// Handles one request line within `session` (a
@@ -839,15 +594,14 @@ impl Service {
             return proto_error(id, "missing string field `op`");
         };
         match op {
-            "check" | "bound" => {
-                let counter =
-                    if op == "check" { &self.metrics.op_check } else { &self.metrics.op_bound };
+            "check" | "bound" | "edit" => {
+                let counter = match op {
+                    "check" => &self.metrics.op_check,
+                    "bound" => &self.metrics.op_bound,
+                    _ => &self.metrics.op_edit,
+                };
                 counter.fetch_add(1, Ordering::Relaxed);
-                self.check_or_bound(session, id, op, &request)
-            }
-            "edit" => {
-                self.metrics.op_edit.fetch_add(1, Ordering::Relaxed);
-                self.edit(session, id, &request)
+                self.analysis_op(session, id, op, &request)
             }
             "optimize" => {
                 self.metrics.op_optimize.fetch_add(1, Ordering::Relaxed);
@@ -960,33 +714,26 @@ impl Service {
         if let Some(Json::Bool(p)) = request.get("precision") {
             cfg.precision_search = *p;
         }
-        let name = request.get("name").and_then(Json::as_str);
-        let parsed = match name {
-            Some(n) => session.parse_named(n, src),
-            None => session.parse(src),
-        };
-        let outcome = parsed.and_then(|program| session.optimize(&program, &cfg));
-        let response = match outcome {
-            Ok(o) => Json::obj(vec![
-                ("id", id),
-                ("op", Json::str("optimize")),
-                ("ok", Json::Bool(true)),
+        let outcome = parse_src(session, request, src).and_then(|program| {
+            let o = session.optimize(&program, &cfg)?;
+            Ok(vec![
                 ("improved", Json::Bool(o.improved)),
                 ("output", Json::str(o.report)),
                 ("rewritten", Json::str(o.rewritten)),
-            ]),
-            Err(d) => Json::obj(vec![
-                ("id", id),
-                ("op", Json::str("optimize")),
-                ("ok", Json::Bool(false)),
-                ("error", diagnostic_json(&d)),
-                ("exit", Json::int(diagnostic_exit(&d) as u64)),
-            ]),
-        };
-        Reply { json: response.to_string(), shutdown: false }
+            ])
+        });
+        program_reply(id, "optimize", outcome)
     }
 
-    fn check_or_bound(&self, session: &Analyzer, id: Json, op: &str, request: &Json) -> Reply {
+    /// The `check`, `bound` and `edit` ops: analyze `src` under the
+    /// request's `mode` and answer with what `numfuzz check` (`bound`)
+    /// prints. `edit` rechecks through the session's judgment memo
+    /// ([`Analyzer::analyze_incremental`]) and adds how much of the
+    /// previous checks replayed; its `output` is byte-identical to a
+    /// `check` of the same source, because incrementality changes
+    /// counts, never results. Without a memo table the op still answers,
+    /// with everything recomputed.
+    fn analysis_op(&self, session: &Analyzer, id: Json, op: &str, request: &Json) -> Reply {
         let Some(src) = request.get("src").and_then(Json::as_str) else {
             return proto_error(id, &format!("op `{op}` needs a string field `src`"));
         };
@@ -994,111 +741,22 @@ impl Service {
             Ok(mode) => mode,
             Err(message) => return proto_error(id, &message),
         };
-        let name = request.get("name").and_then(Json::as_str);
-        let parsed = match name {
-            Some(n) => session.parse_named(n, src),
-            None => session.parse(src),
-        };
-        // Persistent reply cache: any parseable program addresses a
-        // rendered reply tail; a hit replays the stored bytes under the
-        // request's own `id` without touching the analyzer at all.
-        let key = match (&self.persist, &parsed) {
-            (Some(_), Ok(program)) => Some(self.persist_key(session, program, op, mode, name)),
-            _ => None,
-        };
-        if let (Some(pc), Some(key)) = (&self.persist, key) {
-            if let Some(tail) = pc.lock().get(&key) {
-                self.metrics.persist_hits.fetch_add(1, Ordering::Relaxed);
-                return Reply { json: splice_id(&id, &tail), shutdown: false };
+        let outcome = parse_src(session, request, src).and_then(|program| {
+            if op == "edit" {
+                let (analysis, counts) = session.analyze_incremental(&program, mode)?;
+                return Ok(vec![
+                    ("output", Json::str(analysis.check_text())),
+                    ("reused", Json::int(counts.reused)),
+                    ("recomputed", Json::int(counts.recomputed)),
+                    ("total", Json::int(counts.total)),
+                ]);
             }
-            self.metrics.persist_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let outcome = parsed.and_then(|program| match mode {
-            AnalysisMode::Forward => {
-                let typed = session.check(&program)?;
-                Ok(match op {
-                    "check" => check_report(&typed),
-                    _ => bound_report(session, &typed),
-                })
-            }
-            AnalysisMode::Backward => {
-                let typed = session.check_backward(&program)?;
-                Ok(match op {
-                    "check" => backward_check_report(&typed),
-                    _ => backward_bound_report(session, &session.bound_backward(&typed)?),
-                })
-            }
+            let analysis = session.analyze(&program, mode)?;
+            let output =
+                if op == "check" { analysis.check_text() } else { analysis.bound_text(session)? };
+            Ok(vec![("output", Json::str(output))])
         });
-        let response = match outcome {
-            Ok(output) => Json::obj(vec![
-                ("id", id),
-                ("op", Json::str(op)),
-                ("ok", Json::Bool(true)),
-                ("output", Json::str(output)),
-            ]),
-            Err(d) => Json::obj(vec![
-                ("id", id),
-                ("op", Json::str(op)),
-                ("ok", Json::Bool(false)),
-                ("error", diagnostic_json(&d)),
-                ("exit", Json::int(diagnostic_exit(&d) as u64)),
-            ]),
-        };
-        if let (Some(pc), Some(key)) = (&self.persist, key) {
-            pc.lock().insert(key, response_tail(&response));
-        }
-        Reply { json: response.to_string(), shutdown: false }
-    }
-
-    /// The `edit` op: recheck a (typically just-edited) program through
-    /// the session's judgment-level memo table and report how much of the
-    /// previous check replayed. The `output` field is byte-identical to a
-    /// `check` response for the same source — incrementality changes
-    /// counts, never results. Requires the service's analyzer to carry a
-    /// judgment memo table for judgments to actually replay; without one
-    /// the op still answers, with everything recomputed.
-    fn edit(&self, session: &Analyzer, id: Json, request: &Json) -> Reply {
-        let Some(src) = request.get("src").and_then(Json::as_str) else {
-            return proto_error(id, "op `edit` needs a string field `src`");
-        };
-        let mode = match request_mode(request) {
-            Ok(mode) => mode,
-            Err(message) => return proto_error(id, &message),
-        };
-        let name = request.get("name").and_then(Json::as_str);
-        let parsed = match name {
-            Some(n) => session.parse_named(n, src),
-            None => session.parse(src),
-        };
-        let outcome = parsed.and_then(|program| match mode {
-            AnalysisMode::Forward => {
-                let (typed, counts) = session.check_incremental(&program)?;
-                Ok((check_report(&typed), counts))
-            }
-            AnalysisMode::Backward => {
-                let (typed, counts) = session.check_backward_incremental(&program)?;
-                Ok((backward_check_report(&typed), counts))
-            }
-        });
-        let response = match outcome {
-            Ok((output, counts)) => Json::obj(vec![
-                ("id", id),
-                ("op", Json::str("edit")),
-                ("ok", Json::Bool(true)),
-                ("output", Json::str(output)),
-                ("reused", Json::int(counts.reused)),
-                ("recomputed", Json::int(counts.recomputed)),
-                ("total", Json::int(counts.total)),
-            ]),
-            Err(d) => Json::obj(vec![
-                ("id", id),
-                ("op", Json::str("edit")),
-                ("ok", Json::Bool(false)),
-                ("error", diagnostic_json(&d)),
-                ("exit", Json::int(diagnostic_exit(&d) as u64)),
-            ]),
-        };
-        Reply { json: response.to_string(), shutdown: false }
+        program_reply(id, op, outcome)
     }
 
     fn batch(&self, id: Json, request: &Json) -> Reply {
@@ -1128,9 +786,12 @@ impl Service {
             self.jobs,
             &jobs_items,
             |_worker| self.base.fork_session(),
-            |worker, _i, (name, src)| match mode {
-                AnalysisMode::Forward => batch_entry(worker, name, src),
-                AnalysisMode::Backward => backward_batch_entry(worker, name, src),
+            |worker, _i, (name, src)| match worker
+                .parse_named(name, src)
+                .and_then(|p| worker.analyze(&p, mode))
+            {
+                Ok(analysis) => (analysis.batch_line(worker, name), true),
+                Err(d) => (d.render(), false),
             },
         );
         let ok_count = entries.iter().filter(|(_, ok)| *ok).count();
@@ -1195,27 +856,12 @@ impl Service {
                 ]),
             ));
         }
-        if let Some(pc) = &self.persist {
-            let s = pc.lock().stats();
-            fields.push((
-                "persistent",
-                Json::obj(vec![
-                    ("restored", Json::int(self.metrics.persist_restored.load(Ordering::Relaxed))),
-                    ("hits", Json::int(self.metrics.persist_hits.load(Ordering::Relaxed))),
-                    ("misses", Json::int(self.metrics.persist_misses.load(Ordering::Relaxed))),
-                    ("entries", Json::int(s.entries as u64)),
-                    ("bytes", Json::int(s.bytes as u64)),
-                ]),
-            ));
-        }
         Json::obj(fields).to_string()
     }
 
     /// The `metrics` op: per-op counters, queue depth/peak, admission
     /// budget and rejections, connection lifecycle counts, and cache hit
-    /// rates. The `persistent` section appears only when a cache file is
-    /// configured (so the pinned transcripts, which run without one,
-    /// stay stable).
+    /// rates.
     fn metrics_report(&self, id: Json) -> String {
         let m = &self.metrics;
         let get = |c: &AtomicU64| Json::int(c.load(Ordering::Relaxed));
@@ -1265,18 +911,6 @@ impl Service {
         if let Some(stats) = self.base.judgment_cache_stats() {
             fields.push(("judgments", hit_rate_json(stats.hits, stats.misses)));
         }
-        if let Some(pc) = &self.persist {
-            let entries = pc.lock().stats().entries;
-            fields.push((
-                "persistent",
-                Json::obj(vec![
-                    ("restored", get(&m.persist_restored)),
-                    ("hits", get(&m.persist_hits)),
-                    ("misses", get(&m.persist_misses)),
-                    ("entries", Json::int(entries as u64)),
-                ]),
-            ));
-        }
         Json::obj(fields).to_string()
     }
 }
@@ -1293,32 +927,6 @@ fn hit_rate_json(hits: u64, misses: u64) -> Json {
     ])
 }
 
-/// The reply bytes after the leading `"id"` field — everything about a
-/// response except its one request-specific part. The renderers always
-/// emit `id` first, so `{"id":` + id + tail reassembles the exact line.
-fn response_tail(response: &Json) -> String {
-    let Json::Obj(fields) = response else { unreachable!("responses are objects") };
-    let mut out = String::new();
-    for (k, v) in &fields[1..] {
-        out.push(',');
-        write_escaped(k, &mut out);
-        out.push(':');
-        v.write(&mut out);
-    }
-    out.push('}');
-    out
-}
-
-/// Reassembles a full response line from a request `id` and a cached
-/// tail (see [`response_tail`]).
-fn splice_id(id: &Json, tail: &str) -> String {
-    let mut out = String::with_capacity(8 + tail.len());
-    out.push_str("{\"id\":");
-    id.write(&mut out);
-    out.push_str(tail);
-    out
-}
-
 /// The panic payload as text (covers the two payload types `panic!`
 /// produces).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -1329,6 +937,32 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     } else {
         "non-string panic payload"
     }
+}
+
+/// Parses a request's `src` in `session`, under its optional `name`.
+fn parse_src(session: &Analyzer, request: &Json, src: &str) -> Result<Program, Diagnostic> {
+    match request.get("name").and_then(Json::as_str) {
+        Some(name) => session.parse_named(name, src),
+        None => session.parse(src),
+    }
+}
+
+/// The reply to an op on one program: `"ok":true` and the op's fields,
+/// or the program's diagnostic and its exit code.
+fn program_reply(id: Json, op: &str, outcome: Result<Vec<(&str, Json)>, Diagnostic>) -> Reply {
+    let mut fields = vec![("id", id), ("op", Json::str(op))];
+    match outcome {
+        Ok(payload) => {
+            fields.push(("ok", Json::Bool(true)));
+            fields.extend(payload);
+        }
+        Err(d) => fields.extend([
+            ("ok", Json::Bool(false)),
+            ("error", diagnostic_json(&d)),
+            ("exit", Json::int(diagnostic_exit(&d) as u64)),
+        ]),
+    }
+    Reply { json: Json::obj(fields).to_string(), shutdown: false }
 }
 
 fn diagnostic_json(d: &Diagnostic) -> Json {
@@ -1355,7 +989,7 @@ fn diagnostic_exit(d: &Diagnostic) -> u8 {
     }
 }
 
-/// Reads the optional `mode` field of a `check`/`bound`/`batch` request:
+/// Reads the optional `mode` field of a `check`/`bound`/`edit`/`batch` request:
 /// absent means forward; anything but `"forward"`/`"backward"` is a
 /// protocol error.
 fn request_mode(request: &Json) -> Result<AnalysisMode, String> {
@@ -1384,8 +1018,7 @@ fn proto_error(id: Json, message: &str) -> Reply {
 // ---------------------------------------------------------------------
 
 /// Serves NDJSON over stdin/stdout: one response line per request line,
-/// flushed immediately; returns after `shutdown` or end of input. The
-/// persistent reply cache (if configured) is snapshotted on the way out.
+/// flushed immediately; returns after `shutdown` or end of input.
 ///
 /// # Errors
 ///
@@ -1407,7 +1040,6 @@ pub fn serve_stdio(service: &Service) -> std::io::Result<()> {
             break;
         }
     }
-    service.persist_now();
     Ok(())
 }
 
@@ -1490,7 +1122,7 @@ pub fn serve_tcp(service: &Arc<Service>, addr: &str) -> std::io::Result<()> {
 /// A `shutdown` reply (from any connection) stops accepting and
 /// reading; in-flight work drains, buffered responses flush (bounded by
 /// a drain deadline so a non-reading client cannot pin the process),
-/// the persistent cache is snapshotted, and the loop returns. No
+/// and the loop returns. No
 /// self-connection wake-up is needed — the loop never blocks in
 /// `accept`.
 ///
@@ -1709,7 +1341,6 @@ pub fn serve_listener(service: &Arc<Service>, listener: TcpListener) -> std::io:
     }
 
     drop(pool);
-    service.persist_now();
     Ok(())
 }
 
@@ -1958,22 +1589,6 @@ mod tests {
     }
 
     #[test]
-    fn response_tail_splices_back_byte_identically() {
-        let service = Service::new(Analyzer::new(), 1);
-        let session = service.analyzer().fork_session();
-        for req in [
-            r#"{"id":9,"op":"check","src":"rnd 1.5"}"#,
-            r#"{"id":"x","op":"bound","src":"rnd 1.5","name":"a.nf"}"#,
-            r#"{"id":null,"op":"check","src":"2 3"}"#,
-        ] {
-            let reply = service.handle_line(&session, req);
-            let response = Json::parse(&reply.json).unwrap();
-            let id = response.get("id").cloned().unwrap_or(Json::Null);
-            assert_eq!(splice_id(&id, &response_tail(&response)), reply.json, "{req}");
-        }
-    }
-
-    #[test]
     fn handle_guarded_catches_panics_and_keeps_serving() {
         let config = ServeConfig { debug_ops: true, ..ServeConfig::default() };
         let service = Service::with_config(Analyzer::new(), 1, config);
@@ -2010,99 +1625,6 @@ mod tests {
                 "{op} must be an unknown op unless explicitly enabled"
             );
         }
-    }
-
-    #[test]
-    fn persistent_reply_cache_round_trips_across_service_instances() {
-        let dir = std::env::temp_dir().join(format!("numfuzz-persist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("unit-replies.bin");
-        let _ = std::fs::remove_file(&path);
-        let config = ServeConfig { cache_file: Some(path.clone()), ..ServeConfig::default() };
-        let req = r#"{"id":1,"op":"check","src":"s = mul (2, 3); rnd s","name":"p.nf"}"#;
-
-        let first = {
-            let service = Service::with_config(Analyzer::new(), 1, config.clone());
-            let session = service.analyzer().fork_session();
-            let r1 = service.handle_line(&session, req);
-            // Same session, second ask: answered from the reply cache.
-            let r2 = service.handle_line(&session, req);
-            assert_eq!(r1.json, r2.json);
-            assert_eq!(service.metrics.persist_hits.load(Ordering::Relaxed), 1);
-            service.persist_now();
-            r1.json
-        };
-
-        // A fresh service over a fresh analyzer: the snapshot answers
-        // without any analysis (the analysis cache is never consulted).
-        let analyzer = Analyzer::builder().cache(AnalysisCache::with_budget(1 << 20)).build();
-        let service = Service::with_config(analyzer, 1, config.clone());
-        assert_eq!(service.metrics.persist_restored.load(Ordering::Relaxed), 1);
-        let session = service.analyzer().fork_session();
-        let r = service.handle_line(&session, req);
-        assert_eq!(r.json, first, "restored reply is byte-identical");
-        assert_eq!(service.metrics.persist_hits.load(Ordering::Relaxed), 1);
-        let stats = service.analyzer().cache_stats().unwrap();
-        assert_eq!((stats.hits, stats.misses), (0, 0), "no re-analysis on a warm hit");
-
-        // A different id replays the same tail under the new id.
-        let r9 = service.handle_line(&session, &req.replace(r#""id":1"#, r#""id":9"#));
-        assert_eq!(r9.json, first.replace(r#""id":1"#, r#""id":9"#));
-
-        // Corruption tolerance: garbage snapshot, service still starts.
-        std::fs::write(&path, b"not a snapshot").unwrap();
-        let service = Service::with_config(Analyzer::new(), 1, config);
-        assert_eq!(service.metrics.persist_restored.load(Ordering::Relaxed), 0);
-        let r = service.handle_line(&service.analyzer().fork_session(), req);
-        assert_eq!(r.json, first, "recomputed reply matches the original bytes");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn persistent_cache_snapshot_respects_size_cap() {
-        let dir = std::env::temp_dir().join(format!("numfuzz-persist-cap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("capped-replies.bin");
-        let _ = std::fs::remove_file(&path);
-        // A cap far below what three replies need: the snapshot must
-        // compact down to whatever newest suffix fits.
-        let cap = 220usize;
-        let config = ServeConfig {
-            cache_file: Some(path.clone()),
-            cache_file_cap: cap,
-            ..ServeConfig::default()
-        };
-        let req = |i: u64| {
-            format!(
-                r#"{{"id":{i},"op":"bound","src":"s = mul ({i}.5, 3); rnd s","name":"p{i}.nf"}}"#
-            )
-        };
-
-        let newest = {
-            let service = Service::with_config(Analyzer::new(), 1, config.clone());
-            let session = service.analyzer().fork_session();
-            for i in 1..=3 {
-                let _ = service.handle_line(&session, &req(i));
-            }
-            service.persist_now();
-            service.handle_line(&session, &req(3)).json
-        };
-        let written = std::fs::metadata(&path).unwrap().len() as usize;
-        assert!(written <= cap, "snapshot is {written} bytes, cap is {cap}");
-        assert!(written > 8, "something beyond the magic survived the cap");
-
-        // The restored service still answers the newest program from the
-        // snapshot (LRU entries were the ones compacted away).
-        let service = Service::with_config(Analyzer::new(), 1, config);
-        let restored = service.metrics.persist_restored.load(Ordering::Relaxed);
-        assert!(
-            (1..3).contains(&restored),
-            "a capped snapshot keeps a strict, non-empty suffix (got {restored})"
-        );
-        let session = service.analyzer().fork_session();
-        assert_eq!(service.handle_line(&session, &req(3)).json, newest);
-        assert_eq!(service.metrics.persist_hits.load(Ordering::Relaxed), 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -7,7 +7,21 @@
 //! at every job count.
 
 use numfuzz::prelude::*;
-use numfuzz::serve::{backward_batch_entry, batch_entry, Json, Service};
+use numfuzz::serve::{Json, Service};
+
+/// The lines `numfuzz batch` prints for `sources` in `mode`, from an
+/// uncached session.
+fn batch_lines(sources: &[(&str, &str)], mode: AnalysisMode) -> Vec<String> {
+    let plain = Analyzer::new();
+    let line = |(name, src): &(&str, &str)| match plain
+        .parse_named(name, src)
+        .and_then(|p| plain.analyze(&p, mode))
+    {
+        Ok(analysis) => analysis.batch_line(&plain, name),
+        Err(d) => d.render(),
+    };
+    sources.iter().map(line).collect()
+}
 
 fn cached_analyzer(budget: usize) -> (Analyzer, AnalysisCache) {
     let cache = AnalysisCache::with_budget(budget);
@@ -119,8 +133,7 @@ fn alpha_renamed_errors_render_their_own_source() {
         ("b.nf", "t = mul (true, 2); rnd t"),
         ("a-again.nf", "s = mul (true, 2); rnd s"),
     ];
-    let plain = Analyzer::new();
-    let expected: Vec<String> = batch.iter().map(|(n, s)| batch_entry(&plain, n, s).0).collect();
+    let expected = batch_lines(&batch, AnalysisMode::Forward);
     for jobs in [1, 2] {
         let service = Service::new(cached_analyzer(1 << 20).0, jobs);
         for pass in ["cold", "warm"] {
@@ -223,8 +236,7 @@ fn cached_and_uncached_batches_are_byte_identical_across_jobs() {
         ("c.nf", "rnd (|1, 2|)"),
         ("dup-of-a-again.nf", "s = mul (2, 2); rnd s"),
     ];
-    let plain = Analyzer::new();
-    let expected: Vec<String> = sources.iter().map(|(n, s)| batch_entry(&plain, n, s).0).collect();
+    let expected = batch_lines(&sources, AnalysisMode::Forward);
     // Uncached diagnostics name each program's own file.
     assert!(expected[1].contains("bad1.nf"), "{}", expected[1]);
     assert!(expected[4].contains("bad2.nf"), "{}", expected[4]);
@@ -308,9 +320,7 @@ fn backward_batches_are_byte_identical_across_jobs_and_cache_state() {
         ("dup.nf", "function f (x: num) : M[eps]num { rnd x }\nf 2"),
         ("nocarrier.nf", "rnd 1.5"),
     ];
-    let plain = Analyzer::new();
-    let expected: Vec<String> =
-        sources.iter().map(|(n, s)| backward_batch_entry(&plain, n, s).0).collect();
+    let expected = batch_lines(&sources, AnalysisMode::Backward);
     assert!(expected[1].contains("E0502"), "{:?}", expected[1]);
     assert!(expected[3].contains("E0504"), "{:?}", expected[3]);
 
@@ -344,9 +354,9 @@ fn check_uses_the_session_cache() {
     assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1), "check answers through the cache");
     // Without a judgment memo the incremental entry point is a truthful
     // from-scratch pass: it never replays from the result cache.
-    let (_, counts) = analyzer.check_incremental(&program).unwrap();
+    let (_, counts) = analyzer.analyze_incremental(&program, AnalysisMode::Forward).unwrap();
     assert_eq!((counts.reused, counts.recomputed), (0, counts.total));
-    assert_eq!(cache.stats(), s, "check_incremental leaves the result cache alone");
+    assert_eq!(cache.stats(), s, "analyze_incremental leaves the result cache alone");
 }
 
 #[test]

@@ -22,7 +22,6 @@ use numfuzz::benchsuite::{Expr, Kernel};
 use numfuzz::core::Signature;
 use numfuzz::fuzz::generate_case;
 use numfuzz::prelude::*;
-use numfuzz::serve::backward_check_report;
 use std::path::PathBuf;
 
 /// Every error code in the catalog, in `E0xxx` order.
@@ -185,10 +184,10 @@ fn every_error_code_has_a_golden_rendering() {
 /// One program's backward outcome on one line: the diagnostic's code,
 /// span and message, or the `numfuzz check --backward` report with its
 /// lines joined by ` | `.
-fn backward_line(name: &str, outcome: Result<BackwardTyped, Diagnostic>) -> String {
+fn backward_line(name: &str, outcome: Result<Analysis, Diagnostic>) -> String {
     match outcome {
-        Ok(typed) => {
-            let report = backward_check_report(&typed);
+        Ok(analysis) => {
+            let report = analysis.check_text();
             format!("{name}: ok: {}\n", report.trim_end().replace('\n', " | "))
         }
         Err(d) => {
@@ -214,7 +213,8 @@ fn backward_mode_diagnostics_are_pinned() {
         let analyzer = Analyzer::new();
         // The parse and lowering scenarios never reach a judgment.
         if let Ok(program) = analyzer.parse_named(&name, &src) {
-            rendered.push_str(&backward_line(&name, analyzer.check_backward(&program)));
+            let outcome = analyzer.analyze(&program, AnalysisMode::Backward);
+            rendered.push_str(&backward_line(&name, outcome));
         }
     }
     for index in 0..200 {
@@ -228,7 +228,8 @@ fn backward_mode_diagnostics_are_pinned() {
         let analyzer = builder.build();
         let name = format!("case-{index}");
         let program = analyzer.parse_named(&name, &case.program.render()).expect("cases parse");
-        rendered.push_str(&backward_line(&name, analyzer.check_backward(&program)));
+        let outcome = analyzer.analyze(&program, AnalysisMode::Backward);
+        rendered.push_str(&backward_line(&name, outcome));
     }
 
     let expected_path = dir.join("backward_mode.expected");

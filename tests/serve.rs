@@ -67,31 +67,38 @@ fn cli(args: &[&str]) -> (String, bool) {
 fn serve_output_is_byte_identical_to_one_shot_cli() {
     let dir = std::env::temp_dir().join(format!("numfuzz-serve-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join("ma.nf");
-    let src = "function mulfp (xy: (num, num)) : M[eps]num { s = mul xy; rnd s }\nmulfp (2, 3)";
-    std::fs::write(&file, src).unwrap();
-    let path = file.to_str().unwrap();
-
-    let (check_stdout, ok) = cli(&["check", path]);
-    assert!(ok);
-    let (bound_stdout, ok) = cli(&["bound", path]);
-    assert!(ok);
-
+    let defs = "function mulfp (xy: (num, num)) : M[eps]num { s = mul xy; rnd s }";
+    // The forward request leaves `mode` out (forward is the default);
+    // the backward one sends the definitions alone, the idiomatic
+    // backward query (docs/serve.md).
+    let cases = [
+        (None, "ma.nf", format!("{defs}\nmulfp (2, 3)")),
+        (Some("backward"), "defs.nf", defs.to_string()),
+    ];
     let mut server = StdioServer::spawn(&[]);
-    for (op, expected) in [("check", &check_stdout), ("bound", &bound_stdout)] {
-        let request = Json::obj(vec![
-            ("id", Json::int(1)),
-            ("op", Json::str(op)),
-            ("src", Json::str(src)),
-            ("name", Json::str(path)),
-        ]);
-        let v = parse(&server.request(&request.to_string()));
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{op}");
-        assert_eq!(
-            v.get("output").and_then(Json::as_str),
-            Some(expected.as_str()),
-            "serve `{op}` output must be byte-identical to the one-shot CLI"
-        );
+    for (mode, name, src) in cases {
+        let file = dir.join(name);
+        std::fs::write(&file, &src).unwrap();
+        let path = file.to_str().unwrap();
+        let flags: &[&str] = if mode.is_some() { &["--backward"] } else { &[] };
+        // `edit` answers with what `check` prints.
+        for (op, command) in [("check", "check"), ("bound", "bound"), ("edit", "check")] {
+            let (expected, ok) = cli(&[&[command, path], flags].concat());
+            assert!(ok, "{command} {flags:?}");
+            let mut fields = vec![("id", Json::int(1)), ("op", Json::str(op))];
+            if let Some(mode) = mode {
+                fields.push(("mode", Json::str(mode)));
+            }
+            fields.push(("src", Json::str(src.clone())));
+            fields.push(("name", Json::str(path)));
+            let v = parse(&server.request(&Json::obj(fields).to_string()));
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{op} {mode:?}");
+            assert_eq!(
+                v.get("output").and_then(Json::as_str),
+                Some(expected.as_str()),
+                "serve `{op}` ({mode:?}) output must be byte-identical to `numfuzz {command}`"
+            );
+        }
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -101,14 +108,16 @@ fn serve_output_is_byte_identical_to_one_shot_cli() {
 fn serve_batch_lines_match_cli_batch() {
     let dir = std::env::temp_dir().join(format!("numfuzz-serve-batch-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let entries = [("a.nf", "rnd 1.5"), ("bad.nf", "2 3"), ("dup.nf", "rnd 1.5")];
+    let entries = [
+        ("a.nf", "rnd 1.5"),
+        ("bad.nf", "2 3"),
+        ("dup.nf", "rnd 1.5"),
+        ("fun.nf", "function f (x: num) : M[eps]num { rnd x }"),
+    ];
     for (name, src) in entries {
         std::fs::write(dir.join(name), src).unwrap();
     }
     let dir_arg = dir.to_str().unwrap();
-    let (batch_stdout, ok) = cli(&["batch", dir_arg, "--jobs", "2"]);
-    assert!(!ok, "bad.nf fails the batch");
-
     // The serve `batch` op over the same (path, src) pairs, sorted like
     // the CLI sorts files.
     let mut names: Vec<String> =
@@ -121,27 +130,32 @@ fn serve_batch_lines_match_cli_batch() {
             Json::obj(vec![("src", Json::str(src)), ("name", Json::str(path.clone()))])
         })
         .collect();
-    let request = Json::obj(vec![
-        ("id", Json::int(1)),
-        ("op", Json::str("batch")),
-        ("programs", Json::Arr(programs)),
-    ]);
     let mut server = StdioServer::spawn(&["--jobs", "2"]);
-    let v = parse(&server.request(&request.to_string()));
-    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-    let results = v.get("results").and_then(Json::as_array).unwrap();
-    let serve_lines: Vec<&str> =
-        results.iter().map(|r| r.get("line").and_then(Json::as_str).unwrap()).collect();
-    let cli_lines: Vec<&str> = batch_stdout.lines().collect();
-    // CLI output ends with the summary line; everything before it is the
-    // per-file lines (diagnostics may span multiple lines).
-    let summary = *cli_lines.last().unwrap();
-    assert_eq!(
-        cli_lines[..cli_lines.len() - 1].join("\n"),
-        serve_lines.join("\n"),
-        "per-file batch lines must match the CLI byte for byte"
-    );
-    assert_eq!(v.get("summary").and_then(Json::as_str), Some(summary));
+    for mode in [None, Some("backward")] {
+        let flags: &[&str] = if mode.is_some() { &["--backward"] } else { &[] };
+        let (batch_stdout, ok) = cli(&[&["batch", dir_arg, "--jobs", "2"], flags].concat());
+        assert!(!ok, "bad.nf fails the batch");
+        let mut fields = vec![("id", Json::int(1)), ("op", Json::str("batch"))];
+        if let Some(mode) = mode {
+            fields.push(("mode", Json::str(mode)));
+        }
+        fields.push(("programs", Json::Arr(programs.clone())));
+        let v = parse(&server.request(&Json::obj(fields).to_string()));
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+        let results = v.get("results").and_then(Json::as_array).unwrap();
+        let serve_lines: Vec<&str> =
+            results.iter().map(|r| r.get("line").and_then(Json::as_str).unwrap()).collect();
+        let cli_lines: Vec<&str> = batch_stdout.lines().collect();
+        // CLI output ends with the summary line; everything before it is
+        // the per-file lines (diagnostics may span multiple lines).
+        let summary = *cli_lines.last().unwrap();
+        assert_eq!(
+            cli_lines[..cli_lines.len() - 1].join("\n"),
+            serve_lines.join("\n"),
+            "per-file batch lines ({mode:?}) must match the CLI byte for byte"
+        );
+        assert_eq!(v.get("summary").and_then(Json::as_str), Some(summary));
+    }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -551,47 +565,6 @@ fn per_tenant_admission_rejects_with_ebusy_and_does_not_hang() {
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
     let status = wait_timeout(&mut child, Duration::from_secs(10));
     assert!(status.success());
-}
-
-#[test]
-fn cache_file_persists_replies_across_server_restarts() {
-    let dir = std::env::temp_dir().join(format!("numfuzz-serve-persist-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache_file = dir.join("replies.snapshot");
-    let cache_arg = cache_file.to_str().unwrap();
-    let check = r#"{"id":1,"op":"check","src":"s = mul (41, 3); rnd s"}"#;
-
-    // First life: analyze once, shut down cleanly (which persists).
-    let mut server = StdioServer::spawn(&["--cache-file", cache_arg]);
-    let first = server.request(check);
-    assert_eq!(parse(&first).get("ok").and_then(Json::as_bool), Some(true));
-    server.shutdown();
-    assert!(cache_file.exists(), "shutdown writes the snapshot");
-
-    // Second life: the same request is answered byte-identically from
-    // the restored snapshot, with zero analysis-cache traffic.
-    let mut server = StdioServer::spawn(&["--cache-file", cache_arg]);
-    let replayed = server.request(check);
-    assert_eq!(replayed, first, "restored reply is byte-identical");
-    let stats = parse(&server.request(r#"{"id":2,"op":"stats"}"#));
-    let persistent = stats.get("persistent").expect("--cache-file adds a persistent section");
-    assert!(persistent.get("restored").and_then(Json::as_f64).unwrap() >= 1.0);
-    assert_eq!(persistent.get("hits").and_then(Json::as_f64), Some(1.0));
-    let cache = stats.get("cache").unwrap();
-    assert_eq!(
-        (cache.get("hits").and_then(Json::as_f64), cache.get("misses").and_then(Json::as_f64)),
-        (Some(0.0), Some(0.0)),
-        "a warm persistent hit does not re-analyze: {stats}"
-    );
-    server.shutdown();
-
-    // Third life: a corrupted snapshot must not kill the server.
-    std::fs::write(&cache_file, b"NFZSNAP1 this is not a snapshot").unwrap();
-    let mut server = StdioServer::spawn(&["--cache-file", cache_arg]);
-    let recomputed = server.request(check);
-    assert_eq!(recomputed, first, "recomputed reply still matches");
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn wait_timeout(child: &mut Child, timeout: Duration) -> std::process::ExitStatus {

@@ -1,7 +1,8 @@
-//! End-to-end test of the `numfuzz watch` change detector: a rewrite
-//! that preserves both the file's mtime and its length (an atomic
-//! rename-over with a restored timestamp — what editors and build tools
-//! do) must still trigger a recheck, because the change key hashes the
+//! End-to-end tests of `numfuzz watch`: each recheck prints what
+//! `check` and then `bound` print, in either mode, and the change
+//! detector catches a rewrite that preserves both the file's mtime and
+//! its length (an atomic rename-over with a restored timestamp — what
+//! editors and build tools do), because the change key hashes the
 //! content rather than trusting stat output.
 
 use std::io::{BufRead, BufReader};
@@ -81,5 +82,36 @@ fn watch_rechecks_a_rewrite_that_preserves_mtime_and_length() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(status.success(), "clean exit: {status:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_recheck_prints_check_then_bound_then_the_judgment_line_in_both_modes() {
+    let dir = std::env::temp_dir().join(format!("numfuzz-watch-modes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("defs.nf");
+    // Definitions only, so the backward judgment accepts it too.
+    std::fs::write(&file, "function mulfp (xy: (num, num)) : M[eps]num { s = mul xy; rnd s }")
+        .unwrap();
+    let path = file.to_str().unwrap();
+    for flags in [&[][..], &["--backward"][..]] {
+        let stdout = |args: &[&str]| {
+            let out = Command::new(BIN).args(args).args(flags).output().expect("run numfuzz");
+            assert!(out.status.success(), "{args:?} {flags:?}: {out:?}");
+            String::from_utf8(out.stdout).expect("utf-8 stdout")
+        };
+        let watched = stdout(&["watch", path, "--iterations", "1"]);
+        let (check, bound) = (stdout(&["check", path]), stdout(&["bound", path]));
+        let report = watched
+            .strip_prefix(&format!("--- {path} (recheck 1) ---\n"))
+            .unwrap_or_else(|| panic!("{flags:?}: no recheck banner in {watched:?}"));
+        let rest = report
+            .strip_prefix(&format!("{check}{bound}"))
+            .unwrap_or_else(|| panic!("{flags:?}: {report:?} is not {check:?} + {bound:?}"));
+        assert!(
+            rest.starts_with("judgments: 0 reused, ") && rest.lines().count() == 1,
+            "{flags:?}: the recheck ends with one judgments line, got {rest:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

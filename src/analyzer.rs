@@ -1,7 +1,7 @@
 //! The [`Analyzer`] session: one configured analysis context —
 //! signature, target format, rounding mode, rounding-unit value — that
 //! replaces hand-threading those five values through `compile` → `infer`
-//! → `eval` → `validate`.
+//! → `eval` → `report_for`.
 //!
 //! Build one with [`Analyzer::builder`] (or [`Analyzer::new`] for the
 //! paper's defaults: relative precision, binary64, round toward +∞),
@@ -16,8 +16,11 @@
 //!   projections;
 //! * [`Analyzer::bound`] — the eq. (8) conversion from an RP grade to
 //!   the relative error bound the paper's tables report;
-//! * [`Analyzer::run`] — ideal + floating-point execution;
-//! * [`Analyzer::validate`] — the rigorous Corollary 4.20 check.
+//! * [`Analyzer::run`] — ideal + floating-point execution, with the
+//!   rigorous Corollary 4.20 report attached for `M[r]num` programs;
+//! * [`Analyzer::validate`] — that report alone, and
+//!   [`Analyzer::validate_with_rounding`] — the same check under a
+//!   caller's §7 rounding strategy.
 //!
 //! Caching is session policy: a session built with
 //! [`AnalyzerBuilder::cache`] answers [`Analyzer::analyze`] through that
@@ -47,7 +50,7 @@ use numfuzz_exact::{RatInterval, Rational};
 use numfuzz_interp::{
     eval, report_for,
     rounding::{CheckedRounding, IdentityRounding},
-    validate_with, EvalConfig, Rounding, SoundnessReport, Value,
+    EvalConfig, Rounding, SoundnessReport, Value,
 };
 use numfuzz_metrics::rp::rp_to_rel_bound;
 use numfuzz_softfloat::{Format, RoundingMode};
@@ -67,9 +70,8 @@ pub struct Analyzer {
     sig: Signature,
     format: Format,
     mode: RoundingMode,
-    /// Value substituted for the signature's rounding-grade symbol; when
-    /// unset, the format/mode unit roundoff.
-    rnd_unit: Option<Rational>,
+    /// Turns grades into numbers: the rounding symbol at the rounding unit.
+    grades: GradeResolver,
     /// Enclosure precision for `sqrt` in the ideal semantics and the
     /// interval engine, derived from the format ([`sqrt_bits_for`]).
     sqrt_bits: u32,
@@ -177,15 +179,7 @@ impl Analyzer {
     /// (`eps`, `delta`, ...) when evaluating bounds: the configured
     /// override, or the format/mode unit roundoff.
     pub fn rounding_unit(&self) -> Rational {
-        self.rnd_unit.clone().unwrap_or_else(|| self.format.unit_roundoff(self.mode))
-    }
-
-    /// The name of the signature's rounding-grade symbol.
-    fn rnd_symbol(&self) -> String {
-        match self.sig.rnd_grade() {
-            Grade::Finite(e) if e.terms().len() == 1 => e.terms()[0].0.to_string(),
-            _ => "eps".to_string(),
-        }
+        self.grades.unit.clone()
     }
 
     /// Parses and lowers source against *this session's* signature (use
@@ -374,31 +368,10 @@ impl Analyzer {
     /// # Errors
     ///
     /// [`ErrorCode::NotMonadicNum`] when the type carries no bound, or
-    /// [`ErrorCode::UnresolvedGrade`] when the grade mentions other
-    /// symbols (assign them via [`Analyzer::bound_with`]).
+    /// [`ErrorCode::UnresolvedGrade`] when the grade mentions a symbol
+    /// other than the signature's rounding symbol.
     pub fn bound(&self, typed: &Typed) -> Result<ErrorBound, Diagnostic> {
-        let unit = self.rounding_unit();
-        let symbol = self.rnd_symbol();
-        self.bound_of_ty_with(typed.ty(), &|s| (s == symbol).then(|| unit.clone()))
-    }
-
-    /// [`Analyzer::bound`] with extra symbol assignments (the rounding
-    /// symbol is still mapped to [`Analyzer::rounding_unit`] unless the
-    /// provided map overrides it).
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::bound`].
-    pub fn bound_with(
-        &self,
-        typed: &Typed,
-        symbols: &dyn Fn(&str) -> Option<Rational>,
-    ) -> Result<ErrorBound, Diagnostic> {
-        let unit = self.rounding_unit();
-        let symbol = self.rnd_symbol();
-        self.bound_of_ty_with(typed.ty(), &|s| {
-            symbols(s).or_else(|| (s == symbol).then(|| unit.clone()))
-        })
+        self.grades.bound(typed.ty())?.ok_or_else(|| no_bound(typed.ty()))
     }
 
     /// The eq. (8) bound read off an arbitrary type, walking through
@@ -406,48 +379,7 @@ impl Analyzer {
     /// type yields the bound of calling it). `None` when the type has no
     /// monadic codomain or the grade does not resolve numerically.
     pub fn bound_of_ty(&self, ty: &Ty) -> Option<ErrorBound> {
-        let unit = self.rounding_unit();
-        let symbol = self.rnd_symbol();
-        self.bound_of_ty_with(ty, &|s| (s == symbol).then(|| unit.clone())).ok()
-    }
-
-    fn bound_of_ty_with(
-        &self,
-        ty: &Ty,
-        symbols: &dyn Fn(&str) -> Option<Rational>,
-    ) -> Result<ErrorBound, Diagnostic> {
-        let mut t = ty;
-        loop {
-            match t {
-                Ty::Lolli(_, cod) => t = cod,
-                Ty::Monad(grade, _) => {
-                    let alpha = grade.eval(symbols).ok_or_else(|| {
-                        Diagnostic::new(
-                            ErrorCode::UnresolvedGrade,
-                            format!("grade `{grade}` has symbols without assigned values"),
-                        )
-                        .with_note("assign them via `Analyzer::bound_with`")
-                    })?;
-                    let relative = match self.sig.instantiation() {
-                        Instantiation::RelativePrecision => rp_to_rel_bound(&alpha),
-                        Instantiation::AbsoluteError => Some(alpha.clone()),
-                    };
-                    return Ok(ErrorBound {
-                        grade: grade.clone(),
-                        alpha,
-                        relative,
-                        instantiation: self.sig.instantiation(),
-                    });
-                }
-                other => {
-                    return Err(Diagnostic::new(
-                        ErrorCode::NotMonadicNum,
-                        format!("type `{other}` carries no rounding-error bound"),
-                    )
-                    .with_note("only `M[r]...` types (possibly under ⊸) have eq. (8) bounds"))
-                }
-            }
-        }
+        self.grades.bound(ty).ok().flatten()
     }
 
     /// The interval-engine configuration mirroring this session's
@@ -566,18 +498,13 @@ impl Analyzer {
     /// [`ErrorCode::UnresolvedGrade`] when a finite input grade mentions
     /// symbols other than the rounding symbol.
     pub fn bound_backward(&self, typed: &BackwardTyped) -> Result<BackwardBound, Diagnostic> {
-        let unit = self.rounding_unit();
-        let symbol = self.rnd_symbol();
-        let symbols = |s: &str| (s == symbol).then(|| unit.clone());
-        let root = self.backward_input_bounds(typed.inputs(), &symbols)?;
+        let root = self.backward_input_bounds(typed.inputs())?;
         let fns = typed
             .functions()
             .iter()
             .map(|f| {
-                Ok(FnBackwardBound {
-                    name: f.name.clone(),
-                    inputs: self.backward_input_bounds(&f.inputs, &symbols)?,
-                })
+                let inputs = self.backward_input_bounds(&f.inputs)?;
+                Ok(FnBackwardBound { name: f.name.clone(), inputs })
             })
             .collect::<Result<Vec<_>, Diagnostic>>()?;
         Ok(BackwardBound { root, fns, instantiation: self.sig.instantiation() })
@@ -586,37 +513,17 @@ impl Analyzer {
     fn backward_input_bounds(
         &self,
         inputs: &[(String, Grade)],
-        symbols: &dyn Fn(&str) -> Option<Rational>,
     ) -> Result<Vec<InputBackwardBound>, Diagnostic> {
         inputs
             .iter()
             .map(|(name, grade)| {
-                if grade.is_infinite() {
-                    return Ok(InputBackwardBound {
-                        name: name.clone(),
-                        grade: grade.clone(),
-                        alpha: None,
-                        relative: None,
-                    });
-                }
-                let alpha = grade.eval(symbols).ok_or_else(|| {
-                    Diagnostic::new(
-                        ErrorCode::UnresolvedGrade,
-                        format!("grade `{grade}` has symbols without assigned values"),
-                    )
-                    .with_note(
-                        "only the rounding symbol is assigned when evaluating backward bounds",
-                    )
-                })?;
-                let relative = match self.sig.instantiation() {
-                    Instantiation::RelativePrecision => rp_to_rel_bound(&alpha),
-                    Instantiation::AbsoluteError => Some(alpha.clone()),
-                };
+                let alpha =
+                    if grade.is_infinite() { None } else { Some(self.grades.alpha(grade)?) };
                 Ok(InputBackwardBound {
                     name: name.clone(),
                     grade: grade.clone(),
-                    alpha: Some(alpha),
-                    relative,
+                    relative: alpha.as_ref().and_then(|a| self.grades.relative(a)),
+                    alpha,
                 })
             })
             .collect()
@@ -625,114 +532,33 @@ impl Analyzer {
     /// Runs both semantics: the ideal one (`rnd` = identity) and the
     /// floating-point one in this session's format/mode (§7.1 faulting
     /// semantics). When the program's type is `M[r]num`, the execution
-    /// also carries the rigorous [`SoundnessReport`].
+    /// also carries the rigorous [`SoundnessReport`] of
+    /// [`Analyzer::validate`].
     ///
     /// # Errors
     ///
-    /// A [`Diagnostic`] for type errors, unbound/missing inputs, or
-    /// evaluation failures.
+    /// A [`Diagnostic`] for type errors, unbound/missing inputs, an
+    /// `M[r]num` grade with unassigned symbols, or evaluation failures.
     pub fn run(&self, program: &Program, inputs: &Inputs) -> Result<Execution, Diagnostic> {
-        let typed = self.check(program)?;
-        let bound_inputs = inputs.resolve(program)?;
-        let config =
-            EvalConfig { instantiation: self.sig.instantiation(), sqrt_bits: self.sqrt_bits };
-
-        let ideal =
-            eval(program.store(), program.root(), &mut IdentityRounding, config, &bound_inputs)
-                .map_err(|e| Diagnostic::from_eval(&e))?;
-        let mut fp_rounding = CheckedRounding { format: self.format, mode: self.mode };
-        let fp = eval(program.store(), program.root(), &mut fp_rounding, config, &bound_inputs)
-            .map_err(|e| Diagnostic::from_eval(&e))?;
-
-        // The rigorous verdict reuses the evaluations above — no second
-        // inference/evaluation pass.
-        let report = match typed.ty() {
-            Ty::Monad(grade, inner) if **inner == Ty::Num => {
-                let unit = self.rounding_unit();
-                let symbol = self.rnd_symbol();
-                let bound =
-                    grade.eval(&|s| (s == symbol).then(|| unit.clone())).ok_or_else(|| {
-                        Diagnostic::new(
-                            ErrorCode::UnresolvedGrade,
-                            format!("grade `{grade}` has symbols without assigned values"),
-                        )
-                        .with_note("assign them via `Analyzer::validate_with_symbols`")
-                    })?;
-                Some(
-                    report_for(
-                        self.sig.instantiation(),
-                        grade.clone(),
-                        bound,
-                        &ideal,
-                        &fp,
-                        Some(self.format),
-                    )
-                    .map_err(|e| {
-                        Diagnostic::from_soundness(&e, program.source(), program.name())
-                    })?,
-                )
-            }
-            _ => None,
-        };
-        Ok(Execution {
-            ty: typed.ty().clone(),
-            ideal,
-            fp,
-            report,
-            format: self.format,
-            mode: self.mode,
-        })
-    }
-
-    /// [`Analyzer::run`] under a caller-supplied floating-point rounding
-    /// strategy. No soundness report is attached (strategies are stateful
-    /// and consumed by the run); use
-    /// [`Analyzer::validate_with_rounding`] with a fresh strategy for the
-    /// rigorous check.
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::run`].
-    pub fn run_with_rounding(
-        &self,
-        program: &Program,
-        inputs: &Inputs,
-        fp_rounding: &mut dyn Rounding,
-    ) -> Result<Execution, Diagnostic> {
-        let typed = self.check(program)?;
-        let bound_inputs = inputs.resolve(program)?;
-        let config =
-            EvalConfig { instantiation: self.sig.instantiation(), sqrt_bits: self.sqrt_bits };
-        let ideal =
-            eval(program.store(), program.root(), &mut IdentityRounding, config, &bound_inputs)
-                .map_err(|e| Diagnostic::from_eval(&e))?;
-        let fp = eval(program.store(), program.root(), fp_rounding, config, &bound_inputs)
-            .map_err(|e| Diagnostic::from_eval(&e))?;
-        Ok(Execution {
-            ty: typed.ty().clone(),
-            ideal,
-            fp,
-            report: None,
-            format: self.format,
-            mode: self.mode,
-        })
+        self.execute(program, inputs, &mut CheckedRounding { format: self.format, mode: self.mode })
     }
 
     /// The rigorous error-soundness check (Corollary 4.20): type-check,
     /// run both semantics, and decide `d(⟦e⟧_id, ⟦e⟧_fp) ≤ r` exactly,
-    /// with the rounding symbol at [`Analyzer::rounding_unit`].
+    /// with the rounding symbol at [`Analyzer::rounding_unit`]. The
+    /// report [`Analyzer::run`] attaches.
     ///
     /// # Errors
     ///
-    /// A [`Diagnostic`] when the program does not check, is not
-    /// `M[r]num`, has unassigned grade symbols, or fails to evaluate.
+    /// A [`Diagnostic`] as for [`Analyzer::run`], or
+    /// [`ErrorCode::NotMonadicNum`] when the program is not `M[r]num`.
     pub fn validate(
         &self,
         program: &Program,
         inputs: &Inputs,
     ) -> Result<SoundnessReport, Diagnostic> {
-        let mut fp = CheckedRounding { format: self.format, mode: self.mode };
-        self.validate_with_rounding(program, inputs, &mut fp)
+        let exec = self.run(program, inputs)?;
+        exec.report.ok_or_else(|| no_bound(&exec.ty))
     }
 
     /// [`Analyzer::validate`] under a caller-supplied rounding strategy
@@ -748,38 +574,51 @@ impl Analyzer {
         inputs: &Inputs,
         fp_rounding: &mut dyn Rounding,
     ) -> Result<SoundnessReport, Diagnostic> {
-        let unit = self.rounding_unit();
-        let symbol = self.rnd_symbol();
-        self.validate_with_symbols(program, inputs, fp_rounding, &|s| {
-            (s == symbol).then(|| unit.clone())
-        })
+        let exec = self.execute(program, inputs, fp_rounding)?;
+        exec.report.ok_or_else(|| no_bound(&exec.ty))
     }
 
-    /// The fully general validation entry point: caller-supplied rounding
-    /// strategy *and* grade-symbol assignment.
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::validate`].
-    pub fn validate_with_symbols(
+    /// The one Cor. 4.20 body behind [`Analyzer::run`] and the
+    /// `validate*` projections: checks through the session, binds the
+    /// inputs to the program's declared free variables, runs the ideal
+    /// semantics and `fp_rounding`, and attaches [`report_for`]'s verdict
+    /// when the type is `M[r]num`.
+    fn execute(
         &self,
         program: &Program,
         inputs: &Inputs,
         fp_rounding: &mut dyn Rounding,
-        symbols: &dyn Fn(&str) -> Option<Rational>,
-    ) -> Result<SoundnessReport, Diagnostic> {
-        self.ensure_instantiation(program)?;
-        let bound_inputs = inputs.resolve(program)?;
-        validate_with(
-            program.store(),
-            &self.sig,
-            program.root(),
-            &bound_inputs,
-            fp_rounding,
-            symbols,
-            self.sqrt_bits,
-        )
-        .map_err(|e| Diagnostic::from_soundness(&e, program.source(), program.name()))
+    ) -> Result<Execution, Diagnostic> {
+        let typed = self.check(program)?;
+        let inputs = inputs.resolve(program)?;
+        let graded = match typed.ty() {
+            Ty::Monad(grade, inner) if **inner == Ty::Num => {
+                Some((grade.clone(), self.grades.alpha(grade)?))
+            }
+            _ => None,
+        };
+        let instantiation = self.sig.instantiation();
+        let config = EvalConfig { instantiation, sqrt_bits: self.sqrt_bits };
+        let evaluate = |rounding: &mut dyn Rounding| {
+            eval(program.store(), program.root(), rounding, config, &inputs)
+                .map_err(|e| Diagnostic::from_eval(&e))
+        };
+        let ideal = evaluate(&mut IdentityRounding)?;
+        let fp = evaluate(fp_rounding)?;
+        let report = graded
+            .map(|(grade, bound)| {
+                report_for(instantiation, grade, bound, &ideal, &fp, fp_rounding.target_format())
+                    .map_err(|e| Diagnostic::from_eval(&e))
+            })
+            .transpose()?;
+        Ok(Execution {
+            ty: typed.ty().clone(),
+            ideal,
+            fp,
+            report,
+            format: self.format,
+            mode: self.mode,
+        })
     }
 
     /// Runs the sound rewrite + precision optimizer over `program`; see
@@ -876,27 +715,17 @@ impl AnalyzerBuilder {
             Instantiation::AbsoluteError => Signature::absolute_error(),
         });
         let sqrt_bits = sqrt_bits_for(self.format);
-        let config_fp = config_fingerprint(
-            AnalysisMode::Forward,
-            &sig,
-            self.format,
-            self.mode,
-            &self.rnd_unit,
-            sqrt_bits,
-        );
-        let config_fp_backward = config_fingerprint(
-            AnalysisMode::Backward,
-            &sig,
-            self.format,
-            self.mode,
-            &self.rnd_unit,
-            sqrt_bits,
-        );
+        let unit = self.rnd_unit.unwrap_or_else(|| self.format.unit_roundoff(self.mode));
+        let fingerprint =
+            |analysis| config_fingerprint(analysis, &sig, self.format, self.mode, &unit, sqrt_bits);
+        let (config_fp, config_fp_backward) =
+            (fingerprint(AnalysisMode::Forward), fingerprint(AnalysisMode::Backward));
+        let grades = GradeResolver::new(&sig, unit);
         Analyzer {
             sig,
             format: self.format,
             mode: self.mode,
-            rnd_unit: self.rnd_unit,
+            grades,
             sqrt_bits,
             tys: CoreArena::new(),
             cache: self.cache,
@@ -926,7 +755,7 @@ fn config_fingerprint(
     sig: &Signature,
     format: Format,
     mode: RoundingMode,
-    rnd_unit: &Option<Rational>,
+    unit: &Rational,
     sqrt_bits: u32,
 ) -> u64 {
     let mut h = ConfigFingerprint::new(analysis);
@@ -946,9 +775,88 @@ fn config_fingerprint(
     h.write_str(mode.name());
     // The *effective* rounding unit, so an explicit override equal to the
     // format default keys identically to the default.
-    h.write_str(&rnd_unit.clone().unwrap_or_else(|| format.unit_roundoff(mode)).to_string());
+    h.write_str(&unit.to_string());
     h.write_u32(sqrt_bits);
     h.finish()
+}
+
+/// Turns grades into numbers for a session: the signature's rounding
+/// symbol (`eps`, `delta`, ...) at the session's rounding unit, both fixed
+/// when the session is built. Every eq. (8) bound, forward or backward,
+/// and every Cor. 4.20 report resolves its grade here.
+#[derive(Clone, Debug)]
+struct GradeResolver {
+    symbol: String,
+    unit: Rational,
+    instantiation: Instantiation,
+}
+
+impl GradeResolver {
+    fn new(sig: &Signature, unit: Rational) -> Self {
+        let symbol = match sig.rnd_grade() {
+            Grade::Finite(e) if e.terms().len() == 1 => e.terms()[0].0.to_string(),
+            _ => "eps".to_string(),
+        };
+        GradeResolver { symbol, unit, instantiation: sig.instantiation() }
+    }
+
+    /// `grade` with the rounding symbol at the rounding unit.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorCode::UnresolvedGrade`] when the grade mentions any other
+    /// symbol, or is infinite.
+    fn alpha(&self, grade: &Grade) -> Result<Rational, Diagnostic> {
+        grade.eval(&|s| (s == self.symbol).then(|| self.unit.clone())).ok_or_else(|| {
+            Diagnostic::new(
+                ErrorCode::UnresolvedGrade,
+                format!("grade `{grade}` has symbols without assigned values"),
+            )
+            .with_note(format!(
+                "only the rounding symbol `{}` has a value, the session's rounding unit",
+                self.symbol
+            ))
+        })
+    }
+
+    /// The eq. (8) error bound for a resolved grade: `e^α - 1` rounded up
+    /// for the RP instantiation, `α` itself for the absolute one.
+    fn relative(&self, alpha: &Rational) -> Option<Rational> {
+        match self.instantiation {
+            Instantiation::RelativePrecision => rp_to_rel_bound(alpha),
+            Instantiation::AbsoluteError => Some(alpha.clone()),
+        }
+    }
+
+    /// The eq. (8) bound of `ty`, read through curried `⊸` codomains to
+    /// the monadic result; `None` when there is no monadic result.
+    ///
+    /// # Errors
+    ///
+    /// See [`GradeResolver::alpha`].
+    fn bound(&self, ty: &Ty) -> Result<Option<ErrorBound>, Diagnostic> {
+        let mut t = ty;
+        while let Ty::Lolli(_, cod) = t {
+            t = cod;
+        }
+        let Ty::Monad(grade, _) = t else { return Ok(None) };
+        let alpha = self.alpha(grade)?;
+        Ok(Some(ErrorBound {
+            grade: grade.clone(),
+            relative: self.relative(&alpha),
+            alpha,
+            instantiation: self.instantiation,
+        }))
+    }
+}
+
+/// The diagnostic for a type that carries no rounding-error bound.
+fn no_bound(ty: &Ty) -> Diagnostic {
+    Diagnostic::new(
+        ErrorCode::NotMonadicNum,
+        format!("type `{ty}` carries no rounding-error bound"),
+    )
+    .with_note("only `M[r]...` types (possibly under ⊸) have eq. (8) bounds")
 }
 
 /// One memoized analysis outcome (the value type of [`AnalysisCache`]),
@@ -1302,21 +1210,23 @@ impl Analysis {
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::UnresolvedGrade`] when a backward input grade
-    /// mentions symbols other than the rounding symbol (see
+    /// [`ErrorCode::UnresolvedGrade`] when a grade mentions symbols other
+    /// than the rounding symbol (see [`Analyzer::bound`] and
     /// [`Analyzer::bound_backward`]).
     pub fn bound_text(&self, analyzer: &Analyzer) -> Result<String, Diagnostic> {
         let mut out = String::new();
         match self {
             Analysis::Forward(typed) => {
-                let line = |name: &str, ty: &Ty| match analyzer.bound_of_ty(ty) {
-                    Some(b) => format!("{name:<24} {b}\n"),
-                    None => format!("{name:<24} {ty} (no rounding-error bound)\n"),
+                let line = |name: &str, ty: &Ty| {
+                    Ok(match analyzer.grades.bound(ty)? {
+                        Some(b) => format!("{name:<24} {b}\n"),
+                        None => format!("{name:<24} {ty} (no rounding-error bound)\n"),
+                    })
                 };
                 for f in typed.functions() {
-                    out.push_str(&line(&f.name, &f.inferred));
+                    out.push_str(&line(&f.name, &f.inferred)?);
                 }
-                out.push_str(&line("program", typed.ty()));
+                out.push_str(&line("program", typed.ty())?);
             }
             Analysis::Backward(typed) => {
                 let bound = analyzer.bound_backward(typed)?;

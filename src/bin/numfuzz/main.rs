@@ -639,6 +639,10 @@ struct Table1Row {
     sound: bool,
     typed_ms: f64,
     interval_ms: f64,
+    /// The parsed benchmark and its principal function's input box, so
+    /// `numfuzz bench` can time both legs again.
+    program: Program,
+    ranges: Vec<RatInterval>,
 }
 
 /// Runs both engines over one Table 1 benchmark: the typed bound from the
@@ -703,6 +707,8 @@ fn table1_row(
         sound: report.holds() && interval_holds,
         typed_ms,
         interval_ms,
+        program,
+        ranges,
     })
 }
 
@@ -906,15 +912,15 @@ fn bench(args: &Args) -> Result<(), Failure> {
     // engines — the same differential surface as `numfuzz table1`. The
     // tightness/soundness counts are exact rational comparisons, so they
     // are machine-independent and gated as exact equalities below; the
-    // pass times ride along as context. A benchmark failing the
-    // differential check fails the bench outright, gate file or not.
+    // pass times (each leg best-of-`--iters`, like every other section)
+    // ride along as context. A benchmark failing the differential check
+    // fails the bench outright, gate file or not.
     let bounds_files = table1_corpus(None)?;
     // The corpus is the paper's relative-precision Table 1; like the rest
     // of the bench it runs under the default session (binary64, RP).
     let bounds_analyzer = Analyzer::new();
     let bounds_range = RatInterval::new(Rational::ratio(1, 10), Rational::ratio(1000, 1));
-    let mut bounds_typed_seconds = 0.0f64;
-    let mut bounds_interval_seconds = 0.0f64;
+    let mut bounds_legs: Vec<(String, Program, Vec<RatInterval>)> = Vec::new();
     let mut bounds_tighter_typed = 0usize;
     let mut bounds_tighter_interval = 0usize;
     let mut bounds_ties = 0usize;
@@ -929,14 +935,23 @@ fn bench(args: &Args) -> Result<(), Failure> {
                 "bounds: {stem}: sample-point error exceeds an engine's bound"
             )));
         }
-        bounds_typed_seconds += row.typed_ms / 1e3;
-        bounds_interval_seconds += row.interval_ms / 1e3;
         match row.tighter {
             std::cmp::Ordering::Less => bounds_tighter_typed += 1,
             std::cmp::Ordering::Greater => bounds_tighter_interval += 1,
             std::cmp::Ordering::Equal => bounds_ties += 1,
         }
+        bounds_legs.push((stem, row.program, row.ranges));
     }
+    let bounds_typed_seconds = timed_passes(iters, || {
+        let typed = bounds_legs.iter().map(|(_, program, _)| bounds_analyzer.check(program));
+        typed.map(|t| bounds_analyzer.bound(&t?)).collect::<Vec<_>>()
+    })
+    .best_seconds;
+    let bounds_interval_seconds = timed_passes(iters, || {
+        let legs = bounds_legs.iter();
+        legs.map(|(stem, p, ranges)| bounds_analyzer.bound_interval_fn(p, stem, ranges)).collect()
+    })
+    .best_seconds;
 
     // The optimize measurement: the rewrite optimizer over the same Table
     // 1 corpus, small fixed budget. The bound columns are exact eps

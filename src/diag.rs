@@ -9,7 +9,7 @@
 //! pre-0.2 free functions exposed.
 
 use numfuzz_core::{CheckError, SyntaxError};
-use numfuzz_interp::{EvalError, SoundnessError};
+use numfuzz_interp::EvalError;
 use std::fmt;
 
 /// A 1-based source position.
@@ -212,22 +212,16 @@ pub enum ErrorCode {
     /// # Ok::<(), numfuzz::Diagnostic>(())
     /// ```
     NotMonadicNum,
-    /// `E0202` — the grade mentions symbols with no assigned value;
-    /// assign them via [`crate::Analyzer::bound_with`] /
-    /// [`crate::Analyzer::validate_with_symbols`]. Surface programs only
-    /// carry the signature's rounding symbol (auto-assigned), but
-    /// programmatic terms can mention others:
+    /// `E0202` — the grade mentions a symbol with no value. A session
+    /// assigns one symbol, the signature's rounding symbol (`eps`, or
+    /// `delta` for the absolute-error signature), its rounding unit; a
+    /// declared grade may name any other:
     ///
     /// ```
     /// use numfuzz::prelude::*;
-    /// use numfuzz::core::TermStore;
-    ///
-    /// let mut store = TermStore::new();
-    /// let root = store.err(Grade::symbol("k"), Ty::Num); // err : M[k]num
-    /// let program = Program::from_parts(store, root, Vec::new());
     /// let analyzer = Analyzer::new();
-    /// let typed = analyzer.check(&program)?;
-    /// let err = analyzer.bound(&typed).unwrap_err();
+    /// let src = "function f (x: num) : M[eps + k]num { rnd x }\nf 1.5";
+    /// let err = analyzer.run(&analyzer.parse(src)?, &Inputs::none()).unwrap_err();
     /// assert_eq!(err.code, ErrorCode::UnresolvedGrade);
     /// # Ok::<(), numfuzz::Diagnostic>(())
     /// ```
@@ -551,27 +545,6 @@ impl Diagnostic {
 
     pub(crate) fn from_eval(err: &EvalError) -> Self {
         Diagnostic::new(ErrorCode::EvalFailed, err.to_string())
-    }
-
-    pub(crate) fn from_soundness(
-        err: &SoundnessError,
-        src: Option<&str>,
-        file: Option<&str>,
-    ) -> Self {
-        match err {
-            SoundnessError::Check(e) => Diagnostic::from_check(e, src, file),
-            SoundnessError::NotMonadicNum(t) => Diagnostic::new(
-                ErrorCode::NotMonadicNum,
-                format!("error soundness applies to `M[r]num` programs, this one is `{t}`"),
-            )
-            .with_note("only monadic numeric programs carry a rounding-error bound (Cor. 4.20)"),
-            SoundnessError::UnresolvedGrade(g) => Diagnostic::new(
-                ErrorCode::UnresolvedGrade,
-                format!("grade `{g}` has symbols without assigned values"),
-            )
-            .with_note("assign them via `Analyzer::bound_with` / `validate_with_symbols`"),
-            SoundnessError::Eval(e) => Diagnostic::from_eval(e),
-        }
     }
 }
 

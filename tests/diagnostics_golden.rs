@@ -92,12 +92,7 @@ fn trigger(code: ErrorCode, name: &str, src: &str) -> Diagnostic {
         }
         ErrorCode::UnresolvedGrade => {
             let program = parse(src).expect("parses");
-            let mut fp = numfuzz::interp::rounding::CheckedRounding {
-                format: Format::BINARY64,
-                mode: RoundingMode::TowardPositive,
-            };
-            rp().validate_with_symbols(&program, &Inputs::none(), &mut fp, &|_| None)
-                .expect_err("no symbol assignment supplied")
+            rp().run(&program, &Inputs::none()).expect_err("`k` has no value")
         }
         ErrorCode::EvalFailed => {
             let program = parse(src).expect("parses");

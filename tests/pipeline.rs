@@ -95,6 +95,87 @@ fn table5_conditionals_check_and_validate() {
     }
 }
 
+/// `run`, `validate` and `validate_with_rounding` are three projections
+/// of one Cor. 4.20 check: the report `run` attaches is `validate`'s, and
+/// `validate_with_rounding` under the session's own checked rounding is
+/// `validate`. Compared field by field over Table 1, every Table 3 kernel
+/// at its recorded samples (free-variable inputs) and Table 5.
+fn run_and_validate_report_alike(format: Format) {
+    use numfuzz::interp::rounding::CheckedRounding;
+    use numfuzz::interp::SoundnessReport;
+
+    fn same(label: &str, a: &SoundnessReport, b: &SoundnessReport) {
+        assert_eq!(a.grade, b.grade, "{label}: grade");
+        assert_eq!(a.bound, b.bound, "{label}: bound");
+        assert_eq!(a.ideal, b.ideal, "{label}: ideal");
+        assert_eq!(a.fp, b.fp, "{label}: fp");
+        assert_eq!(a.verdict, b.verdict, "{label}: verdict");
+        let bits = |m: Option<f64>| m.map(f64::to_bits);
+        assert_eq!(bits(a.measured), bits(b.measured), "{label}: measured");
+        assert_eq!(a.ulp, b.ulp, "{label}: ulp");
+    }
+
+    let session = Analyzer::builder().format(format).build();
+    let mut cases: Vec<(String, Program, Inputs)> = Vec::new();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/benches/table1");
+    let mut table1: Vec<_> = std::fs::read_dir(dir)
+        .expect("benches/table1 is committed")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "nf"))
+        .collect();
+    table1.sort();
+    assert_eq!(table1.len(), 10);
+    for path in &table1 {
+        let name = path.file_name().expect("file").to_string_lossy().into_owned();
+        let src = std::fs::read_to_string(path).expect("readable");
+        cases.push((
+            name.clone(),
+            session.parse_named(&name, &src).expect("parses"),
+            Inputs::none(),
+        ));
+    }
+    for b in table3() {
+        let program = session.program_from_kernel(&b.kernel).expect("translatable");
+        for (i, sample) in b.samples.iter().enumerate() {
+            let inputs = Inputs::positional(sample.iter().map(|q| Value::num(q.clone())));
+            cases.push((format!("{} sample {i}", b.kernel.name), program.clone(), inputs));
+        }
+    }
+    for b in table5() {
+        let src = format!("{}\n{}", b.source, b.sample);
+        cases.push((
+            b.name.to_string(),
+            session.parse_named(b.name, &src).expect("parses"),
+            Inputs::none(),
+        ));
+    }
+
+    for (name, program, inputs) in &cases {
+        let label = format!("{name} in {format}");
+        let validated =
+            session.validate(program, inputs).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let exec = session.run(program, inputs).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let ran = exec.report.unwrap_or_else(|| panic!("{label}: run attached no report"));
+        same(&format!("{label}, run"), &ran, &validated);
+        let mut fp = CheckedRounding { format: session.format(), mode: session.mode() };
+        let strategy = session
+            .validate_with_rounding(program, inputs, &mut fp)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        same(&format!("{label}, validate_with_rounding"), &strategy, &validated);
+    }
+}
+
+#[test]
+fn run_and_validate_report_alike_in_binary64() {
+    run_and_validate_report_alike(Format::BINARY64);
+}
+
+/// A 6-bit format, where some sample runs overflow and fault to `err`.
+#[test]
+fn run_and_validate_report_alike_in_a_6_bit_format() {
+    run_and_validate_report_alike(Format::new(6, 40));
+}
+
 #[test]
 fn generated_table4_programs_validate() {
     use numfuzz::benchsuite::{horner, matrix_multiply, poly_naive, serial_sum};

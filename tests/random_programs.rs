@@ -205,8 +205,8 @@ proptest! {
         // ideal side, plain (non-faulting) mode rounding for the FP
         // side — exactly matching the small-step semantics below.
         let mut fp = ModeRounding { format: small_format, mode: RoundingMode::TowardNegative };
-        let exec = match session.run_with_rounding(&program, &inputs, &mut fp) {
-            Ok(exec) => exec,
+        let report = match session.validate_with_rounding(&program, &inputs, &mut fp) {
+            Ok(report) => report,
             Err(d) if d.code == ErrorCode::EvalFailed => {
                 // Signed constants can divide by zero; both semantics
                 // fault on such programs, so there is nothing to compare.
@@ -220,16 +220,10 @@ proptest! {
             StepSemantics::Fp(small_format, RoundingMode::TowardNegative),
         ] {
             let machine = match sem {
-                StepSemantics::Ideal => &exec.ideal,
-                _ => &exec.fp,
+                StepSemantics::Ideal => &report.ideal,
+                _ => report.fp.as_ref().expect("mode rounding never faults"),
             };
-            let machine_val = machine
-                .as_ret()
-                .and_then(Value::as_num)
-                .expect("ret num")
-                .as_point()
-                .expect("exact")
-                .clone();
+            let machine_val = machine.as_point().expect("exact").clone();
 
             // Close the term by substituting constants for the free
             // inputs (the reference semantics has no environments).

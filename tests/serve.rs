@@ -104,6 +104,36 @@ fn serve_output_is_byte_identical_to_one_shot_cli() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A forward bound whose grade names a symbol other than `eps` has no
+/// value: `numfuzz bound`, `numfuzz run` and the serve `bound` op all
+/// answer with the E0202 golden diagnostic, as the backward bound does.
+#[test]
+fn unresolved_forward_grade_is_e0202_on_cli_and_serve() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/E0202.nf");
+    let expected = include_str!("golden/E0202.expected");
+    for command in ["bound", "run"] {
+        let out = Command::new(BIN).args([command, path]).output().expect("run numfuzz");
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{command}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), expected, "{command}");
+    }
+    let mut server = StdioServer::spawn(&[]);
+    let request = Json::obj(vec![
+        ("id", Json::int(1)),
+        ("op", Json::str("bound")),
+        ("src", Json::str(std::fs::read_to_string(path).expect("golden input"))),
+        ("name", Json::str(path)),
+    ]);
+    let v = parse(&server.request(&request.to_string()));
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(v.get("exit").and_then(Json::as_f64), Some(1.0));
+    let error = v.get("error").expect("an error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("E0202"));
+    let rendered = error.get("rendered").and_then(Json::as_str).expect("rendered");
+    assert_eq!(format!("{rendered}\n"), expected);
+    server.shutdown();
+}
+
 #[test]
 fn serve_batch_lines_match_cli_batch() {
     let dir = std::env::temp_dir().join(format!("numfuzz-serve-batch-{}", std::process::id()));

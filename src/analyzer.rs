@@ -369,7 +369,7 @@ impl Analyzer {
     ///
     /// [`ErrorCode::NotMonadicNum`] when the type carries no bound, or
     /// [`ErrorCode::UnresolvedGrade`] when the grade mentions a symbol
-    /// other than the signature's rounding symbol.
+    /// other than the signature's rounding symbol, or is infinite.
     pub fn bound(&self, typed: &Typed) -> Result<ErrorBound, Diagnostic> {
         self.grades.bound(typed.ty())?.ok_or_else(|| no_bound(typed.ty()))
     }
@@ -551,14 +551,16 @@ impl Analyzer {
     /// # Errors
     ///
     /// A [`Diagnostic`] as for [`Analyzer::run`], or
-    /// [`ErrorCode::NotMonadicNum`] when the program is not `M[r]num`.
+    /// [`ErrorCode::NotMonadicNum`] when the program is not `M[r]num`
+    /// (an unapplied function included, though [`Analyzer::bound`] gives
+    /// its type a bound).
     pub fn validate(
         &self,
         program: &Program,
         inputs: &Inputs,
     ) -> Result<SoundnessReport, Diagnostic> {
         let exec = self.run(program, inputs)?;
-        exec.report.ok_or_else(|| no_bound(&exec.ty))
+        exec.report.ok_or_else(|| not_validatable(&exec.ty))
     }
 
     /// [`Analyzer::validate`] under a caller-supplied rounding strategy
@@ -575,20 +577,42 @@ impl Analyzer {
         fp_rounding: &mut dyn Rounding,
     ) -> Result<SoundnessReport, Diagnostic> {
         let exec = self.execute(program, inputs, fp_rounding)?;
-        exec.report.ok_or_else(|| no_bound(&exec.ty))
+        exec.report.ok_or_else(|| not_validatable(&exec.ty))
     }
 
     /// The one Cor. 4.20 body behind [`Analyzer::run`] and the
-    /// `validate*` projections: checks through the session, binds the
-    /// inputs to the program's declared free variables, runs the ideal
-    /// semantics and `fp_rounding`, and attaches [`report_for`]'s verdict
-    /// when the type is `M[r]num`.
+    /// `validate*` projections: [`Analyzer::run_ideal`], then `fp_rounding`
+    /// over the same inputs, and [`report_for`]'s verdict when the type is
+    /// `M[r]num`.
     fn execute(
         &self,
         program: &Program,
         inputs: &Inputs,
         fp_rounding: &mut dyn Rounding,
     ) -> Result<Execution, Diagnostic> {
+        let IdealRun { ty, inputs, graded, ideal } = self.run_ideal(program, inputs)?;
+        let fp = self.evaluate(program, &inputs, fp_rounding)?;
+        let report = graded
+            .map(|(grade, bound)| {
+                let format = fp_rounding.target_format();
+                report_for(self.sig.instantiation(), grade, bound, &ideal, &fp, format)
+                    .map_err(|e| Diagnostic::from_eval(&e))
+            })
+            .transpose()?;
+        Ok(Execution { ty, ideal, fp, report, format: self.format, mode: self.mode })
+    }
+
+    /// The ideal half of [`Analyzer::execute`], and its first step: checks
+    /// through the session (once), binds the inputs to the program's
+    /// declared free variables, resolves an `M[r]num` grade, and runs the
+    /// ideal semantics (`rnd` = identity) alone. The optimizer's
+    /// exact-oracle legs read nothing else, so they skip the
+    /// floating-point run and the report.
+    pub(crate) fn run_ideal(
+        &self,
+        program: &Program,
+        inputs: &Inputs,
+    ) -> Result<IdealRun, Diagnostic> {
         let typed = self.check(program)?;
         let inputs = inputs.resolve(program)?;
         let graded = match typed.ty() {
@@ -597,28 +621,21 @@ impl Analyzer {
             }
             _ => None,
         };
-        let instantiation = self.sig.instantiation();
-        let config = EvalConfig { instantiation, sqrt_bits: self.sqrt_bits };
-        let evaluate = |rounding: &mut dyn Rounding| {
-            eval(program.store(), program.root(), rounding, config, &inputs)
-                .map_err(|e| Diagnostic::from_eval(&e))
-        };
-        let ideal = evaluate(&mut IdentityRounding)?;
-        let fp = evaluate(fp_rounding)?;
-        let report = graded
-            .map(|(grade, bound)| {
-                report_for(instantiation, grade, bound, &ideal, &fp, fp_rounding.target_format())
-                    .map_err(|e| Diagnostic::from_eval(&e))
-            })
-            .transpose()?;
-        Ok(Execution {
-            ty: typed.ty().clone(),
-            ideal,
-            fp,
-            report,
-            format: self.format,
-            mode: self.mode,
-        })
+        let ideal = self.evaluate(program, &inputs, &mut IdentityRounding)?;
+        Ok(IdealRun { ty: typed.ty().clone(), inputs, graded, ideal })
+    }
+
+    /// One run of `program` under `rounding`, with `inputs` bound.
+    fn evaluate(
+        &self,
+        program: &Program,
+        inputs: &[(VarId, Value)],
+        rounding: &mut dyn Rounding,
+    ) -> Result<Value, Diagnostic> {
+        let config =
+            EvalConfig { instantiation: self.sig.instantiation(), sqrt_bits: self.sqrt_bits };
+        eval(program.store(), program.root(), rounding, config, inputs)
+            .map_err(|e| Diagnostic::from_eval(&e))
     }
 
     /// Runs the sound rewrite + precision optimizer over `program`; see
@@ -808,14 +825,21 @@ impl GradeResolver {
     /// symbol, or is infinite.
     fn alpha(&self, grade: &Grade) -> Result<Rational, Diagnostic> {
         grade.eval(&|s| (s == self.symbol).then(|| self.unit.clone())).ok_or_else(|| {
-            Diagnostic::new(
-                ErrorCode::UnresolvedGrade,
-                format!("grade `{grade}` has symbols without assigned values"),
-            )
-            .with_note(format!(
-                "only the rounding symbol `{}` has a value, the session's rounding unit",
-                self.symbol
-            ))
+            let (message, note) = if grade.is_infinite() {
+                (
+                    format!("grade `{grade}` is infinite, so it has no numeric value"),
+                    "an infinite grade promises no finite rounding-error bound".to_string(),
+                )
+            } else {
+                (
+                    format!("grade `{grade}` has symbols without assigned values"),
+                    format!(
+                        "only the rounding symbol `{}` has a value, the session's rounding unit",
+                        self.symbol
+                    ),
+                )
+            };
+            Diagnostic::new(ErrorCode::UnresolvedGrade, message).with_note(note)
         })
     }
 
@@ -857,6 +881,21 @@ fn no_bound(ty: &Ty) -> Diagnostic {
         format!("type `{ty}` carries no rounding-error bound"),
     )
     .with_note("only `M[r]...` types (possibly under ⊸) have eq. (8) bounds")
+}
+
+/// The diagnostic for a Cor. 4.20 check of a program that is not a closed
+/// `M[r]num` term. The corollary compares the ideal and floating-point
+/// numbers such a program computes, so a function, even one whose type
+/// has an eq. (8) bound, must first be applied.
+fn not_validatable(ty: &Ty) -> Diagnostic {
+    let d = Diagnostic::new(
+        ErrorCode::NotMonadicNum,
+        format!("type `{ty}` has no Cor. 4.20 check: it needs a closed `M[r]num` program"),
+    );
+    match ty {
+        Ty::Lolli(..) => d.with_note("apply the function to its arguments to validate it"),
+        _ => d,
+    }
 }
 
 /// One memoized analysis outcome (the value type of [`AnalysisCache`]),
@@ -1211,8 +1250,8 @@ impl Analysis {
     /// # Errors
     ///
     /// [`ErrorCode::UnresolvedGrade`] when a grade mentions symbols other
-    /// than the rounding symbol (see [`Analyzer::bound`] and
-    /// [`Analyzer::bound_backward`]).
+    /// than the rounding symbol, or a forward grade is infinite (see
+    /// [`Analyzer::bound`] and [`Analyzer::bound_backward`]).
     pub fn bound_text(&self, analyzer: &Analyzer) -> Result<String, Diagnostic> {
         let mut out = String::new();
         match self {
@@ -1395,6 +1434,20 @@ pub struct Execution {
     pub mode: RoundingMode,
 }
 
+/// The outcome of [`Analyzer::run_ideal`]: the ideal result, with what
+/// [`Analyzer::execute`] needs to run the floating-point semantics and
+/// decide Cor. 4.20 after it.
+pub(crate) struct IdealRun {
+    /// The checked root type.
+    ty: Ty,
+    /// The inputs, bound to the program's free variables.
+    inputs: Vec<(VarId, Value)>,
+    /// The `M[r]num` grade and its value at the rounding unit.
+    graded: Option<(Grade, Rational)>,
+    /// Result under the ideal semantics (`rnd` = identity).
+    pub(crate) ideal: Value,
+}
+
 /// Input values for a program's free variables, by name and/or position.
 ///
 /// Parsed programs are closed (no inputs); programs imported from IR
@@ -1503,6 +1556,55 @@ impl<S: Into<String>> FromIterator<(S, Value)> for Inputs {
         Inputs {
             positional: Vec::new(),
             named: iter.into_iter().map(|(n, v)| (n.into(), v)).collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `run_ideal` is `run` without the floating-point run and the
+    /// report, so both give the same ideal value.
+    fn assert_same_ideal(analyzer: &Analyzer, program: &Program, what: &str) {
+        let exec = analyzer.run(program, &Inputs::none()).expect(what);
+        let ideal = analyzer.run_ideal(program, &Inputs::none()).expect(what).ideal;
+        assert_eq!(format!("{ideal:?}"), format!("{:?}", exec.ideal), "{what}");
+    }
+
+    #[test]
+    fn run_ideal_matches_run_on_tables_and_generated_programs() {
+        let analyzer = Analyzer::new();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/benches/table1");
+        let mut table1 = 0;
+        for entry in std::fs::read_dir(dir).expect("Table 1 corpus") {
+            let path = entry.expect("directory entry").path();
+            let src = std::fs::read_to_string(&path).expect("Table 1 file");
+            let name = path.display().to_string();
+            assert_same_ideal(&analyzer, &analyzer.parse_named(&name, &src).expect(&name), &name);
+            table1 += 1;
+        }
+        assert_eq!(table1, 10);
+        for b in numfuzz_benchsuite::table5() {
+            let program = analyzer.parse_named(b.name, &format!("{}\n{}", b.source, b.sample));
+            assert_same_ideal(&analyzer, &program.expect(b.name), b.name);
+        }
+        // Generated programs, each in the session its plan describes (as
+        // the fuzz oracle builds it), every instantiation and format.
+        for index in 0..200 {
+            let case = numfuzz_fuzz::generate_case(23, index);
+            let plan = &case.plan;
+            let mut builder = Analyzer::builder()
+                .signature(plan.instantiation)
+                .format(plan.format)
+                .mode(plan.mode);
+            if let Some(unit) = &plan.rnd_unit {
+                builder = builder.rounding_unit(unit.clone());
+            }
+            let session = builder.build();
+            let what = format!("generated case {index}");
+            let program = session.parse(&case.program.render()).expect(&what);
+            assert_same_ideal(&session, &program, &what);
         }
     }
 }

@@ -212,10 +212,11 @@ pub enum ErrorCode {
     /// # Ok::<(), numfuzz::Diagnostic>(())
     /// ```
     NotMonadicNum,
-    /// `E0202` — the grade mentions a symbol with no value. A session
-    /// assigns one symbol, the signature's rounding symbol (`eps`, or
-    /// `delta` for the absolute-error signature), its rounding unit; a
-    /// declared grade may name any other:
+    /// `E0202` — the grade mentions a symbol with no value, or is
+    /// infinite (`M[inf]num`). A session assigns one symbol, the
+    /// signature's rounding symbol (`eps`, or `delta` for the
+    /// absolute-error signature), its rounding unit; a declared grade may
+    /// name any other:
     ///
     /// ```
     /// use numfuzz::prelude::*;

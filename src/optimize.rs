@@ -22,21 +22,25 @@
 //!    return grade = the probe grade) plus the original trailing
 //!    application, and must re-check. A candidate that uses a parameter
 //!    above its declared sensitivity is rejected here.
-//! 3. **Interval cross-check**: the PR 8 interval engine must produce a
-//!    bound for the rewritten function over the standard `[0.1, 1000]`
-//!    box (the same box `numfuzz table1` uses).
-//! 4. **Exact-oracle spot validation**: the candidate's ideal value is
+//! 3. **Interval cross-check**: the interval engine (`crates/bounds`)
+//!    must produce a bound for the rewritten function over the standard
+//!    `[0.1, 1000]` box (the same box `numfuzz table1` uses).
+//! 4. **End-to-end validation**: the function form runs under both
+//!    semantics at the committed point and must meet its bound
+//!    (Corollary 4.20, [`Analyzer::validate`]) — the one soundness report
+//!    each candidate gets.
+//! 5. **Exact-oracle spot validation**: the candidate's ideal value is
 //!    compared against the *original* program's ideal value at several
 //!    sample points (the committed arguments and scaled variants); the
-//!    exact-rational enclosures must overlap. The emitted function form
-//!    is additionally validated end-to-end at the committed point
-//!    (Corollary 4.20).
+//!    exact-rational enclosures must overlap. Only ideal values are
+//!    read, so both sides run the ideal semantics alone.
 //!
 //! Search is a deterministic, seeded beam search over the
 //! [`numfuzz_core::rewrite`] rules; candidate evaluation shards onto the
-//! PR 3 pool with byte-identical results at every `--jobs` value
-//! (candidate order is fixed before dispatch, results are collected in
-//! input order, and selection is lexicographic).
+//! worker pool ([`numfuzz_core::pool`]) with byte-identical results at
+//! every `--jobs` value (candidate order is fixed before dispatch,
+//! results are collected in input order, and selection is
+//! lexicographic).
 
 use crate::analyzer::{Analyzer, Inputs, Typed};
 use crate::diag::{Diagnostic, ErrorCode};
@@ -686,7 +690,8 @@ fn check_and_bound(
 /// safe to shard.
 fn certify(session: &Analyzer, ctx: &Ctx, job: &Job) -> Verdict {
     // 1. Probe: inferred grade from the closed committed-point form.
-    let Some((_, _, grade, alpha, _)) = check_and_bound(session, "probe", &job.probes[0]) else {
+    let Some((probe, _, grade, alpha, _)) = check_and_bound(session, "probe", &job.probes[0])
+    else {
         return Verdict::RejectedCheck;
     };
     // 2. Function form with the probe grade declared.
@@ -702,20 +707,23 @@ fn certify(session: &Analyzer, ctx: &Ctx, job: &Job) -> Verdict {
     if session.bound_interval_fn(&program, &ctx.fname, &ctx.ranges).is_err() {
         return Verdict::RejectedInterval;
     }
-    // 4a. End-to-end Corollary 4.20 validation at the committed point.
+    // 4. End-to-end Corollary 4.20 validation at the committed point.
     match session.validate(&program, &Inputs::none()) {
         Ok(report) if report.holds() => {}
         _ => return Verdict::RejectedOracle,
     }
-    // 4b. Exact-oracle ideal equivalence at every sample point.
-    for (probe, want) in job.probes.iter().zip(&ctx.sample_ideals) {
-        let Ok(pp) = session.parse_named("probe", probe) else {
+    // 5. Exact-oracle ideal equivalence at every sample point: the ideal
+    // semantics alone (4 ran both at the committed point), starting from
+    // the probe leg 1 parsed.
+    let scaled = job.probes[1..].iter().map(|src| session.parse_named("probe", src));
+    for (probe, want) in std::iter::once(Ok(probe)).chain(scaled).zip(&ctx.sample_ideals) {
+        let Ok(probe) = probe else {
             return Verdict::RejectedCheck;
         };
-        let Ok(exec) = session.run(&pp, &Inputs::none()) else {
+        let Ok(run) = session.run_ideal(&probe, &Inputs::none()) else {
             return Verdict::RejectedOracle;
         };
-        let Some(got) = ideal_interval(&exec.ideal) else {
+        let Some(got) = ideal_interval(&run.ideal) else {
             return Verdict::RejectedOracle;
         };
         if !overlap(&got, want) {
@@ -764,8 +772,8 @@ fn original_ideal_at(
         root = store.let_fun_at(v, decl, body, root);
     }
     let rebuilt = Program::from_parts(store, root, Vec::new());
-    let exec = analyzer.run(&rebuilt, &Inputs::none())?;
-    ideal_interval(&exec.ideal)
+    let run = analyzer.run_ideal(&rebuilt, &Inputs::none())?;
+    ideal_interval(&run.ideal)
         .ok_or_else(|| unsupported("original program does not return a number"))
 }
 

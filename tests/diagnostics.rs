@@ -99,6 +99,41 @@ fn lambda_sensitivity_and_shape_errors_have_codes() {
     assert_eq!(err.code, ErrorCode::OpArgMismatch);
 }
 
+/// E0201 has two wordings, one per question. `bound` asks for an eq. (8)
+/// bound, which a function type has (read through `⊸`) and `num` lacks;
+/// Cor. 4.20 asks for a closed `M[r]num` program, so `validate` turns
+/// down an unapplied function and says to apply it.
+#[test]
+fn e0201_words_bound_and_validate_for_what_each_needs() {
+    let analyzer = Analyzer::new();
+    let pure = analyzer.parse("42").expect("parses");
+    let err = analyzer.bound(&analyzer.check(&pure).expect("checks")).expect_err("no bound");
+    assert_eq!(err.code, ErrorCode::NotMonadicNum);
+    assert_eq!(err.message, "type `num` carries no rounding-error bound");
+    assert_eq!(err.notes, ["only `M[r]...` types (possibly under ⊸) have eq. (8) bounds"]);
+
+    let unapplied = analyzer.parse("function f (x: num) : M[eps]num { rnd x }\nf").expect("parses");
+    let typed = analyzer.check(&unapplied).expect("checks");
+    assert_eq!(
+        analyzer.bound(&typed).expect("a function type has a bound").grade.to_string(),
+        "eps"
+    );
+    let err = analyzer.validate(&unapplied, &Inputs::none()).expect_err("not closed");
+    assert_eq!(err.code, ErrorCode::NotMonadicNum);
+    assert_eq!(
+        err.message,
+        "type `num -o M[eps]num` has no Cor. 4.20 check: it needs a closed `M[r]num` program"
+    );
+    assert_eq!(err.notes, ["apply the function to its arguments to validate it"]);
+
+    let err = analyzer.validate(&pure, &Inputs::none()).expect_err("not monadic");
+    assert_eq!(
+        err.message,
+        "type `num` has no Cor. 4.20 check: it needs a closed `M[r]num` program"
+    );
+    assert!(err.notes.is_empty(), "{:?}", err.notes);
+}
+
 #[test]
 fn input_errors_are_structured_not_panics() {
     let analyzer = Analyzer::new();

@@ -1,9 +1,11 @@
 //! Golden-file tests for `numfuzz optimize`: the report on stdout is
 //! fully deterministic (candidate order is seeded, selection is
 //! lexicographic, and wall times go to stderr), so it is pinned byte for
-//! byte — no masking. The three pinned benchmarks are the Table 1
-//! programs the optimizer strictly improves, so the goldens also lock in
-//! the improvements themselves.
+//! byte — no masking. Every Table 1 program is pinned: the three the
+//! optimizer strictly improves at the default budget, so the goldens also
+//! lock in the improvements themselves, and the other seven at
+//! `--budget 16` (the budget `tests/optimize.rs` uses), so their
+//! candidate and rejection counts are locked in too.
 //!
 //! Regenerate after an intentional change with
 //!
@@ -13,9 +15,10 @@
 
 use std::process::Command;
 
-fn run_optimize(bench: &str) -> String {
+fn run_optimize(bench: &str, flags: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_numfuzz"))
         .args(["optimize", &format!("benches/table1/{bench}.nf")])
+        .args(flags)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("numfuzz optimize runs");
@@ -28,8 +31,8 @@ fn run_optimize(bench: &str) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-fn check_golden(bench: &str) {
-    let got = run_optimize(bench);
+fn check_golden(bench: &str, flags: &[&str]) {
+    let got = run_optimize(bench, flags);
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
@@ -53,15 +56,53 @@ fn check_golden(bench: &str) {
 
 #[test]
 fn optimize_verhulst_matches_golden() {
-    check_golden("verhulst");
+    check_golden("verhulst", &[]);
 }
 
 #[test]
 fn optimize_predator_prey_matches_golden() {
-    check_golden("predatorPrey");
+    check_golden("predatorPrey", &[]);
 }
 
 #[test]
 fn optimize_one_by_sqrtxx_matches_golden() {
-    check_golden("one_by_sqrtxx");
+    check_golden("one_by_sqrtxx", &[]);
+}
+
+/// The Table 1 programs without a default-budget golden, at `--budget 16`.
+const SMALL_BUDGET: &[&str] = &["--budget", "16"];
+
+#[test]
+fn optimize_hypot_matches_golden() {
+    check_golden("hypot", SMALL_BUDGET);
+}
+
+#[test]
+fn optimize_i4_matches_golden() {
+    check_golden("i4", SMALL_BUDGET);
+}
+
+#[test]
+fn optimize_nonlin1_matches_golden() {
+    check_golden("nonlin1", SMALL_BUDGET);
+}
+
+#[test]
+fn optimize_sqrt_add_matches_golden() {
+    check_golden("sqrt_add", SMALL_BUDGET);
+}
+
+#[test]
+fn optimize_test02_sum8_matches_golden() {
+    check_golden("test02_sum8", SMALL_BUDGET);
+}
+
+#[test]
+fn optimize_test05_nonlin1_matches_golden() {
+    check_golden("test05_nonlin1", SMALL_BUDGET);
+}
+
+#[test]
+fn optimize_x_by_xy_matches_golden() {
+    check_golden("x_by_xy", SMALL_BUDGET);
 }

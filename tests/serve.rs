@@ -134,6 +134,36 @@ fn unresolved_forward_grade_is_e0202_on_cli_and_serve() {
     server.shutdown();
 }
 
+/// An infinite grade has no value either, and is worded as what it is:
+/// `numfuzz bound`, `numfuzz run` and the serve `bound` op answer the same
+/// E0202 with exit 1, without claiming the grade names unknown symbols.
+#[test]
+fn infinite_forward_grade_is_e0202_on_cli_and_serve() {
+    let src = "function f (x: num) : M[inf]num { rnd x }\nf 1.5\n";
+    let expected = "error[E0202]: grade `inf` is infinite, so it has no numeric value\n  \
+                    note: an infinite grade promises no finite rounding-error bound\n";
+    let path = std::env::temp_dir().join(format!("numfuzz-inf-grade-{}.nf", std::process::id()));
+    std::fs::write(&path, src).unwrap();
+    for command in ["bound", "run"] {
+        let out = Command::new(BIN).arg(command).arg(&path).output().expect("run numfuzz");
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{command}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), expected, "{command}");
+    }
+    let _ = std::fs::remove_file(&path);
+    let mut server = StdioServer::spawn(&[]);
+    let request =
+        Json::obj(vec![("id", Json::int(1)), ("op", Json::str("bound")), ("src", Json::str(src))]);
+    let v = parse(&server.request(&request.to_string()));
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(v.get("exit").and_then(Json::as_f64), Some(1.0));
+    let error = v.get("error").expect("an error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("E0202"));
+    let rendered = error.get("rendered").and_then(Json::as_str).expect("rendered");
+    assert_eq!(format!("{rendered}\n"), expected);
+    server.shutdown();
+}
+
 #[test]
 fn serve_batch_lines_match_cli_batch() {
     let dir = std::env::temp_dir().join(format!("numfuzz-serve-batch-{}", std::process::id()));

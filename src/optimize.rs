@@ -61,6 +61,12 @@ const BEAM: usize = 6;
 /// decimal-printable.
 const SAMPLE_SCALES: [(i64, i64); 3] = [(1, 1), (3, 2), (5, 8)];
 
+/// Largest term store `optimize` takes. Extraction recurses once per
+/// `let` and copies its environment at each, so a long enough chain
+/// overflows a thread's stack (a 6,000-statement chain aborted a serve
+/// worker); the Table 1 files have 34–94 nodes.
+const MAX_NODES: usize = 4096;
+
 /// Configuration for [`optimize`].
 #[derive(Clone, Debug)]
 pub struct OptimizeConfig {
@@ -823,6 +829,12 @@ pub fn optimize(
             ErrorCode::EvalFailed,
             "numfuzz optimize requires the relative-precision instantiation",
         ));
+    }
+    let nodes = program.store().len();
+    if nodes > MAX_NODES {
+        return Err(unsupported(format!(
+            "program has {nodes} term nodes; numfuzz optimize takes at most {MAX_NODES}"
+        )));
     }
     let mut arena = ExprArena::new();
     let principal = extract(program, &mut arena)?;

@@ -30,12 +30,17 @@
 //! `output` — which stays byte-identical to a `check` of the same
 //! source. `numfuzz watch` is built on the same entry point.
 //!
-//! The TCP transport is a nonblocking event loop ([`serve_listener`]):
-//! one thread owns every socket, requests pipeline per connection
-//! (responses always in request order), analysis runs on a resident
-//! [`pool::TaskPool`] of forked sessions, and each request's `tenant`
-//! is held to a bounded admission budget — over-budget requests get an
-//! immediate `EBUSY` backpressure reply instead of queueing without
+//! The TCP transport is an event loop woken by its sockets
+//! ([`serve_listener`]): each connection has a reader thread that
+//! blocks on the socket and hands complete request lines to the loop,
+//! and a writer thread that sends the loop's in-order replies with
+//! `TCP_NODELAY` set, so a request is seen and its reply sent as soon as
+//! they exist. The loop thread owns everything else: requests pipeline
+//! per connection (responses always in request order), analysis runs on
+//! a resident [`pool::TaskPool`] of forked sessions, at most 256
+//! connections are open at once, and each request's `tenant` is held to
+//! a bounded admission budget — over-budget requests and connections get
+//! an immediate `EBUSY` backpressure reply instead of queueing without
 //! bound. Every transport routes requests through a panic firewall
 //! ([`Service::handle_guarded`]): a panicking handler is logged,
 //! answered with a well-formed `EPANIC` reply, and the server keeps
@@ -49,9 +54,9 @@ use numfuzz_core::cache::AnalysisMode;
 use numfuzz_core::pool;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -473,11 +478,13 @@ pub struct Reply {
 /// a five-minute idle deadline.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Close a TCP connection after this long with no traffic and
-    /// nothing in flight (the event-loop replacement for per-socket
-    /// read/write timeouts — the loop never blocks on one socket, so a
-    /// stalled client can only hold its own connection, and only until
-    /// this deadline).
+    /// Close a TCP connection after this long with nothing in flight and
+    /// neither a complete request line nor a reply in that time (the
+    /// replacement for per-socket read/write timeouts — only the
+    /// connection's own reader and writer threads ever block on its
+    /// socket, so a stalled client holds only its own connection, and
+    /// only until this deadline, which also frees a writer stuck on a
+    /// client that stopped reading).
     pub idle_timeout: Duration,
     /// Per-tenant admission budget: how many of a tenant's requests may
     /// be in flight at once. One more is refused with an `EBUSY` reply
@@ -1043,25 +1050,59 @@ pub fn serve_stdio(service: &Service) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Cap on one buffered request line (and thus on the inbox of a client
-/// that never sends a newline): past this the connection is dropped
-/// rather than buffered without bound.
+/// Cap on one buffered request line (and thus on what the reader of a
+/// client that never sends a newline holds): past this the connection is
+/// dropped rather than buffered without bound.
 const MAX_REQUEST_BYTES: usize = 64 << 20;
+
+/// Most TCP connections open at once (`numfuzz loadgen --connections`
+/// goes as high). Each open connection has a reader and a writer thread,
+/// so this also bounds the server's threads; one more connection gets an
+/// `EBUSY` line and is closed.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Stack size of the acceptor and of every reader and writer thread.
+/// They only move bytes between a socket and a channel — request JSON is
+/// parsed on the loop and the pool — so a small stack suffices and a full
+/// house of connections costs little memory.
+const IO_STACK_BYTES: usize = 64 << 10;
+
+/// How long the acceptor waits after a failed `accept` (say, out of file
+/// descriptors) before trying again, rather than spinning on the error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// How long a shutdown drain may take before the loop exits with
 /// responses still unflushed (a client that stopped reading must not be
 /// able to keep the server alive).
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
-/// One pipelined TCP connection in the event loop.
+/// What wakes the event loop. The acceptor, every reader and writer
+/// thread and the worker pool report on one channel, so the loop sleeps
+/// until something happens and sees it at once.
+enum Event {
+    /// The acceptor took a new connection (`TCP_NODELAY` already set).
+    Accepted(TcpStream),
+    /// A connection's reader split off one complete request line.
+    Line { conn: u64, line: String },
+    /// A connection's reader stopped: end of input, or (`dead`) a read
+    /// error or a line longer than [`MAX_REQUEST_BYTES`].
+    Hangup { conn: u64, dead: bool },
+    /// A connection's writer stopped: the loop closed the connection and
+    /// the queue ran dry, or a write failed.
+    Flushed { conn: u64 },
+    /// A worker finished a request.
+    Done(Completion),
+}
+
+/// One pipelined TCP connection as the event loop sees it. Its reader
+/// and writer threads share the socket; the loop keeps a handle only to
+/// shut it down.
 struct Conn {
-    stream: TcpStream,
-    /// Unparsed bytes read so far (at most one partial line after each
-    /// tick).
-    inbox: Vec<u8>,
-    /// Response bytes accepted for writing but not yet taken by the
-    /// socket.
-    outbox: Vec<u8>,
+    stream: Arc<TcpStream>,
+    /// The writer's queue of in-order reply bytes; `None` once the loop
+    /// has closed the connection (the writer then sends what is queued,
+    /// shuts the socket down and stops).
+    replies: Option<mpsc::Sender<Vec<u8>>>,
     /// Sequence number the next request line will get.
     next_seq: u64,
     /// Sequence number whose reply must be written next — responses go
@@ -1071,12 +1112,31 @@ struct Conn {
     ready: BTreeMap<u64, Reply>,
     /// This connection's requests currently dispatched to the pool.
     in_flight: usize,
+    /// Last request line or reply hand-off: the idle clock.
     last_activity: Instant,
-    /// Peer half-closed its write side — serve what's pending, then
-    /// close.
-    eof: bool,
-    /// Unrecoverable socket error — drop as soon as noticed.
+    /// The reader has stopped: the peer half-closed (serve what's
+    /// pending, then close) or the socket failed.
+    reader_done: bool,
+    /// The writer has stopped.
+    writer_done: bool,
+    /// Unrecoverable socket error — close as soon as noticed.
     dead: bool,
+}
+
+impl Conn {
+    fn drained(&self) -> bool {
+        self.in_flight == 0 && self.ready.is_empty()
+    }
+
+    /// Stops handing replies to the writer. `abort` also shuts the socket
+    /// down at once, dropping unsent replies and waking both threads;
+    /// otherwise the writer sends its queue first.
+    fn close(&mut self, abort: bool) {
+        if abort {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        self.replies = None;
+    }
 }
 
 /// One finished request coming back from the worker pool.
@@ -1100,270 +1160,471 @@ pub fn serve_tcp(service: &Arc<Service>, addr: &str) -> std::io::Result<()> {
     serve_listener(service, listener)
 }
 
-/// The nonblocking event loop behind `numfuzz serve --listen`, exposed
-/// separately so `numfuzz loadgen` can drive an in-process server on an
-/// ephemeral port. One thread owns every socket; analysis runs on a
-/// resident [`pool::TaskPool`] of forked sessions (one per worker,
-/// sharing the content-addressed caches).
+/// The event loop behind `numfuzz serve --listen`, exposed separately so
+/// `numfuzz loadgen` can drive an in-process server on an ephemeral
+/// port. Analysis runs on a resident [`pool::TaskPool`] of forked
+/// sessions (one per worker, sharing the content-addressed caches).
 ///
-/// Each tick the loop: accepts whatever connections are waiting; drains
-/// worker completions into per-connection reorder buffers; reads
-/// available bytes, splitting complete lines and either dispatching
-/// them to the pool or — when the line's `tenant` (default `"default"`)
-/// already has [`ServeConfig::max_pending`] requests outstanding —
-/// answering immediately with an `EBUSY` backpressure reply; promotes
-/// completed replies to the write queue strictly in request order;
-/// flushes what the sockets will take; and closes connections that
-/// errored, half-closed and drained, or sat idle past
-/// [`ServeConfig::idle_timeout`]. When a tick makes no progress at all,
-/// the loop parks on the completion channel for a millisecond instead
-/// of spinning.
+/// Threads do the blocking, because the standard library has no
+/// readiness API: an acceptor thread blocks in `accept` and sets
+/// `TCP_NODELAY` on each new socket, so a reply leaves as soon as it is
+/// written rather than waiting for the client's next acknowledgement.
+/// Each connection gets a reader thread, which blocks in `read` and
+/// hands every complete line (at most [`MAX_REQUEST_BYTES`]) to the loop,
+/// and a writer thread, which sends the loop's in-order reply bytes with
+/// `write_all`. All of them, and the pool's completions, report on one
+/// channel, and the loop blocks on it until the next event or idle
+/// deadline: an idle server uses no CPU, and nothing waits for a timer.
 ///
-/// A `shutdown` reply (from any connection) stops accepting and
-/// reading; in-flight work drains, buffered responses flush (bounded by
-/// a drain deadline so a non-reading client cannot pin the process),
-/// and the loop returns. No
-/// self-connection wake-up is needed — the loop never blocks in
-/// `accept`.
+/// The loop alone decides. It admits connections up to
+/// [`MAX_CONNECTIONS`] (one more — or one whose threads fail to start —
+/// gets an `EBUSY` line, counts as `admission.rejected` and is closed);
+/// dispatches each line to the pool, or — when the line's `tenant`
+/// (default `"default"`) already has [`ServeConfig::max_pending`]
+/// requests outstanding — answers it at once with an `EBUSY` reply;
+/// hands completed replies to the writer strictly in request order; and
+/// closes connections that failed, half-closed and drained, or sat idle
+/// past [`ServeConfig::idle_timeout`]. Every close shuts the socket down,
+/// so no reader or writer stays blocked on it.
+///
+/// A `shutdown` reply (from any connection) stops the acceptor and the
+/// reading of new requests; in-flight work drains, the writers send
+/// what is left (bounded by a drain deadline so a non-reading client
+/// cannot pin the process), and the loop returns once every I/O thread
+/// has been joined.
 ///
 /// # Errors
 ///
-/// Only listener configuration failures; per-connection I/O errors
-/// close that connection and are not fatal to the loop.
+/// Listener configuration failures, or the acceptor thread failing to
+/// start; per-connection I/O errors close that connection and are not
+/// fatal to the loop.
 pub fn serve_listener(service: &Arc<Service>, listener: TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let (tx, rx) = mpsc::channel::<Completion>();
+    listener.set_nonblocking(false)?;
+    let mut acceptor = listener.local_addr()?;
+    // The loop stops the acceptor by connecting to it; a wildcard bind
+    // is reached over loopback.
+    if acceptor.ip().is_unspecified() {
+        acceptor.set_ip(match acceptor {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let (events, rx) = mpsc::channel::<Event>();
     let pool = {
         let base = Arc::clone(service);
         pool::TaskPool::new(service.jobs, move |_worker| base.analyzer().fork_session())
     };
-    let metrics = &service.metrics;
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut tenants: HashMap<String, usize> = HashMap::new();
-    let mut next_conn_id: u64 = 0;
-    let mut in_flight_total: usize = 0;
-    let mut shutting_down = false;
-    let mut drain_deadline: Option<Instant> = None;
-    let mut stashed: Option<Completion> = None;
+    let stopping = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let accept_events = events.clone();
+        let stopping = &stopping;
+        spawn_io(scope, "serve-accept", move || {
+            accept_connections(&listener, stopping, &accept_events)
+        })?;
+        let mut event_loop = EventLoop {
+            service,
+            pool,
+            events,
+            stopping,
+            acceptor,
+            conns: HashMap::new(),
+            tenants: HashMap::new(),
+            next_conn_id: 0,
+            in_flight: 0,
+            next_reap: None,
+            drain_deadline: None,
+            drain_closed: false,
+        };
+        event_loop.run(scope, &rx);
+        Ok(())
+    })
+}
 
+/// Starts one I/O thread of the scope with a small stack.
+fn spawn_io<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    name: &str,
+    body: impl FnOnce() + Send + 'scope,
+) -> std::io::Result<()> {
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .stack_size(IO_STACK_BYTES)
+        .spawn_scoped(scope, body)
+        .map(drop)
+}
+
+/// The acceptor thread: blocking `accept`s, each new socket handed to the
+/// loop with `TCP_NODELAY` set. It returns at the first connection after
+/// `stopping` is set, which the loop makes itself
+/// ([`EventLoop::stop_accepting`]), and drops the listener.
+fn accept_connections(listener: &TcpListener, stopping: &AtomicBool, events: &mpsc::Sender<Event>) {
     loop {
-        let mut progress = false;
-
-        // New connections (none once a shutdown is draining).
-        if !shutting_down {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        metrics.accepted.fetch_add(1, Ordering::Relaxed);
-                        conns.insert(
-                            next_conn_id,
-                            Conn {
-                                stream,
-                                inbox: Vec::new(),
-                                outbox: Vec::new(),
-                                next_seq: 0,
-                                next_write: 0,
-                                ready: BTreeMap::new(),
-                                in_flight: 0,
-                                last_activity: Instant::now(),
-                                eof: false,
-                                dead: false,
-                            },
-                        );
-                        next_conn_id += 1;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    // Transient accept failures (peer reset before
-                    // accept, fd pressure): try again next tick.
-                    Err(_) => break,
+        let accepted = listener.accept();
+        if stopping.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => {
+                if stream.set_nodelay(true).is_ok() && events.send(Event::Accepted(stream)).is_err()
+                {
+                    return;
                 }
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted) => {
+            }
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
+
+/// A connection's reader thread: blocking reads, each complete line sent
+/// to the loop as soon as its newline arrives. Stops at end of input, on
+/// a read error or an over-long line, or once the loop is gone.
+fn read_lines(conn: u64, mut stream: &TcpStream, events: &mpsc::Sender<Event>) {
+    let mut chunk = vec![0u8; 16 * 1024];
+    let mut partial = Vec::new();
+    let dead = loop {
+        let n = match stream.read(&mut chunk) {
+            Ok(0) => break false,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break true,
+        };
+        let mut rest = &chunk[..n];
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            partial.extend_from_slice(&rest[..nl]);
+            rest = &rest[nl + 1..];
+            let line = String::from_utf8(std::mem::take(&mut partial))
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+            if events.send(Event::Line { conn, line }).is_err() {
+                return;
             }
         }
-
-        // Worker completions → per-connection reorder buffers.
-        while let Some(done) = stashed.take().or_else(|| rx.try_recv().ok()) {
-            progress = true;
-            in_flight_total -= 1;
-            metrics.dequeue();
-            if let Some(count) = tenants.get_mut(&done.tenant) {
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    tenants.remove(&done.tenant);
-                }
-            }
-            if done.reply.shutdown {
-                shutting_down = true;
-            }
-            if let Some(conn) = conns.get_mut(&done.conn) {
-                conn.in_flight -= 1;
-                conn.ready.insert(done.seq, done.reply);
-                conn.last_activity = Instant::now();
-            }
+        partial.extend_from_slice(rest);
+        if partial.len() > MAX_REQUEST_BYTES {
+            break true;
         }
+    };
+    let _ = events.send(Event::Hangup { conn, dead });
+}
 
-        // Read, split complete lines, admit or dispatch.
-        if !shutting_down {
-            for (&conn_id, conn) in conns.iter_mut() {
-                if conn.eof || conn.dead {
-                    continue;
-                }
-                let mut chunk = [0u8; 16 * 1024];
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.inbox.extend_from_slice(&chunk[..n]);
-                            conn.last_activity = Instant::now();
-                            progress = true;
-                            if conn.inbox.len() > MAX_REQUEST_BYTES {
-                                conn.dead = true;
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn.dead = true;
-                            break;
-                        }
-                    }
-                }
-                while let Some(nl) = conn.inbox.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = conn.inbox.drain(..=nl).collect();
-                    let text = String::from_utf8_lossy(&line_bytes[..nl]);
-                    let line = text.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let request = Json::parse(line).ok();
-                    let tenant = request
-                        .as_ref()
-                        .and_then(|r| r.get("tenant").and_then(Json::as_str))
-                        .unwrap_or("default")
-                        .to_string();
-                    let pending = tenants.get(&tenant).copied().unwrap_or(0);
-                    if pending >= service.config.max_pending {
-                        metrics.admission_rejected.fetch_add(1, Ordering::Relaxed);
-                        let id = request
-                            .as_ref()
-                            .and_then(|r| r.get("id").cloned())
-                            .unwrap_or(Json::Null);
-                        let reply = admission_reject(id, &tenant, service.config.max_pending);
-                        conn.ready.insert(seq, reply);
-                        continue;
-                    }
-                    *tenants.entry(tenant.clone()).or_insert(0) += 1;
-                    conn.in_flight += 1;
-                    in_flight_total += 1;
-                    metrics.enqueue();
-                    let job_service = Arc::clone(service);
-                    let job_tx = tx.clone();
-                    let line = line.to_string();
-                    pool.submit(move |session| {
-                        let reply = job_service.handle_guarded(session, &line);
-                        let _ = job_tx.send(Completion { conn: conn_id, seq, tenant, reply });
-                    });
-                }
-            }
+/// A connection's writer thread: sends the loop's reply bytes with
+/// `write_all`, joining whatever queued up meanwhile into one write. When
+/// the queue closes (the loop closed the connection) or a write fails, it
+/// shuts the socket down, which also ends a reader still blocked on it.
+fn write_replies(
+    conn: u64,
+    mut stream: &TcpStream,
+    replies: &mpsc::Receiver<Vec<u8>>,
+    events: &mpsc::Sender<Event>,
+) {
+    while let Ok(mut bytes) = replies.recv() {
+        for more in replies.try_iter() {
+            bytes.extend_from_slice(&more);
         }
-
-        // Promote in-order replies, then write what the sockets accept.
-        for conn in conns.values_mut() {
-            while let Some(reply) = conn.ready.remove(&conn.next_write) {
-                conn.next_write += 1;
-                conn.outbox.extend_from_slice(reply.json.as_bytes());
-                conn.outbox.push(b'\n');
-                progress = true;
-            }
-            while !conn.outbox.is_empty() && !conn.dead {
-                match conn.stream.write(&conn.outbox) {
-                    Ok(0) => conn.dead = true,
-                    Ok(n) => {
-                        conn.outbox.drain(..n);
-                        conn.last_activity = Instant::now();
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => conn.dead = true,
-                }
-            }
+        if stream.write_all(&bytes).is_err() {
+            break;
         }
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+    let _ = events.send(Event::Flushed { conn });
+}
 
-        // Reap dead, drained-after-EOF, and idle connections.
-        let idle_timeout = service.config.idle_timeout;
-        conns.retain(|_, conn| {
-            let drained = conn.in_flight == 0 && conn.ready.is_empty() && conn.outbox.is_empty();
-            if conn.dead || (conn.eof && drained) {
-                metrics.closed.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            if drained && conn.last_activity.elapsed() >= idle_timeout {
-                metrics.idle_closed.fetch_add(1, Ordering::Relaxed);
-                metrics.closed.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            true
-        });
+/// The state the event loop owns: connections, tenant budgets and the
+/// worker pool.
+struct EventLoop<'a> {
+    service: &'a Arc<Service>,
+    pool: pool::TaskPool<Analyzer>,
+    /// Cloned into every I/O thread and pool task.
+    events: mpsc::Sender<Event>,
+    stopping: &'a AtomicBool,
+    /// Where the listener is reached, to wake the acceptor.
+    acceptor: SocketAddr,
+    conns: HashMap<u64, Conn>,
+    /// In-flight requests per tenant.
+    tenants: HashMap<String, usize>,
+    next_conn_id: u64,
+    /// Requests dispatched to the pool and not yet completed.
+    in_flight: usize,
+    /// No open connection can be idle past its deadline before this
+    /// (`None` while none can be).
+    next_reap: Option<Instant>,
+    /// Set by the first `shutdown` reply.
+    drain_deadline: Option<Instant>,
+    /// Every connection has been closed for the shutdown drain.
+    drain_closed: bool,
+}
 
-        if shutting_down {
-            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN);
-            let flushed = in_flight_total == 0
-                && conns.values().all(|c| c.ready.is_empty() && c.outbox.is_empty());
-            if flushed || Instant::now() >= deadline {
-                break;
-            }
-        }
-
-        if !progress {
-            // Nothing happened: park on the completion channel rather
-            // than spinning. Completions wake the loop instantly; new
-            // socket bytes wait at most one park interval.
-            let park = if conns.is_empty() && !shutting_down {
-                Duration::from_millis(10)
-            } else {
-                Duration::from_millis(1)
+impl EventLoop<'_> {
+    fn run<'scope>(
+        &mut self,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        rx: &mpsc::Receiver<Event>,
+    ) {
+        loop {
+            let wake_by = self.drain_deadline.or(self.next_reap);
+            let event = match wake_by {
+                Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())).ok(),
+                None => rx.recv().ok(),
             };
-            if let Ok(done) = rx.recv_timeout(park) {
-                stashed = Some(done);
+            match event {
+                Some(Event::Accepted(stream)) => self.open(scope, stream),
+                Some(Event::Line { conn, line }) => self.admit(conn, line),
+                Some(Event::Hangup { conn, dead }) => {
+                    if let Some(c) = self.conns.get_mut(&conn) {
+                        c.reader_done = true;
+                        c.dead |= dead;
+                    }
+                    self.settle(conn);
+                }
+                Some(Event::Flushed { conn }) => {
+                    if let Some(c) = self.conns.get_mut(&conn) {
+                        c.writer_done = true;
+                        // A writer that stops before the loop closed its
+                        // queue failed to write.
+                        c.dead |= c.replies.is_some();
+                    }
+                    self.settle(conn);
+                }
+                Some(Event::Done(done)) => self.complete(done),
+                None => {}
+            }
+            let now = Instant::now();
+            match self.drain_deadline {
+                None => self.reap_idle(now),
+                Some(deadline) => {
+                    if !self.drain_closed && self.in_flight == 0 {
+                        // Every reply is with its writer: close all
+                        // connections and let the writers finish.
+                        for conn in self.conns.values_mut().filter(|c| c.replies.is_some()) {
+                            conn.close(false);
+                            self.service.metrics.closed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        self.drain_closed = true;
+                    }
+                    if (self.drain_closed && self.conns.is_empty()) || now >= deadline {
+                        break;
+                    }
+                }
+            }
+        }
+        // Past the drain deadline, shut down whatever is left so no
+        // reader or writer stays blocked: the scope joins them all.
+        self.stop_accepting();
+        for (_, mut conn) in self.conns.drain() {
+            conn.close(true);
+        }
+    }
+
+    /// Gives a new connection its reader and writer, or refuses it.
+    fn open<'scope>(&mut self, scope: &'scope std::thread::Scope<'scope, '_>, stream: TcpStream) {
+        if self.drain_deadline.is_some() {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
+        if self.conns.len() >= MAX_CONNECTIONS {
+            let message = format!(
+                "the server already has {MAX_CONNECTIONS} connections open; \
+                 try again when one closes"
+            );
+            self.refuse(&stream, &message);
+            return;
+        }
+        let id = self.next_conn_id;
+        self.next_conn_id += 1;
+        let stream = Arc::new(stream);
+        let (replies, queue) = mpsc::channel::<Vec<u8>>();
+        let (writer, writer_events) = (Arc::clone(&stream), self.events.clone());
+        let (reader, reader_events) = (Arc::clone(&stream), self.events.clone());
+        let started = spawn_io(scope, "serve-write", move || {
+            write_replies(id, &writer, &queue, &writer_events)
+        })
+        .and_then(|()| {
+            spawn_io(scope, "serve-read", move || read_lines(id, &reader, &reader_events))
+        });
+        if let Err(e) = started {
+            serve_log!("numfuzz serve: cannot start a connection's I/O threads: {e}");
+            // Refused before `replies` drops, so a writer that did start
+            // cannot close the socket ahead of the line.
+            self.refuse(&stream, "the server cannot take another connection now; try again later");
+            return;
+        }
+        self.service.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        self.conns.insert(
+            id,
+            Conn {
+                stream,
+                replies: Some(replies),
+                next_seq: 0,
+                next_write: 0,
+                ready: BTreeMap::new(),
+                in_flight: 0,
+                last_activity: Instant::now(),
+                reader_done: false,
+                writer_done: false,
+                dead: false,
+            },
+        );
+        self.settle(id);
+    }
+
+    /// Answers a connection the loop will not serve with one `EBUSY`
+    /// line, written without blocking (a fresh socket's send buffer takes
+    /// it whole), then shuts it down.
+    fn refuse(&self, mut stream: &TcpStream, message: &str) {
+        self.service.metrics.admission_rejected.fetch_add(1, Ordering::Relaxed);
+        let mut line = busy_reply(Json::Null, message).json;
+        line.push('\n');
+        let _ = stream.set_nonblocking(true);
+        let _ = stream.write_all(line.as_bytes());
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+
+    /// Takes one request line: admits it to the pool, or answers `EBUSY`
+    /// when its tenant is over budget. Lines stop being read once a
+    /// shutdown is draining.
+    fn admit(&mut self, conn_id: u64, line: String) {
+        if self.drain_deadline.is_some() {
+            return;
+        }
+        let Some(conn) = self.conns.get_mut(&conn_id) else { return };
+        if conn.replies.is_none() {
+            return;
+        }
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            return;
+        }
+        let line = if trimmed.len() == line.len() { line } else { trimmed.to_string() };
+        conn.last_activity = Instant::now();
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        let request = Json::parse(&line).ok();
+        let tenant = request
+            .as_ref()
+            .and_then(|r| r.get("tenant").and_then(Json::as_str))
+            .unwrap_or("default")
+            .to_string();
+        let metrics = &self.service.metrics;
+        let max_pending = self.service.config.max_pending;
+        let pending = self.tenants.get(&tenant).copied().unwrap_or(0);
+        if pending >= max_pending {
+            metrics.admission_rejected.fetch_add(1, Ordering::Relaxed);
+            let id = request.as_ref().and_then(|r| r.get("id").cloned()).unwrap_or(Json::Null);
+            let message = format!(
+                "tenant `{tenant}` already has {max_pending} requests pending; \
+                 try again when responses drain"
+            );
+            conn.ready.insert(seq, busy_reply(id, &message));
+            self.settle(conn_id);
+            return;
+        }
+        *self.tenants.entry(tenant.clone()).or_insert(0) += 1;
+        conn.in_flight += 1;
+        self.in_flight += 1;
+        metrics.enqueue();
+        let job_service = Arc::clone(self.service);
+        let job_events = self.events.clone();
+        self.pool.submit(move |session| {
+            let reply = job_service.handle_guarded(session, &line);
+            let _ = job_events.send(Event::Done(Completion { conn: conn_id, seq, tenant, reply }));
+        });
+    }
+
+    /// Files a worker's reply in its connection's reorder buffer.
+    fn complete(&mut self, done: Completion) {
+        self.in_flight -= 1;
+        self.service.metrics.dequeue();
+        if let Some(count) = self.tenants.get_mut(&done.tenant) {
+            *count = count.saturating_sub(1);
+            if *count == 0 {
+                self.tenants.remove(&done.tenant);
+            }
+        }
+        if done.reply.shutdown && self.drain_deadline.is_none() {
+            self.drain_deadline = Some(Instant::now() + SHUTDOWN_DRAIN);
+            self.stop_accepting();
+        }
+        if let Some(conn) = self.conns.get_mut(&done.conn) {
+            conn.in_flight -= 1;
+            conn.ready.insert(done.seq, done.reply);
+            conn.last_activity = Instant::now();
+        }
+        self.settle(done.conn);
+    }
+
+    /// Hands a connection's in-order replies to its writer, closes it
+    /// when it failed or half-closed and drained, schedules its idle
+    /// deadline when it drained, and forgets it once both of its threads
+    /// have stopped.
+    fn settle(&mut self, conn_id: u64) {
+        let Some(conn) = self.conns.get_mut(&conn_id) else { return };
+        let mut bytes = Vec::new();
+        while let Some(reply) = conn.ready.remove(&conn.next_write) {
+            conn.next_write += 1;
+            bytes.extend_from_slice(reply.json.as_bytes());
+            bytes.push(b'\n');
+        }
+        if !bytes.is_empty() {
+            conn.last_activity = Instant::now();
+            if let Some(replies) = &conn.replies {
+                let _ = replies.send(bytes);
+            }
+        }
+        if conn.replies.is_some() && (conn.dead || (conn.reader_done && conn.drained())) {
+            conn.close(conn.dead);
+            self.service.metrics.closed.fetch_add(1, Ordering::Relaxed);
+        }
+        if conn.replies.is_some() && conn.drained() {
+            // Idle from here on, unless traffic comes first.
+            let due = conn.last_activity.checked_add(self.service.config.idle_timeout);
+            self.next_reap = self.next_reap.into_iter().chain(due).min();
+        }
+        if conn.replies.is_none() && conn.reader_done && conn.writer_done {
+            self.conns.remove(&conn_id);
+        }
+    }
+
+    /// Closes the open connections that have had nothing in flight and
+    /// no traffic for the idle timeout, once the earliest of them is due.
+    fn reap_idle(&mut self, now: Instant) {
+        if self.next_reap.is_none_or(|at| now < at) {
+            return;
+        }
+        self.next_reap = None;
+        let timeout = self.service.config.idle_timeout;
+        for conn in self.conns.values_mut().filter(|c| c.replies.is_some() && c.drained()) {
+            let due = conn.last_activity.checked_add(timeout);
+            if due.is_some_and(|at| at <= now) {
+                conn.close(true);
+                self.service.metrics.idle_closed.fetch_add(1, Ordering::Relaxed);
+                self.service.metrics.closed.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.next_reap = self.next_reap.into_iter().chain(due).min();
             }
         }
     }
 
-    drop(pool);
-    Ok(())
+    /// Stops the acceptor: sets its flag, then connects to the listener
+    /// so the blocking `accept` returns and sees it.
+    fn stop_accepting(&self) {
+        if self.stopping.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Err(e) = TcpStream::connect_timeout(&self.acceptor, Duration::from_secs(1)) {
+            serve_log!("numfuzz serve: cannot wake the acceptor at {}: {e}", self.acceptor);
+        }
+    }
 }
 
-/// The backpressure reply for a request refused at admission: its
-/// tenant already has the configured maximum number of requests in
-/// flight. `EBUSY`, exit 2 — the program was never looked at.
-fn admission_reject(id: Json, tenant: &str, max_pending: usize) -> Reply {
+/// The backpressure reply for a request or connection refused at
+/// admission (a tenant over its budget, or too many connections).
+/// `EBUSY`, exit 2 — the program was never looked at.
+fn busy_reply(id: Json, message: &str) -> Reply {
     let response = Json::obj(vec![
         ("id", id),
         ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::obj(vec![
-                ("code", Json::str("EBUSY")),
-                (
-                    "message",
-                    Json::str(format!(
-                        "tenant `{tenant}` already has {max_pending} requests pending; \
-                         try again when responses drain"
-                    )),
-                ),
-            ]),
-        ),
+        ("error", Json::obj(vec![("code", Json::str("EBUSY")), ("message", Json::str(message))])),
         ("exit", Json::int(EXIT_USAGE as u64)),
     ]);
     Reply { json: response.to_string(), shutdown: false }

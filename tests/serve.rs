@@ -627,6 +627,128 @@ fn per_tenant_admission_rejects_with_ebusy_and_does_not_hang() {
     assert!(status.success());
 }
 
+#[test]
+fn optimize_of_a_long_let_chain_gets_an_error_reply() {
+    // A 6,000-statement chain (a 226 KB request) used to overflow a
+    // worker's stack in the optimizer's extraction and abort the server.
+    let (mut child, addr) = spawn_tcp_server(&[]);
+    let mut src = String::from(
+        "function addfp (xy: <num, num>) : M[eps]num { s = add xy; rnd s }\n\
+         function chain (x: num) : M[6000*eps]num {\n    let s1 = addfp (| x, 1 |);\n",
+    );
+    for k in 2..6000 {
+        src.push_str(&format!("    let s{k} = addfp (| s{}, 1 |);\n", k - 1));
+    }
+    src.push_str("    addfp (| s5999, 1 |)\n}\nchain 0.5\n");
+    let request = Json::obj(vec![
+        ("id", Json::int(1)),
+        ("op", Json::str("optimize")),
+        ("src", Json::str(src)),
+    ]);
+    let (mut writer, mut reader) = tcp_connect(&addr);
+    let v = tcp_request(&mut writer, &mut reader, &request.to_string());
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    let error = v.get("error").expect("an error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("E0203"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("36011 term nodes"), "{message}");
+    // The server is alive: a new connection gets answers.
+    let (mut writer, mut reader) = tcp_connect(&addr);
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":2,"op":"stats"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":3,"op":"shutdown"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let status = wait_timeout(&mut child, Duration::from_secs(10));
+    assert!(status.success());
+}
+
+#[test]
+fn shutdown_with_idle_connections_open_exits_and_frees_the_port() {
+    let (mut child, addr) = spawn_tcp_server(&[]);
+    // Two connections, each answered once so the server has surely taken
+    // them, then left idle: their readers are blocked on the sockets.
+    let idle: Vec<_> = (0..2)
+        .map(|i| {
+            let (mut writer, mut reader) = tcp_connect(&addr);
+            let v = tcp_request(&mut writer, &mut reader, &format!(r#"{{"id":{i},"op":"stats"}}"#));
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+            (writer, reader)
+        })
+        .collect();
+    let (mut writer, mut reader) = tcp_connect(&addr);
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":9,"op":"shutdown"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let status = wait_timeout(&mut child, Duration::from_secs(5));
+    assert!(status.success(), "server exits after shutdown with idle connections open: {status:?}");
+    for (_writer, mut reader) in idle {
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).expect("read to EOF"), 0, "{rest:?}");
+    }
+    std::net::TcpListener::bind(&addr).expect("the port is free again");
+}
+
+/// An idle server sleeps until a socket or a deadline wakes it: with one
+/// open, idle connection it must use at most 1% of a core.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_server_does_not_poll() {
+    /// utime + stime of a process, in seconds (`/proc` counts in
+    /// USER_HZ, which is 100 on Linux).
+    fn cpu_seconds(pid: u32) -> f64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
+        // Fields after the parenthesized command name start at field 3.
+        let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..].split_whitespace().collect();
+        let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+        ticks as f64 / 100.0
+    }
+    let (mut child, addr) = spawn_tcp_server(&[]);
+    let (mut writer, mut reader) = tcp_connect(&addr);
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":1,"op":"stats"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let (cpu0, t0) = (cpu_seconds(child.id()), Instant::now());
+    std::thread::sleep(Duration::from_secs(3));
+    let share = (cpu_seconds(child.id()) - cpu0) / t0.elapsed().as_secs_f64();
+    assert!(share <= 0.01, "an idle server used {:.1}% of a core", share * 100.0);
+    let v = tcp_request(&mut writer, &mut reader, r#"{"id":2,"op":"shutdown"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let status = wait_timeout(&mut child, Duration::from_secs(10));
+    assert!(status.success());
+}
+
+#[test]
+fn the_257th_connection_gets_ebusy_and_the_rest_keep_serving() {
+    let (mut child, addr) = spawn_tcp_server(&[]);
+    let (mut first, mut first_reader) = tcp_connect(&addr);
+    let v = tcp_request(&mut first, &mut first_reader, r#"{"id":1,"op":"stats"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    // 255 more idle connections fill the cap of 256; the server takes
+    // them in the order they connect.
+    let open: Vec<TcpStream> =
+        (1..256).map(|_| TcpStream::connect(&addr).expect("connect")).collect();
+    let (_extra, mut extra_reader) = tcp_connect(&addr);
+    let mut line = String::new();
+    extra_reader.read_line(&mut line).expect("the refusal line");
+    let v = parse(line.trim_end());
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(v.get("exit").and_then(Json::as_f64), Some(2.0));
+    assert_eq!(v.get("error").unwrap().get("code").and_then(Json::as_str), Some("EBUSY"), "{line}");
+    line.clear();
+    assert_eq!(extra_reader.read_line(&mut line).expect("EOF after the refusal"), 0, "{line:?}");
+    let v = tcp_request(&mut first, &mut first_reader, r#"{"id":2,"op":"metrics"}"#);
+    assert_eq!(
+        v.get("admission").and_then(|a| a.get("rejected")).and_then(Json::as_f64),
+        Some(1.0),
+        "the refused connection counts as an admission rejection"
+    );
+    let v = tcp_request(&mut first, &mut first_reader, r#"{"id":3,"op":"stats"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    drop(open);
+    let v = tcp_request(&mut first, &mut first_reader, r#"{"id":4,"op":"shutdown"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let status = wait_timeout(&mut child, Duration::from_secs(10));
+    assert!(status.success());
+}
+
 fn wait_timeout(child: &mut Child, timeout: Duration) -> std::process::ExitStatus {
     let deadline = Instant::now() + timeout;
     loop {

@@ -10,11 +10,12 @@
 //!   the §7.2 non-deterministic / state-dependent / stochastic variants;
 //! * [`smallstep`] — a substitution-based reference implementation of the
 //!   Fig. 3 step relation, cross-checked against the machine;
-//! * [`report_for`] — the error-soundness decision: given the grade of
+//! * [`decide`] — the error-soundness decision: given the bound of
 //!   `⊢ e : M_r num` and the results of both semantics, rigorously
-//!   verifies Corollary 4.20 (`d(⟦e⟧_id, ⟦e⟧_fp) <= r`) on actual runs.
-//!   The facade's `Analyzer::run` and `Analyzer::validate` type-check,
-//!   evaluate and call it.
+//!   verifies Corollary 4.20 (`d(⟦e⟧_id, ⟦e⟧_fp) <= r`) on actual runs;
+//!   [`report_for`] adds the display-only measured distance and ULP
+//!   error. The facade's `Analyzer::run` and `Analyzer::validate`
+//!   type-check, evaluate and report.
 //!
 //! ```
 //! use numfuzz_core::{compile, Grade, Signature};
@@ -51,5 +52,5 @@ mod value;
 
 pub use eval::{eval, EvalConfig, EvalError};
 pub use rounding::{RoundOutcome, Rounding};
-pub use soundness::{metric_for, report_for, SoundnessReport};
+pub use soundness::{decide, metric_for, report_for, Decision, SoundnessReport};
 pub use value::{Closure, Value};

@@ -1,8 +1,10 @@
 //! Empirical validation of error soundness (paper Corollary 4.20 and its
 //! §7 variants): given the grade of a checked program `⊢ e : M_r num` and
-//! the results of its ideal and floating-point runs, [`report_for`]
-//! *rigorously* decides `d(⟦e⟧_id, ⟦e⟧_fp) <= r`. The facade's
-//! `Analyzer::validate` type-checks, runs both semantics and calls it.
+//! the results of its ideal and floating-point runs, [`decide`]
+//! *rigorously* decides `d(⟦e⟧_id, ⟦e⟧_fp) <= r`, and [`report_for`]
+//! adds the display-only figures (the measured distance and the ULP
+//! error). The facade's `Analyzer::validate` type-checks, runs both
+//! semantics and reports; its optimizer reads the decision alone.
 //!
 //! The check is exact end to end: values are rational enclosures, the
 //! grade bound is evaluated by substituting the exact unit roundoff for
@@ -57,16 +59,90 @@ pub fn metric_for(inst: Instantiation) -> NumMetric {
     }
 }
 
-/// Decides Corollary 4.20 for one run: given the grade `r` of a program
-/// `⊢ e : M_r num`, its numeric `bound`, and the results of the ideal and
-/// a floating-point semantics, reports whether `d(⟦e⟧_id, ⟦e⟧_fp) <= r`.
-/// An `err` floating-point result vacuously satisfies Cor. 7.5.
-/// `target_format` is the strategy's format, for the ULP error (eq. 4).
+/// The rigorous half of a [`SoundnessReport`]: what [`decide`] finds,
+/// without the display-only figures.
+#[derive(Clone, Debug)]
+pub struct Decision {
+    /// Result of the ideal run.
+    pub ideal: RatInterval,
+    /// Result of the floating-point run (`None` when it faulted to `err`).
+    pub fp: Option<RatInterval>,
+    /// Is the distance within the bound?
+    pub verdict: Within,
+}
+
+impl Decision {
+    /// Whether the soundness theorem's claim held on this run (an `err`
+    /// outcome vacuously satisfies Cor. 7.5).
+    pub fn holds(&self) -> bool {
+        self.fp.is_none() || self.verdict == Within::Yes
+    }
+
+    /// The full report: this decision, the grade and bound it was made
+    /// against, and the display-only figures — the measured distance and
+    /// the ULP error against `target_format` (eq. 4). Those figures cost
+    /// far more than the decision (two 80-bit distance enclosures).
+    pub fn report(
+        self,
+        instantiation: Instantiation,
+        grade: Grade,
+        bound: Rational,
+        target_format: Option<numfuzz_softfloat::Format>,
+    ) -> SoundnessReport {
+        let Decision { ideal, fp, verdict } = self;
+        let (measured, ulp) = match &fp {
+            None => (None, None),
+            Some(fp) => {
+                let metric = metric_for(instantiation);
+                // Worst-case distance over the enclosure corners.
+                let measured = [
+                    metric.distance_f64(ideal.hi(), fp.lo()),
+                    metric.distance_f64(ideal.lo(), fp.hi()),
+                ]
+                .into_iter()
+                .flatten()
+                .fold(None, |acc: Option<f64>, d| Some(acc.map_or(d, |a| a.max(d))));
+                (measured, ulp_between(target_format, &ideal, fp))
+            }
+        };
+        SoundnessReport { grade, bound, ideal, fp, verdict, measured, ulp }
+    }
+}
+
+/// Decides Corollary 4.20 for one run: given the numeric `bound` of a
+/// program `⊢ e : M_r num` and the results of the ideal and a
+/// floating-point semantics, whether `d(⟦e⟧_id, ⟦e⟧_fp) <= r`. An `err`
+/// floating-point result vacuously satisfies Cor. 7.5.
 ///
 /// # Errors
 ///
 /// [`EvalError::Stuck`] when either value is not `ret` of a number (and
 /// the fp value is not `err`).
+pub fn decide(
+    instantiation: Instantiation,
+    bound: &Rational,
+    ideal_val: &Value,
+    fp_val: &Value,
+) -> Result<Decision, EvalError> {
+    let ideal = expect_ret_num(ideal_val)?;
+    let (fp, verdict) = match fp_val {
+        Value::ErrV => (None, Within::Yes),
+        other => {
+            let fp = expect_ret_num(other)?;
+            let verdict = metric_for(instantiation).within(&ideal, &fp, bound);
+            (Some(fp), verdict)
+        }
+    };
+    Ok(Decision { ideal, fp, verdict })
+}
+
+/// [`decide`], then [`Decision::report`]: the full Cor. 4.20 report for
+/// one run. `target_format` is the strategy's format, for the ULP error
+/// (eq. 4).
+///
+/// # Errors
+///
+/// As for [`decide`].
 pub fn report_for(
     instantiation: Instantiation,
     grade: Grade,
@@ -75,34 +151,8 @@ pub fn report_for(
     fp_val: &Value,
     target_format: Option<numfuzz_softfloat::Format>,
 ) -> Result<SoundnessReport, EvalError> {
-    let ideal = expect_ret_num(ideal_val)?;
-    let metric = metric_for(instantiation);
-    match fp_val {
-        Value::ErrV => Ok(SoundnessReport {
-            grade,
-            bound,
-            ideal,
-            fp: None,
-            verdict: Within::Yes,
-            measured: None,
-            ulp: None,
-        }),
-        other => {
-            let fp = expect_ret_num(other)?;
-            let verdict = metric.within(&ideal, &fp, &bound);
-            // Worst-case distance over the enclosure corners (display only;
-            // the verdict above is the rigorous statement).
-            let measured = [
-                metric.distance_f64(ideal.hi(), fp.lo()),
-                metric.distance_f64(ideal.lo(), fp.hi()),
-            ]
-            .into_iter()
-            .flatten()
-            .fold(None, |acc: Option<f64>, d| Some(acc.map_or(d, |a| a.max(d))));
-            let ulp = ulp_between(target_format, &ideal, &fp);
-            Ok(SoundnessReport { grade, bound, ideal, fp: Some(fp), verdict, measured, ulp })
-        }
-    }
+    let decision = decide(instantiation, &bound, ideal_val, fp_val)?;
+    Ok(decision.report(instantiation, grade, bound, target_format))
 }
 
 /// ULP error (eq. 4) between the correctly-rounded ideal result and the

@@ -1,7 +1,7 @@
 //! The [`Analyzer`] session: one configured analysis context —
 //! signature, target format, rounding mode, rounding-unit value — that
 //! replaces hand-threading those five values through `compile` → `infer`
-//! → `eval` → `report_for`.
+//! → `eval` → `decide` → `report_for`.
 //!
 //! Build one with [`Analyzer::builder`] (or [`Analyzer::new`] for the
 //! paper's defaults: relative precision, binary64, round toward +∞),
@@ -48,9 +48,9 @@ use numfuzz_core::{
 };
 use numfuzz_exact::{RatInterval, Rational};
 use numfuzz_interp::{
-    eval, report_for,
+    eval,
     rounding::{CheckedRounding, IdentityRounding},
-    EvalConfig, Rounding, SoundnessReport, Value,
+    Decision, EvalConfig, Rounding, SoundnessReport, Value,
 };
 use numfuzz_metrics::rp::rp_to_rel_bound;
 use numfuzz_softfloat::{Format, RoundingMode};
@@ -540,7 +540,7 @@ impl Analyzer {
     /// A [`Diagnostic`] for type errors, unbound/missing inputs, an
     /// `M[r]num` grade with unassigned symbols, or evaluation failures.
     pub fn run(&self, program: &Program, inputs: &Inputs) -> Result<Execution, Diagnostic> {
-        self.execute(program, inputs, &mut CheckedRounding { format: self.format, mode: self.mode })
+        self.execute(program, inputs, &mut self.session_rounding())
     }
 
     /// The rigorous error-soundness check (Corollary 4.20): type-check,
@@ -581,8 +581,9 @@ impl Analyzer {
     }
 
     /// The one Cor. 4.20 body behind [`Analyzer::run`] and the
-    /// `validate*` projections: [`Analyzer::run_ideal`], then `fp_rounding`
-    /// over the same inputs, and [`report_for`]'s verdict when the type is
+    /// `validate*` projections: [`Analyzer::run_ideal`], then
+    /// [`Analyzer::decide`] under `fp_rounding`, then the report's
+    /// display-only figures ([`Decision::report`]) when the type is
     /// `M[r]num`.
     fn execute(
         &self,
@@ -590,15 +591,13 @@ impl Analyzer {
         inputs: &Inputs,
         fp_rounding: &mut dyn Rounding,
     ) -> Result<Execution, Diagnostic> {
-        let IdealRun { ty, inputs, graded, ideal } = self.run_ideal(program, inputs)?;
-        let fp = self.evaluate(program, &inputs, fp_rounding)?;
-        let report = graded
-            .map(|(grade, bound)| {
-                let format = fp_rounding.target_format();
-                report_for(self.sig.instantiation(), grade, bound, &ideal, &fp, format)
-                    .map_err(|e| Diagnostic::from_eval(&e))
-            })
-            .transpose()?;
+        let run = self.run_ideal(program, inputs)?;
+        let (fp, decision) = self.decide(program, &run, fp_rounding)?;
+        let IdealRun { ty, graded, ideal, .. } = run;
+        let format = fp_rounding.target_format();
+        let report = graded.zip(decision).map(|((grade, bound), decision)| {
+            decision.report(self.sig.instantiation(), grade, bound, format)
+        });
         Ok(Execution { ty, ideal, fp, report, format: self.format, mode: self.mode })
     }
 
@@ -623,6 +622,37 @@ impl Analyzer {
         };
         let ideal = self.evaluate(program, &inputs, &mut IdentityRounding)?;
         Ok(IdealRun { ty: typed.ty().clone(), inputs, graded, ideal })
+    }
+
+    /// The second step of [`Analyzer::execute`]: runs `fp_rounding` over
+    /// `run`'s inputs and, when the type is `M[r]num`, makes the rigorous
+    /// Cor. 4.20 decision ([`numfuzz_interp::decide`]) against its bound.
+    /// It computes none of the report's display-only figures, so the
+    /// optimizer's end-to-end leg calls it directly, under
+    /// [`Analyzer::session_rounding`].
+    pub(crate) fn decide(
+        &self,
+        program: &Program,
+        run: &IdealRun,
+        fp_rounding: &mut dyn Rounding,
+    ) -> Result<(Value, Option<Decision>), Diagnostic> {
+        let fp = self.evaluate(program, &run.inputs, fp_rounding)?;
+        let decision = run
+            .graded
+            .as_ref()
+            .map(|(_, bound)| {
+                numfuzz_interp::decide(self.sig.instantiation(), bound, &run.ideal, &fp)
+                    .map_err(|e| Diagnostic::from_eval(&e))
+            })
+            .transpose()?;
+        Ok((fp, decision))
+    }
+
+    /// The session's floating-point semantics, the one [`Analyzer::run`]
+    /// uses: its format and mode, faulting to `err` on overflow and
+    /// underflow (§7.1).
+    pub(crate) fn session_rounding(&self) -> CheckedRounding {
+        CheckedRounding { format: self.format, mode: self.mode }
     }
 
     /// One run of `program` under `rounding`, with `inputs` bound.
@@ -1435,7 +1465,7 @@ pub struct Execution {
 }
 
 /// The outcome of [`Analyzer::run_ideal`]: the ideal result, with what
-/// [`Analyzer::execute`] needs to run the floating-point semantics and
+/// [`Analyzer::decide`] needs to run the floating-point semantics and
 /// decide Cor. 4.20 after it.
 pub(crate) struct IdealRun {
     /// The checked root type.
@@ -1565,11 +1595,26 @@ mod tests {
     use super::*;
 
     /// `run_ideal` is `run` without the floating-point run and the
-    /// report, so both give the same ideal value.
-    fn assert_same_ideal(analyzer: &Analyzer, program: &Program, what: &str) {
-        let exec = analyzer.run(program, &Inputs::none()).expect(what);
-        let ideal = analyzer.run_ideal(program, &Inputs::none()).expect(what).ideal;
-        assert_eq!(format!("{ideal:?}"), format!("{:?}", exec.ideal), "{what}");
+    /// report, so both give the same ideal value; `decide` after it is
+    /// `validate` without the display-only figures, so it reaches the
+    /// same decision on the same values.
+    fn assert_steps_agree(analyzer: &Analyzer, program: &Program, what: &str) {
+        let inputs = Inputs::none();
+        let run = analyzer.run_ideal(program, &inputs).expect(what);
+        let (fp, decision) =
+            analyzer.decide(program, &run, &mut analyzer.session_rounding()).expect(what);
+        let Some(decision) = decision else {
+            let exec = analyzer.run(program, &inputs).expect(what);
+            assert!(exec.report.is_none(), "{what}");
+            assert_eq!(format!("{:?}", run.ideal), format!("{:?}", exec.ideal), "{what}");
+            assert_eq!(format!("{fp:?}"), format!("{:?}", exec.fp), "{what}");
+            return;
+        };
+        let report = analyzer.validate(program, &inputs).expect(what);
+        assert_eq!(decision.holds(), report.holds(), "{what}");
+        assert_eq!(decision.verdict, report.verdict, "{what}");
+        assert_eq!(decision.ideal, report.ideal, "{what}");
+        assert_eq!(decision.fp, report.fp, "{what}");
     }
 
     #[test]
@@ -1581,13 +1626,13 @@ mod tests {
             let path = entry.expect("directory entry").path();
             let src = std::fs::read_to_string(&path).expect("Table 1 file");
             let name = path.display().to_string();
-            assert_same_ideal(&analyzer, &analyzer.parse_named(&name, &src).expect(&name), &name);
+            assert_steps_agree(&analyzer, &analyzer.parse_named(&name, &src).expect(&name), &name);
             table1 += 1;
         }
         assert_eq!(table1, 10);
         for b in numfuzz_benchsuite::table5() {
             let program = analyzer.parse_named(b.name, &format!("{}\n{}", b.source, b.sample));
-            assert_same_ideal(&analyzer, &program.expect(b.name), b.name);
+            assert_steps_agree(&analyzer, &program.expect(b.name), b.name);
         }
         // Generated programs, each in the session its plan describes (as
         // the fuzz oracle builds it), every instantiation and format.
@@ -1604,7 +1649,7 @@ mod tests {
             let session = builder.build();
             let what = format!("generated case {index}");
             let program = session.parse(&case.program.render()).expect(&what);
-            assert_same_ideal(&session, &program, &what);
+            assert_steps_agree(&session, &program, &what);
         }
     }
 }

@@ -27,8 +27,10 @@
 //!    `[0.1, 1000]` box (the same box `numfuzz table1` uses).
 //! 4. **End-to-end validation**: the function form runs under both
 //!    semantics at the committed point and must meet its bound
-//!    (Corollary 4.20, [`Analyzer::validate`]) — the one soundness report
-//!    each candidate gets.
+//!    (Corollary 4.20) — the one soundness decision each candidate gets.
+//!    It is [`Analyzer::validate`]'s rigorous verdict without the
+//!    report's display-only figures (the measured distance and the ULP
+//!    error), which no leg reads.
 //! 5. **Exact-oracle spot validation**: the candidate's ideal value is
 //!    compared against the *original* program's ideal value at several
 //!    sample points (the committed arguments and scaled variants); the
@@ -713,9 +715,13 @@ fn certify(session: &Analyzer, ctx: &Ctx, job: &Job) -> Verdict {
     if session.bound_interval_fn(&program, &ctx.fname, &ctx.ranges).is_err() {
         return Verdict::RejectedInterval;
     }
-    // 4. End-to-end Corollary 4.20 validation at the committed point.
-    match session.validate(&program, &Inputs::none()) {
-        Ok(report) if report.holds() => {}
+    // 4. End-to-end Corollary 4.20 validation at the committed point:
+    // `validate`'s decision, without its display-only figures.
+    let decided = session
+        .run_ideal(&program, &Inputs::none())
+        .and_then(|run| session.decide(&program, &run, &mut session.session_rounding()));
+    match decided {
+        Ok((_, Some(decision))) if decision.holds() => {}
         _ => return Verdict::RejectedOracle,
     }
     // 5. Exact-oracle ideal equivalence at every sample point: the ideal
@@ -887,7 +893,6 @@ pub fn optimize(
         ops: orig_job.ops,
     };
     let mut best_key = (alpha, orig_job.cost, src);
-    let mut best_expr = orig_expr;
 
     let mut rules = rewrite::sound_rules();
     if cfg.unsound_rule_for_tests {
@@ -922,18 +927,10 @@ pub fn optimize(
         }
         rng.shuffle(&mut wave);
         wave.truncate(cfg.budget - evaluated);
-        let jobs: Vec<Job> = wave
-            .iter()
-            .filter_map(|&(ri, v)| {
-                let job = make_job(&arena, &principal, v, ri);
-                if job.is_none() {
-                    // Not emittable (e.g. a constant fell outside the
-                    // decimal-printable literals): skip silently; it was
-                    // never a viable candidate.
-                }
-                job
-            })
-            .collect();
+        // A candidate that cannot be emitted (e.g. a constant fell
+        // outside the decimal-printable literals) was never viable.
+        let jobs: Vec<Job> =
+            wave.iter().filter_map(|&(ri, v)| make_job(&arena, &principal, v, ri)).collect();
         evaluated += jobs.len();
         let verdicts = numfuzz_core::pool::ordered_map_with(
             cfg.jobs,
@@ -960,7 +957,6 @@ pub fn optimize(
                             ops: job.ops,
                         };
                         best_key = key;
-                        best_expr = job.expr;
                     }
                 }
                 Verdict::RejectedCheck => rej_check += 1,
@@ -972,8 +968,6 @@ pub fn optimize(
         wave_certified.sort();
         frontier = wave_certified.into_iter().take(BEAM).map(|(_, _, _, e)| e).collect();
     }
-    let _ = best_expr;
-
     let improved =
         best.alpha < original.alpha || (best.alpha == original.alpha && best.cost < original.cost);
     let rewritten = if improved {

@@ -1684,17 +1684,20 @@ pub fn client(
         }
         std::thread::sleep(Duration::from_millis(50));
     };
+    // One write per request, without Nagle's algorithm: a request split
+    // over two writes holds its second segment until the server's delayed
+    // acknowledgement of the first, ~40 ms.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut worst = 0u8;
     for line in input.lines() {
-        let line = line?;
+        let mut line = line?;
         if line.trim().is_empty() {
             continue;
         }
+        line.push('\n');
         writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
         let mut response = String::new();
         if reader.read_line(&mut response)? == 0 {
             return Err(std::io::Error::new(

@@ -403,6 +403,19 @@ fn client_mode_pipes_requests_and_propagates_exit_codes() {
     let (stdout, code) = run_client("{\"id\":4,\"op\":\"frobnicate\"}\n");
     assert_eq!(code, 2, "{stdout}");
 
+    // Fifty requests in sequence answer within a second. A newline sent
+    // apart from its line would wait for the server's delayed
+    // acknowledgement, ~40 ms a request (over 2 s for these fifty).
+    let requests: String = (0..50)
+        .map(|i| format!("{{\"id\":{},\"op\":\"check\",\"src\":\"rnd 1.5\"}}\n", 100 + i))
+        .collect();
+    let started = Instant::now();
+    let (stdout, code) = run_client(&requests);
+    let elapsed = started.elapsed();
+    assert_eq!(code, 0, "{stdout}");
+    assert_eq!(stdout.lines().count(), 50, "one response line per request");
+    assert!(elapsed < Duration::from_secs(1), "50 sequential requests took {elapsed:?}");
+
     let (_, code) = run_client("{\"id\":5,\"op\":\"shutdown\"}\n");
     assert_eq!(code, 0);
     let status = wait_timeout(&mut child, Duration::from_secs(10));

@@ -7,6 +7,12 @@
 //! lowering, checking, evaluation — passes these ids around instead of
 //! cloning [`Ty`] trees.
 //!
+//! Each of the two tables keeps its keys once, in the id-ordered `Vec`
+//! that ids index, beside an id table of hash tags and ids (the crate's
+//! one hash-consing design, `crate::intern`), so a new grade is moved or
+//! cloned into the arena once. The lattice memos are hash maps under the
+//! crate's hasher, seeded once per process.
+//!
 //! # Id stability
 //!
 //! The arena is **append-only**: once a node is interned its id never
@@ -26,8 +32,8 @@
 //! `Copy`.
 
 use crate::grade::Grade;
+use crate::intern::{IdTable, SeededMap};
 use crate::ty::Ty;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Index of a term node in a [`crate::TermStore`].
@@ -72,15 +78,15 @@ pub enum TyNode {
 #[derive(Debug, Default)]
 pub(crate) struct ArenaInner {
     ty_nodes: Vec<TyNode>,
-    ty_dedup: HashMap<TyNode, TyId>,
+    ty_ids: IdTable,
     grades: Vec<Grade>,
-    grade_dedup: HashMap<Grade, GradeId>,
+    grade_ids: IdTable,
     /// Memoized Fig. 12 subtype queries (not symmetric: keyed as asked).
-    subtype_cache: HashMap<(TyId, TyId), bool>,
+    subtype_cache: SeededMap<(TyId, TyId), bool>,
     /// Memoized Fig. 11 `max` (join); `None` records a shape mismatch.
-    sup_cache: HashMap<(TyId, TyId), Option<TyId>>,
+    sup_cache: SeededMap<(TyId, TyId), Option<TyId>>,
     /// Memoized Fig. 11 `min` (meet).
-    inf_cache: HashMap<(TyId, TyId), Option<TyId>>,
+    inf_cache: SeededMap<(TyId, TyId), Option<TyId>>,
 }
 
 /// A shareable hash-consing arena for types and grades. Cloning the
@@ -107,10 +113,8 @@ impl CoreArena {
     /// A fresh arena with `unit` and `num` pre-interned.
     pub fn new() -> Self {
         let mut inner = ArenaInner::default();
-        inner.ty_nodes.push(TyNode::Unit);
-        inner.ty_dedup.insert(TyNode::Unit, UNIT_ID);
-        inner.ty_nodes.push(TyNode::Num);
-        inner.ty_dedup.insert(TyNode::Num, NUM_ID);
+        assert_eq!(inner.mk(TyNode::Unit), UNIT_ID);
+        assert_eq!(inner.mk(TyNode::Num), NUM_ID);
         CoreArena { inner: Arc::new(Mutex::new(inner)) }
     }
 
@@ -250,13 +254,10 @@ impl ArenaInner {
     }
 
     pub(crate) fn mk(&mut self, node: TyNode) -> TyId {
-        if let Some(&id) = self.ty_dedup.get(&node) {
-            return id;
-        }
-        let id = TyId(self.ty_nodes.len() as u32);
-        self.ty_nodes.push(node);
-        self.ty_dedup.insert(node, id);
-        id
+        TyId(self.ty_ids.find(&self.ty_nodes, &node).unwrap_or_else(|at| {
+            self.ty_nodes.push(node);
+            self.ty_ids.insert(at)
+        }))
     }
 
     pub(crate) fn intern(&mut self, t: &Ty) -> TyId {
@@ -295,13 +296,19 @@ impl ArenaInner {
     }
 
     pub(crate) fn intern_grade(&mut self, g: &Grade) -> GradeId {
-        if let Some(&id) = self.grade_dedup.get(g) {
-            return id;
-        }
-        let id = GradeId(self.grades.len() as u32);
-        self.grades.push(g.clone());
-        self.grade_dedup.insert(g.clone(), id);
-        id
+        GradeId(self.grade_ids.find(&self.grades, g).unwrap_or_else(|at| {
+            self.grades.push(g.clone());
+            self.grade_ids.insert(at)
+        }))
+    }
+
+    /// [`ArenaInner::intern_grade`] of a grade the caller no longer
+    /// needs: a new grade is moved into the table, not cloned.
+    pub(crate) fn intern_grade_owned(&mut self, g: Grade) -> GradeId {
+        GradeId(self.grade_ids.find(&self.grades, &g).unwrap_or_else(|at| {
+            self.grades.push(g);
+            self.grade_ids.insert(at)
+        }))
     }
 
     pub(crate) fn subtype(&mut self, a: TyId, b: TyId) -> bool {
@@ -342,7 +349,7 @@ impl ArenaInner {
             return a;
         }
         let g = self.grades[a.0 as usize].sup(&self.grades[b.0 as usize]);
-        self.intern_grade(&g)
+        self.intern_grade_owned(g)
     }
 
     pub(crate) fn grade_inf(&mut self, a: GradeId, b: GradeId) -> GradeId {
@@ -350,7 +357,7 @@ impl ArenaInner {
             return a;
         }
         let g = self.grades[a.0 as usize].inf(&self.grades[b.0 as usize]);
-        self.intern_grade(&g)
+        self.intern_grade_owned(g)
     }
 
     pub(crate) fn sup(&mut self, a: TyId, b: TyId) -> Option<TyId> {
@@ -463,6 +470,14 @@ mod tests {
             let gid = arena.intern_grade(&eps());
             arena.monad(gid, arena.num())
         });
+    }
+
+    #[test]
+    fn unit_and_num_keep_their_fixed_ids() {
+        let arena = CoreArena::new();
+        assert_eq!((arena.unit(), arena.num()), (TyId(0), TyId(1)));
+        assert_eq!((arena.mk(TyNode::Unit), arena.mk(TyNode::Num)), (TyId(0), TyId(1)));
+        assert_eq!(arena.len(), 2);
     }
 
     #[test]

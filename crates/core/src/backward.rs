@@ -380,7 +380,7 @@ impl Rules for Bean {
                 // Linear sequencing: the stage grades add (the forward
                 // grade is kept so both modes print the same types).
                 let grade = w.arena.grade(r).add(w.arena.grade(q));
-                let gid = w.arena.intern_grade(&grade);
+                let gid = w.arena.intern_grade_owned(grade);
                 (env, w.arena.mk(TyNode::Monad(gid, tau)), None)
             }
             Node::Let(x, e, f) => {

@@ -36,10 +36,11 @@
 
 use crate::check::FnReport;
 use crate::grade::{Coeffect, Grade};
+use crate::intern::SeededMap;
 use crate::term::{grow_to, Node, TermId, TermStore, VarId};
 use crate::ty::Ty;
 use crate::TyId;
-use std::collections::{hash_map, BTreeMap, HashMap};
+use std::collections::{hash_map, BTreeMap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -282,7 +283,7 @@ struct Fingerprinter<'a> {
     index: Vec<u32>,
     /// Node hashes, in completion order.
     hashes: Vec<u128>,
-    tys: HashMap<TyId, u128>,
+    tys: SeededMap<TyId, u128>,
     /// Per variable, its canonical number ([`UNSEEN`] until met), assigned
     /// in deterministic traversal order (free interface first, then
     /// binders as encountered).
@@ -300,7 +301,7 @@ impl<'a> Fingerprinter<'a> {
             store,
             index: vec![UNSEEN; store.len()],
             hashes: Vec::new(),
-            tys: HashMap::new(),
+            tys: SeededMap::default(),
             canon: vec![UNSEEN; store.num_vars()],
             vars: Vec::new(),
         };
@@ -1060,11 +1061,11 @@ const ENTRY_OVERHEAD: usize = 96;
 #[derive(Debug)]
 pub struct ResultCache<V> {
     budget: usize,
-    map: HashMap<CacheKey, Entry<V>>,
+    map: SeededMap<CacheKey, Entry<V>>,
     recency: BTreeMap<u64, CacheKey>,
     /// Blocks resident entries share ([`CacheWeight::shared`]), by address:
     /// their bytes and how many resident entries hold them.
-    shared: HashMap<usize, (usize, usize)>,
+    shared: SeededMap<usize, (usize, usize)>,
     seq: u64,
     bytes: usize,
     hits: u64,
@@ -1086,9 +1087,9 @@ impl<V: Clone + CacheWeight> ResultCache<V> {
     pub fn new(budget_bytes: usize) -> Self {
         ResultCache {
             budget: budget_bytes,
-            map: HashMap::new(),
+            map: SeededMap::default(),
             recency: BTreeMap::new(),
-            shared: HashMap::new(),
+            shared: SeededMap::default(),
             seq: 0,
             bytes: 0,
             hits: 0,

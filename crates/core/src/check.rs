@@ -274,7 +274,7 @@ impl Rules for Forward {
                 let sr = s.checked_mul(w.arena.grade(r)).ok_or(CheckError::NonlinearGrade)?;
                 let grade = sr.add(w.arena.grade(q));
                 let scaled = rv.env.scale(&s).ok_or(CheckError::NonlinearGrade)?;
-                let gid = w.arena.intern_grade(&grade);
+                let gid = w.arena.intern_grade_owned(grade);
                 (rf.env.add(scaled), w.arena.mk(TyNode::Monad(gid, tau)))
             }
             // (Let) side condition s > 0; a function binding composes the

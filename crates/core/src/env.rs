@@ -12,8 +12,8 @@
 //! stored.
 
 use crate::grade::{Coeffect, Grade};
+use crate::intern::SeededMap;
 use crate::term::VarId;
-use std::collections::HashMap;
 
 /// Inline capacity: environments at most this large stay a flat vector
 /// (linear scans beat hashing at this size).
@@ -37,7 +37,7 @@ enum Rep {
     /// 2..=SPILL entries, unsorted, no duplicate variables.
     Small(Vec<(VarId, Grade)>),
     /// Past the spill threshold.
-    Large(HashMap<VarId, Grade>),
+    Large(SeededMap<VarId, Grade>),
 }
 
 /// Consumes a representation into its entries.
@@ -205,9 +205,9 @@ impl Env {
             return Some(Env::empty()); // 0 · ∞ = 0: everything drops out
         }
         let mut v = Vec::with_capacity(self.len().min(SPILL + 1));
-        let mut m: Option<HashMap<VarId, Grade>> = None;
+        let mut m: Option<SeededMap<VarId, Grade>> = None;
         if let Rep::Large(_) = self.rep {
-            m = Some(HashMap::with_capacity(self.len()));
+            m = Some(SeededMap::with_capacity_and_hasher(self.len(), Default::default()));
         }
         for (x, g) in into_entries(self.rep) {
             let scaled = s.checked_mul(&g)?;
@@ -311,7 +311,7 @@ impl BackwardEnv {
     pub fn merge_disjoint(self, other: Self) -> Result<Self, VarId> {
         let (mut a, mut b) =
             (self.entries.into_iter().peekable(), other.entries.into_iter().peekable());
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(a.len() + b.len());
         loop {
             match (a.peek(), b.peek()) {
                 (Some((va, _)), Some((vb, _))) => match va.cmp(vb) {
@@ -335,7 +335,7 @@ impl BackwardEnv {
     pub fn sup_same_support(self, other: Self) -> Result<Self, VarId> {
         let (mut a, mut b) =
             (self.entries.into_iter().peekable(), other.entries.into_iter().peekable());
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(a.len() + b.len());
         loop {
             match (a.peek(), b.peek()) {
                 (Some((va, _)), Some((vb, _))) => match va.cmp(vb) {

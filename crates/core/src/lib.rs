@@ -58,6 +58,7 @@ pub mod cache;
 mod check;
 mod env;
 mod grade;
+mod intern;
 mod lexer;
 mod lower;
 mod parser;

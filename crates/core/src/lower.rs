@@ -21,11 +21,11 @@
 //! left-to-right, innermost-first lowering of the whole expression.
 
 use crate::arena::TermId;
+use crate::intern::{SeededMap, SeededSet};
 use crate::lexer::SyntaxError;
 use crate::sig::Signature;
 use crate::term::{NameIdx, TermStore, VarId};
 use crate::ty::Ty;
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 
 /// A lowered program: the arena plus the root term.
@@ -113,7 +113,7 @@ pub(crate) struct Lowerer<'a> {
     pub(crate) store: TermStore,
     sig: &'a Signature,
     /// Spelling → index into `slots`.
-    syms: HashMap<&'a str, u32>,
+    syms: SeededMap<&'a str, u32>,
     slots: Vec<Slot>,
     /// Bindings shadowed by later ones, restored by [`Lowerer::unbind_to`].
     shadowed: Vec<(u32, Option<VarId>)>,
@@ -125,7 +125,7 @@ pub(crate) struct Lowerer<'a> {
     /// Source binders shaped like generated temps (`_t<digits>`), which
     /// temps must avoid so pretty-printed programs re-parse without
     /// accidental capture.
-    taken: HashSet<&'a str>,
+    taken: SeededSet<&'a str>,
     /// The first lowering error; reported only if the parse succeeds.
     error: Option<SyntaxError>,
 }
@@ -141,12 +141,12 @@ impl<'a> Lowerer<'a> {
         Lowerer {
             store,
             sig,
-            syms: HashMap::new(),
+            syms: SeededMap::default(),
             slots: Vec::new(),
             shadowed: Vec::new(),
             binds: Vec::new(),
             temps: Vec::new(),
-            taken: HashSet::new(),
+            taken: SeededSet::default(),
             error: None,
         }
     }

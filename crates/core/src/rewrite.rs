@@ -27,8 +27,8 @@
 //! the monadic grade sums one `eps` per operation regardless of tree
 //! shape — so nothing is lost.
 
+use crate::intern::{IdTable, SeededSet};
 use numfuzz_exact::Rational;
-use std::collections::{HashMap, HashSet};
 
 /// Index of an expression node in an [`ExprArena`].
 pub type ExprId = usize;
@@ -56,7 +56,7 @@ pub enum ENode {
 #[derive(Default, Debug)]
 pub struct ExprArena {
     nodes: Vec<ENode>,
-    dedup: HashMap<ENode, ExprId>,
+    ids: IdTable,
 }
 
 /// A local rewrite rule: applied at a single node, returns the rewritten
@@ -81,13 +81,10 @@ impl ExprArena {
 
     /// Interns a node, returning the id of the shared instance.
     pub fn intern(&mut self, n: ENode) -> ExprId {
-        if let Some(&id) = self.dedup.get(&n) {
-            return id;
-        }
-        let id = self.nodes.len();
-        self.nodes.push(n.clone());
-        self.dedup.insert(n, id);
-        id
+        self.ids.find(&self.nodes, &n).unwrap_or_else(|at| {
+            self.nodes.push(n);
+            self.ids.insert(at)
+        }) as ExprId
     }
 
     /// The node stored at `id`.
@@ -289,11 +286,11 @@ impl ExprArena {
     /// Operation-count cost of the expression DAG (shared nodes counted
     /// once, mirroring the let-bound code the optimizer emits).
     pub fn op_cost(&self, id: ExprId) -> u64 {
-        let mut seen = HashSet::new();
+        let mut seen = SeededSet::default();
         self.cost_walk(id, &mut seen)
     }
 
-    fn cost_walk(&self, id: ExprId, seen: &mut HashSet<ExprId>) -> u64 {
+    fn cost_walk(&self, id: ExprId, seen: &mut SeededSet<ExprId>) -> u64 {
         if !seen.insert(id) {
             return 0;
         }
@@ -308,11 +305,11 @@ impl ExprArena {
 
     /// Number of operation nodes in the DAG (shared nodes counted once).
     pub fn op_count(&self, id: ExprId) -> u64 {
-        let mut seen = HashSet::new();
+        let mut seen = SeededSet::default();
         self.count_walk(id, &mut seen)
     }
 
-    fn count_walk(&self, id: ExprId, seen: &mut HashSet<ExprId>) -> u64 {
+    fn count_walk(&self, id: ExprId, seen: &mut SeededSet<ExprId>) -> u64 {
         if !seen.insert(id) {
             return 0;
         }
@@ -400,7 +397,7 @@ pub fn unsound_swap_div_rule() -> (&'static str, RuleFn) {
 pub fn apply_everywhere(arena: &mut ExprArena, root: ExprId, rule: RuleFn) -> Vec<ExprId> {
     let raw = everywhere(arena, root, rule);
     let base = arena.simplify(root);
-    let mut seen = HashSet::new();
+    let mut seen = SeededSet::default();
     let mut out = Vec::new();
     for v in raw {
         let s = arena.simplify(v);
@@ -487,7 +484,7 @@ fn rule_factor(arena: &mut ExprArena, id: ExprId) -> Vec<ExprId> {
     let factor_lists: Vec<Vec<ExprId>> = terms.iter().map(|&t| arena.factors_of(t)).collect();
     // Candidate factors in first-occurrence order, skipping constants.
     let mut cands = Vec::new();
-    let mut seen = HashSet::new();
+    let mut seen = SeededSet::default();
     for fl in &factor_lists {
         for &f in fl {
             if !matches!(arena.node(f), ENode::Const(_)) && seen.insert(f) {
@@ -600,7 +597,7 @@ fn rule_div_through(arena: &mut ExprArena, id: ExprId) -> Vec<ExprId> {
         return Vec::new();
     };
     let mut cands = Vec::new();
-    let mut seen = HashSet::new();
+    let mut seen = SeededSet::default();
     for side in [n, d] {
         for f in arena.factors_of(side) {
             if !matches!(arena.node(f), ENode::Const(_)) && seen.insert(f) {

@@ -12,6 +12,12 @@
 //! checking and evaluation never deal with shadowing (and hash-consing
 //! can never confuse two binders).
 //!
+//! Each interning table (nodes, constants, variable names) keeps its keys
+//! once, in the id-ordered `Vec` that ids index; the id table beside it
+//! (`crate::intern`) holds a hash tag and an id per key and confirms a
+//! match against that `Vec`, so a name looked up as `&str` is copied
+//! only when it is new.
+//!
 //! Type and grade annotations are interned ids ([`TyId`]/[`GradeId`])
 //! into a shared [`CoreArena`]; see [`crate::arena`] for the id-stability
 //! guarantees. Stores created with [`TermStore::with_arena`] share one
@@ -21,9 +27,9 @@
 use crate::arena::{CoreArena, GradeId, TyId};
 pub use crate::arena::{TermId, VarId};
 use crate::grade::Grade;
+use crate::intern::IdTable;
 use crate::ty::Ty;
 use numfuzz_exact::Rational;
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Interned index of a constant or operation name.
@@ -101,14 +107,14 @@ pub enum Node {
 pub struct TermStore {
     nodes: Vec<Node>,
     /// Hash-consing table: node → its id.
-    dedup: HashMap<Node, TermId>,
+    node_ids: IdTable,
     consts: Vec<Rational>,
-    const_dedup: HashMap<Rational, Idx>,
+    const_ids: IdTable,
     tys: CoreArena,
     ops: Vec<String>,
     /// Distinct variable display names, each spelling stored once.
     names: Vec<Arc<str>>,
-    name_dedup: HashMap<Arc<str>, NameIdx>,
+    name_ids: IdTable,
     /// Each variable's index into `names`.
     var_names: Vec<NameIdx>,
 }
@@ -131,13 +137,13 @@ impl TermStore {
     pub fn with_arena(tys: CoreArena) -> Self {
         TermStore {
             nodes: Vec::new(),
-            dedup: HashMap::new(),
+            node_ids: IdTable::default(),
             consts: Vec::new(),
-            const_dedup: HashMap::new(),
+            const_ids: IdTable::default(),
             tys,
             ops: Vec::new(),
             names: Vec::new(),
-            name_dedup: HashMap::new(),
+            name_ids: IdTable::default(),
             var_names: Vec::new(),
         }
     }
@@ -201,14 +207,10 @@ impl TermStore {
 
     /// Interns a display name for [`TermStore::fresh_var_named`].
     pub(crate) fn intern_name(&mut self, name: &str) -> NameIdx {
-        if let Some(&idx) = self.name_dedup.get(name) {
-            return idx;
-        }
-        let idx = self.names.len() as NameIdx;
-        let name: Arc<str> = name.into();
-        self.names.push(name.clone());
-        self.name_dedup.insert(name, idx);
-        idx
+        self.name_ids.find(&self.names, name).unwrap_or_else(|at| {
+            self.names.push(name.into());
+            self.name_ids.insert(at)
+        })
     }
 
     /// Allocates a fresh variable under an interned name.
@@ -227,14 +229,10 @@ impl TermStore {
     /// Interns a node (hash-consing: structurally identical nodes share
     /// one id).
     fn push(&mut self, node: Node) -> TermId {
-        match self.dedup.entry(node) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = TermId(self.nodes.len() as u32);
-                self.nodes.push(node);
-                *e.insert(id)
-            }
-        }
+        TermId(self.node_ids.find(&self.nodes, &node).unwrap_or_else(|at| {
+            self.nodes.push(node);
+            self.node_ids.insert(at)
+        }))
     }
 
     /// Interns a type annotation.
@@ -244,7 +242,7 @@ impl TermStore {
 
     /// Interns a grade annotation.
     pub fn intern_grade(&mut self, g: Grade) -> GradeId {
-        self.tys.intern_grade(&g)
+        self.tys.inner().intern_grade_owned(g)
     }
 
     /// Interns an operation name.
@@ -270,13 +268,10 @@ impl TermStore {
 
     /// Numeric constant.
     pub fn num(&mut self, k: Rational) -> TermId {
-        let idx = match self.const_dedup.entry(k) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                self.consts.push(e.key().clone());
-                *e.insert((self.consts.len() - 1) as Idx)
-            }
-        };
+        let idx = self.const_ids.find(&self.consts, &k).unwrap_or_else(|at| {
+            self.consts.push(k);
+            self.const_ids.insert(at)
+        });
         self.push(Node::Const(idx))
     }
 
@@ -589,6 +584,25 @@ mod tests {
         let p3 = s.pair_with(v1, k1);
         assert_ne!(p1, p3);
         assert_eq!(s.len(), 4, "x, 1/2, (x,1/2), (|x,1/2|)");
+    }
+
+    #[test]
+    fn structured_keys_keep_probe_runs_short() {
+        // Programs intern regular keys (pairs of neighbouring ids, decimal
+        // constants, numbered names); a hash whose bits do not mix piles
+        // them into long probe runs.
+        let mut s = TermStore::new();
+        for i in 0..200_000u32 {
+            s.push(Node::PairW(TermId(i), TermId(i + 1)));
+            s.num(Rational::ratio(i64::from(i) + 1, 1000));
+            s.intern_name(&format!("s{}", i + 1));
+        }
+        assert_eq!((s.len(), s.consts.len(), s.names.len()), (400_000, 200_000, 200_000));
+        for (what, table) in
+            [("nodes", &s.node_ids), ("constants", &s.const_ids), ("names", &s.name_ids)]
+        {
+            assert!(table.longest_probe() <= 64, "{what}: {}", table.longest_probe());
+        }
     }
 
     #[test]

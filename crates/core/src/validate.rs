@@ -18,11 +18,11 @@ use crate::arena::{CoreArena, TyId, TyNode};
 use crate::check::Inferred;
 use crate::env::Env;
 use crate::grade::Grade;
+use crate::intern::SeededMap;
 use crate::sig::Signature;
 use crate::term::{Node, TermId, TermStore, VarId};
 use crate::ty::Ty;
 use crate::walk::CheckError;
-use std::collections::HashMap;
 
 /// Reference (recursive) re-implementation of [`crate::infer`] for the
 /// root judgment only (no function reports).
@@ -51,7 +51,7 @@ struct Ref<'a> {
     store: &'a TermStore,
     sig: &'a Signature,
     arena: CoreArena,
-    var_tys: HashMap<VarId, TyId>,
+    var_tys: SeededMap<VarId, TyId>,
 }
 
 impl<'a> Ref<'a> {

@@ -44,10 +44,10 @@ use crate::cache::{
     JudgmentEntry, NodeFingerprints, ReportLog, ReportWindow,
 };
 use crate::grade::Grade;
+use crate::intern::SeededMap;
 use crate::sig::Signature;
 use crate::term::{grow_to, Node, TermId, TermStore, VarId};
 use crate::ty::Ty;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::MutexGuard;
@@ -301,7 +301,7 @@ pub(crate) fn walk<R: Rules>(
             let memo = Memo {
                 cache,
                 fps,
-                ty_fps: HashMap::new(),
+                ty_fps: SeededMap::default(),
                 fns_start: vec![NOT_IN_FLIGHT; store.len()],
                 pending: Vec::new(),
                 recomputed: 0,
@@ -500,7 +500,7 @@ pub(crate) struct Memo<'a> {
     cache: &'a mut JudgmentCache,
     pub(crate) fps: NodeFingerprints,
     /// `hash_ty_tree` of resolved types, memoized by interned id.
-    ty_fps: HashMap<TyId, u128>,
+    ty_fps: SeededMap<TyId, u128>,
     /// Per node, by [`TermId`]: where its window into the reports starts
     /// while it is in flight (cache-missed, not yet judged), else
     /// [`NOT_IN_FLIGHT`]; only in-flight nodes are memoized in

@@ -261,7 +261,7 @@ fn run_with_error_row(analyzer: &Analyzer) -> Row {
 /// Each generated program is type-checked (timed) by one session, and
 /// its eq. (8) bound is compared against the literature "Std." bound.
 /// `MatrixMultiply128` (≈25M AST nodes, several GB) only runs when
-/// `NUMFUZZ_LARGE=1` is set.
+/// `NUMFUZZ_LARGE=1` is set. The last line is the run's peak RSS.
 fn table4() {
     let analyzer = paper_session();
     let u = analyzer.rounding_unit();
@@ -335,6 +335,18 @@ fn table4() {
         "per-op rounding model yields (2n-1)u vs the literature's fused gamma_n (a factor ~2),"
     );
     println!("the same relationship the paper reports.");
+    if let Some(mib) = peak_rss_mib() {
+        println!("\npeak RSS: {mib} MiB");
+    }
+}
+
+/// The process's peak resident set in MiB (`VmHWM` in
+/// `/proc/self/status`), where the system reports one.
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024)
 }
 
 /// Table 5: conditional benchmarks. Each surface program is parsed,

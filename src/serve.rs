@@ -1170,14 +1170,14 @@ pub fn serve_tcp(service: &Arc<Service>, addr: &str) -> std::io::Result<()> {
 /// `TCP_NODELAY` on each new socket, so a reply leaves as soon as it is
 /// written rather than waiting for the client's next acknowledgement.
 /// Each connection gets a reader thread, which blocks in `read` and
-/// hands every complete line (at most [`MAX_REQUEST_BYTES`]) to the loop,
+/// hands every complete line (at most `MAX_REQUEST_BYTES`) to the loop,
 /// and a writer thread, which sends the loop's in-order reply bytes with
 /// `write_all`. All of them, and the pool's completions, report on one
 /// channel, and the loop blocks on it until the next event or idle
 /// deadline: an idle server uses no CPU, and nothing waits for a timer.
 ///
 /// The loop alone decides. It admits connections up to
-/// [`MAX_CONNECTIONS`] (one more — or one whose threads fail to start —
+/// `MAX_CONNECTIONS` (one more — or one whose threads fail to start —
 /// gets an `EBUSY` line, counts as `admission.rejected` and is closed);
 /// dispatches each line to the pool, or — when the line's `tenant`
 /// (default `"default"`) already has [`ServeConfig::max_pending`]
